@@ -9,6 +9,7 @@ axis-aligned squares, so one reference-element table serves every cell.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,16 +235,18 @@ def q2_prolongation(level: int) -> sp.csr_matrix:
     return sp.kron(p1, p1, format="csr")      # node = y index * m + x index
 
 
+@lru_cache(maxsize=None)
 def cell_stars(level: int):
     """Overlapping patches for the multigrid smoother, grouped for a sweep.
 
     Every cell has a star: the interior Q2 nodes strictly inside the block of
     cells that share a vertex with it (3x3 cells, clipped at the boundary, so
-    5, or 3 at the boundary, nodes per direction). Returns a list of
+    5, or 3 at the boundary, nodes per direction). Returns a tuple of
     (n_stars, n_dofs) arrays of interleaved interior-velocity dof ids; the
     stars of one array have one shape and one colour (cell indices mod 3),
     so they share no dof. The groups come in colour order and together cover
-    every interior dof.
+    every interior dof. The result is cached per level, so its arrays are
+    read-only.
     """
     nc = 2 ** level
     mi = 2 * nc - 1                   # interior Q2 nodes per direction
@@ -259,9 +262,11 @@ def cell_stars(level: int):
         ix = lo[ci[sel]][:, None, None] + np.arange(sx)[None, None, :]
         jy = lo[cj[sel]][:, None, None] + np.arange(sy)[None, :, None]
         nodes = ((jy - 1) * mi + (ix - 1)).reshape(sel.size, sx * sy)
-        groups.append(np.stack([2 * nodes, 2 * nodes + 1], axis=-1)
-                      .reshape(sel.size, 2 * sx * sy))
-    return groups
+        group = (np.stack([2 * nodes, 2 * nodes + 1], axis=-1)
+                 .reshape(sel.size, 2 * sx * sy))
+        group.flags.writeable = False
+        groups.append(group)
+    return tuple(groups)
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,10 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     """Run the inexact Newton iteration; returns (state, trace).
 
     Stops when the nonlinear residual drops below tol relative to the
-    residual of the lifted zero state, or after max_iters steps (trace marked
-    not converged, averages taken over completed steps). `on_system(k, sys)`
-    is called with each assembled step system, e.g. for matrix export.
+    residual of the lifted zero state, at the first non-finite residual, or
+    after max_iters steps (in the last two cases the trace is marked not
+    converged, averages taken over completed steps). `on_system(k, sys)` is
+    called with each assembled step system, e.g. for matrix export.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
@@ -148,6 +149,9 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     res0 = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
                          geom.quad, params, stab_wind=stab)
     trace = NewtonTrace(residuals=[res0.norm])
+    if not np.isfinite(res0.norm):
+        log.warning("newton: non-finite initial residual, stopping")
+        return state, trace
     if convergence_check(trace, cfg):
         trace.converged = True
         return state, trace
@@ -169,6 +173,9 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
         trace.residuals.append(res.norm)
         log.info("newton step %d: residual %.6e (fgmres %d)",
                  k, res.norm, stats.iters)
+        if not np.isfinite(res.norm):
+            log.warning("newton step %d: non-finite residual, stopping", k)
+            break
         if convergence_check(trace, cfg):
             trace.converged = True
             break

@@ -12,6 +12,7 @@ preconditioners are provided for verification at desk scale.
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,12 +76,19 @@ def _velocity_level(n_v):
     return level
 
 
+@lru_cache(maxsize=None)
 def _velocity_prolongation(level):
-    """Q2 interpolation of interior interleaved velocity dofs, level-1 -> level."""
+    """Q2 interpolation of interior interleaved velocity dofs, level-1 -> level.
+
+    Cached per level, so its arrays are read-only.
+    """
     p = sp.kron(q2_prolongation(level), sp.eye(2), format="csr")
     fine = build_dofmap(build_mesh(level)).interior_vdofs
     coarse = build_dofmap(build_mesh(level - 1)).interior_vdofs
-    return p[fine][:, coarse].tocsr()
+    p = p[fine][:, coarse].tocsr()
+    for a in (p.data, p.indices, p.indptr):
+        a.flags.writeable = False
+    return p
 
 
 @dataclass
@@ -118,7 +126,8 @@ class Multigrid:
     LU-factorized. On every other level the cycle runs MG_SWEEPS sweeps over
     the star groups (multiplicative across groups), then adds the coarse
     correction; there is no post-smoothing. The cycle is a fixed linear
-    operator, so the inner GMRES that applies it needs no flexible variant.
+    operator, so the inner GMRES that applies it is GMRES on a fixed
+    preconditioned matrix.
     """
 
     ops: list

@@ -201,6 +201,7 @@ def test_chebyshev_mass_solve_accuracy():
         assert rel <= 1e-6, f"trial {trial}: {rel:.3e}"
 
 
+@pytest.mark.slow
 def test_newton_count_reference_grid():
     bad = []
     for level in (3, 4, 5):
@@ -216,6 +217,7 @@ def test_newton_count_reference_grid():
     assert not bad, "out-of-tolerance cells:\n" + "\n".join(bad)
 
 
+@pytest.mark.slow
 def test_al_fgmres_reference_grid():
     bad = []
     for level in (3, 4):
@@ -237,6 +239,7 @@ def test_al_fgmres_reference_grid():
     assert not bad, "out-of-tolerance cells:\n" + "\n".join(bad)
 
 
+@pytest.mark.slow
 def test_bpcd_vs_al_contrast():
     nu = 1.0 / 500.0
     al_hard = _run(4, nu, 1e-1, precond="al", exact=False)

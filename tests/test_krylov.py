@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
                           fgmres, from_triplets, gmres)
-from nsctl.operators import assemble_pressure, assemble_velocity, \
-    mass_eig_interval
+from nsctl.operators import (KktParams, StateIterate, assemble_pressure,
+                             assemble_velocity, build_kkt, lift_boundary,
+                             mass_eig_interval)
 
 
 def _zero_wind(geom):
@@ -107,6 +108,20 @@ def test_factorize_roundtrip_on_mass(geom3, rng):
     assert res <= 1e-10
 
 
+@pytest.mark.parametrize("beta", [1e-1, 1e-5])
+def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
+    d = geom3.dofmap
+    state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
+                         mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
+    system = build_kkt(state, geom3.mesh, d, geom3.patches, geom3.quad,
+                       KktParams(nu=0.01, beta=beta), do_augment=True)
+    shift = system.vel.m / np.sqrt(beta)
+    for a in ((system.a21 + shift).tocsr(), (system.a12 + shift).tocsr()):
+        b = rng.standard_normal(a.shape[0])
+        res = np.linalg.norm(a @ factorize(a).solve(b) - b) / np.linalg.norm(b)
+        assert res <= 1e-10
+
+
 # --------------------------------------------------------------------------
 # Chebyshev semi-iteration
 # --------------------------------------------------------------------------
@@ -177,6 +192,21 @@ def test_gmres_fixed_iterations(rng):
     x, stats = gmres(lambda u: a @ u, None, b, KrylovConfig(fixed_iters=5))
     assert stats.iters == 5
     assert len(stats.residuals) == 5
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_gmres_fixed_iterations_apply_preconditioner_once_per_step(rng, k):
+    a = _well_conditioned(rng)
+    b = rng.standard_normal(a.shape[0])
+    calls = []
+
+    def apply_p(u):
+        calls.append(1)
+        return u / 4.0
+
+    _, stats = gmres(lambda u: a @ u, apply_p, b, KrylovConfig(fixed_iters=k))
+    assert stats.iters == k
+    assert len(calls) == k
 
 
 def test_gmres_converges_and_reports_true_residual(rng):

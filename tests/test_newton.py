@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nsctl.newton as newton_mod
 from nsctl.krylov import KrylovConfig
 from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
                           initial_state, newton_solve, stokes_init)
@@ -134,3 +135,26 @@ def test_full_newton_converges_no_slower(geom3):
     _, full = newton_solve(cfg, KktParams(full_newton=True, **base), geom3)
     assert full.converged
     assert full.newton_iters <= inexact.newton_iters + 1
+
+
+@pytest.mark.parametrize("bad_step", [0, 2])
+def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
+    """A NaN residual ends the iteration at that step, unconverged (step 0
+    is the lifted zero state); the unperturbed case takes 3 steps."""
+    real = newton_mod.eval_residual
+    calls = []
+
+    def nan_at_bad_step(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if len(calls) == bad_step:
+            res.norm = float("nan")
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(newton_mod, "eval_residual", nan_at_bad_step)
+    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
+                            geom2)
+    assert trace.newton_iters == bad_step
+    assert not trace.converged
+    assert np.isnan(trace.residuals[-1])
+    assert len(calls) == bad_step + 1

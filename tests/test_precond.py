@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import nsctl.precond as precond_mod
+from nsctl.grid_fem import cell_stars
 from nsctl.krylov import Factorization, KrylovConfig, gmres
 from nsctl.operators import KktParams, StateIterate, build_kkt, lift_boundary
 from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
@@ -78,11 +79,41 @@ def test_multigrid_cycle_contracts_matching_residual(geom3, beta):
             b = np.random.default_rng(seed).standard_normal(a.shape[0])
             rel = np.linalg.norm(b - a @ inv.solve(b)) / np.linalg.norm(b)
             assert rel <= 0.1, f"beta={beta:g} seed={seed}: {rel:.3f}"
-    # the inner GMRES is not flexible, so the cycle must be linear
+    # the cycle is a fixed linear map, so the inner GMRES sees one
+    # preconditioned matrix
     b1, b2 = (np.random.default_rng(s).standard_normal(system.n_v)
               for s in (5, 6))
     lin = ms.inv_21.solve(b1 + b2) - ms.inv_21.solve(b1) - ms.inv_21.solve(b2)
     assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(ms.inv_21.solve(b1))
+
+
+def _csr_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+def test_multigrid_hierarchy_identical_with_warm_geometry_cache(geom3):
+    system = _stokes_system(geom3, beta=1e-3, augmented=True)
+    mat = build_matching(system).mat_21
+    precond_mod._velocity_prolongation.cache_clear()
+    cell_stars.cache_clear()
+    cold = precond_mod.build_multigrid(mat, 3)
+    warm = precond_mod.build_multigrid(mat, 3)
+    assert precond_mod._velocity_prolongation.cache_info().hits == 2
+    assert cell_stars.cache_info().hits == 2
+    for a, b in zip(cold.ops + cold.prolongations,
+                    warm.ops + warm.prolongations, strict=True):
+        assert _csr_equal(a, b)
+    for ga, gb in zip(cold.smoothers, warm.smoothers, strict=True):
+        for sa, sb in zip(ga, gb, strict=True):
+            assert np.array_equal(sa.dofs, sb.dofs)
+            assert _csr_equal(sa.rows, sb.rows)
+            assert np.array_equal(sa.inv, sb.inv)
+    # the cached arrays are shared between hierarchies, so they are read-only
+    p = warm.prolongations[0]
+    assert not any(x.flags.writeable for x in (p.data, p.indices, p.indptr))
+    assert not any(g.flags.writeable for g in cell_stars(3))
 
 
 # --------------------------------------------------------------------------
@@ -181,6 +212,28 @@ def test_inner_momentum_solve_quality(geom2, augmented):
                      lambda x: inner_p1_apply(stack, x), rhs, cfg)
     assert stats.converged
     assert stats.iters <= 15
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
+    """The update Z y equals P(V y), the form that applies the linear inner
+    preconditioner once more, with y the residual minimizer over span(Z)."""
+    system = _stokes_system(geom2, augmented=True)
+    stack = build_precond(system, "al", exact_blocks=exact)
+    mom = stack.momentum
+    rhs = np.concatenate([system.rhs1, system.rhs2])
+    basis, images = [], []
+
+    def apply_p(v):
+        basis.append(v.copy())
+        images.append(inner_p1_apply(stack, v))
+        return images[-1]
+
+    x, _ = gmres(lambda u: mom @ u, apply_p, rhs, KrylovConfig(fixed_iters=5))
+    az = np.column_stack([mom @ z for z in images])
+    y = np.linalg.lstsq(az, rhs, rcond=None)[0]
+    old = inner_p1_apply(stack, np.column_stack(basis) @ y)
+    assert np.linalg.norm(x - old) <= 1e-12 * np.linalg.norm(old)
 
 
 # --------------------------------------------------------------------------
