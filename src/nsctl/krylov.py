@@ -246,7 +246,8 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
     """Right-preconditioned restarted GMRES, one preconditioner apply per step.
 
     With cfg.fixed_iters set, runs exactly that many Arnoldi steps (no
-    tolerance exit) -- the mode used for the inner momentum solver.
+    tolerance exit) -- the mode used for the inner momentum solver. That mode
+    does not compute `true_residual`, which stays 0.
     """
     apply_a = _as_operator(apply_a)
     apply_p = _as_operator(apply_p)
@@ -267,7 +268,6 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
         x, _, breakdown = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b),
                                        fixed, None, collect)
         stats.breakdown = breakdown
-        stats.true_residual = np.linalg.norm(b - apply_a(x))
         stats.converged = True
         return x, stats
 

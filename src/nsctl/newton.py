@@ -141,7 +141,9 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     residual of the lifted zero state, at the first non-finite residual, or
     after max_iters steps (in the last two cases the trace is marked not
     converged, averages taken over completed steps). `on_system(k, sys)` is
-    called with each assembled step system, e.g. for matrix export.
+    called with each assembled step system, e.g. for matrix export; the
+    system is released when it returns, before the next step is assembled,
+    so only one step's matrices and factors are alive at a time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
@@ -165,6 +167,10 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
             stab = state.v.copy()    # freeze the stabilization wind here
         if on_system is not None:
             on_system(k, system)
+        del system
+        if not stats.converged:
+            log.warning("newton step %d: linear solve not converged (%d iters, "
+                        "residual %.3e)", k, stats.iters, stats.true_residual)
         res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
                             geom.quad, params, stab_wind=stab)
         trace.fgmres_iters.append(stats.iters)

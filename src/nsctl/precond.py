@@ -11,6 +11,7 @@ preconditioners are provided for verification at desk scale.
 """
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,7 +31,6 @@ __all__ = [
     "build_multigrid", "build_precond",
     "matching_apply", "matching_forward", "inner_p1_apply",
     "al_outer_schur_apply", "bpcd_outer_schur_apply", "outer_p2_apply",
-    "ideal_precond_apply",
 ]
 
 log = logging.getLogger("nsctl.precond")
@@ -186,17 +186,28 @@ class MatchingSchur:
 
 
 def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
-    """Matching factors, LU-factorized (`exact`) or applied by multigrid."""
+    """Matching factors, LU-factorized (`exact`) or applied by multigrid.
+
+    The two inverses are independent, so `inv_12` is built in a worker
+    thread while this thread builds `inv_21`; SuperLU and the numpy/scipy
+    kernels release the GIL, so the builds overlap. The worker is joined
+    before this returns, and an error from either build is raised here. On
+    a level's first use both builds may fill the per-level geometry caches;
+    the two results are equal, so either may stay.
+    """
     m = system.vel.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()
     mat_21 = (system.a21 + lam).tocsr()
     mat_12 = (system.a12 + lam).tocsr()
     if exact:
-        inv_21, inv_12 = factorize(mat_21), factorize(mat_12)
+        build = factorize
     else:
         level = _velocity_level(system.n_v)
-        inv_21 = build_multigrid(mat_21, level)
-        inv_12 = build_multigrid(mat_12, level)
+        build = lambda a: build_multigrid(a, level)  # noqa: E731
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future_12 = pool.submit(build, mat_12)
+        inv_21 = build(mat_21)
+        inv_12 = future_12.result()
     return MatchingSchur(lam=lam, mass=m, mat_21=mat_21, mat_12=mat_12,
                          inv_21=inv_21, inv_12=inv_12)
 
@@ -339,12 +350,6 @@ class IdealPrecond:
             z_p = -self.schur_solve(r_p)
             z_m = self.f_solve(r_m - self.b_blk.T @ z_p)
         return np.concatenate([z_m, z_p])
-
-
-def ideal_precond_apply(system: KktSystem, rhs, side="p1"):
-    """One-shot ideal preconditioner application (factors are not cached;
-    construct IdealPrecond directly for repeated applications)."""
-    return IdealPrecond(system).apply(rhs, side)
 
 
 # --------------------------------------------------------------------------

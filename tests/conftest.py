@@ -1,7 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
 
 from nsctl.grid_fem import setup_geometry
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves behind a thread it started: worker threads
+    (the matching-factor builds) must be joined before their caller returns."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.is_alive()]
+    if leaked:
+        pytest.fail(f"test left threads running: {leaked}")
 
 
 @pytest.fixture(scope="session")

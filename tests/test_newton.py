@@ -1,5 +1,8 @@
 """Newton driver behavior on small cavities."""
 
+import logging
+import weakref
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,37 @@ def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
     assert not trace.converged
     assert np.isnan(trace.residuals[-1])
     assert len(calls) == bad_step + 1
+
+
+def test_step_system_released_before_next_step(geom2, monkeypatch):
+    """Step k's system is gone once `on_system` has seen it: no earlier
+    step's system is alive when the next preconditioner is built."""
+    real = newton_mod.build_precond
+    refs, alive = [], []
+
+    def counting_build(system, *args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(newton_mod, "build_precond", counting_build)
+    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
+                            geom2,
+                            on_system=lambda k, s: refs.append(weakref.ref(s)))
+    assert trace.newton_iters == 3
+    assert alive == [0, 0, 0]
+    assert all(r() is None for r in refs)
+
+
+def test_unconverged_linear_solve_warns(geom2, caplog):
+    cfg = NewtonConfig(max_iters=2,
+                       linear=KrylovConfig(restart=10, rtol=1e-6, maxiter=1))
+    with caplog.at_level(logging.WARNING, logger="nsctl.newton"):
+        _, trace = newton_solve(cfg, KktParams(nu=0.01, beta=1e-2), geom2)
+    assert trace.fgmres_iters == [1, 1]
+    assert trace.linear_converged == [False, False]
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING]
+    assert len(warned) == 2
+    for k, msg in enumerate(warned, start=1):
+        assert msg.startswith(f"newton step {k}: linear solve not converged "
+                              "(1 iters, residual ")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nsctl.operators import (KktParams, StateIterate, assemble_curvature,
-                             assemble_curvature_exact, assemble_divergence,
-                             assemble_pressure, assemble_velocity, augment,
-                             build_kkt, eval_residual, export_matrix_market,
+from nsctl.operators import (KktParams, StateIterate, _phys_tables, _scatter,
+                             _vector_expand, _wind_cellwise,
+                             assemble_curvature, assemble_curvature_exact,
+                             assemble_divergence, assemble_pressure,
+                             assemble_velocity, augment, build_kkt,
+                             eval_residual, export_matrix_market,
                              lift_boundary, mass_eig_interval)
 
 
@@ -83,6 +85,22 @@ def test_wind_gradient_block_vanishes_for_constant_wind(geom2):
     assert _maxabs(vel.h_full) <= 1e-13
     # ... while plain convection does not
     assert _maxabs(vel.n_full) > 1e-3
+
+
+def test_wind_gradient_block_matches_einsum_form(geom3, rng):
+    """H against its defining contraction H[(i,a),(j,b)] =
+    sum_q wdet N_i N_j dw_a/dx_b, written as one einsum, for a random wind."""
+    d = geom3.dofmap
+    wind = rng.standard_normal(d.n_v_full)
+    wdet, g2, _ = _phys_tables(geom3.mesh, geom3.quad)
+    nvals = geom3.quad.q2_vals
+    gradw = np.einsum("cnd,qne->cqde", _wind_cellwise(wind, d), g2)
+    h_e = np.einsum("q,qi,qj,cqab->ciajb", wdet, nvals, nvals, gradw)
+    idx = _vector_expand(d.cell_q2)
+    want = _scatter(idx, idx, h_e.reshape(-1, 18, 18),
+                    (2 * d.n_q2, 2 * d.n_q2))
+    got = _vel(geom3, wind).h_full
+    assert _maxabs((got - want).tocsr()) <= 1e-13 * _maxabs(want)
 
 
 def test_stabilization_symmetric_psd(geom2):

@@ -1,12 +1,17 @@
 """Preconditioner building blocks at desk scale."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import nsctl.precond as precond_mod
 from nsctl.grid_fem import cell_stars
-from nsctl.krylov import Factorization, KrylovConfig, gmres
+from nsctl.krylov import (Factorization, KrylovConfig, SingularMatrixError,
+                          factorize, gmres)
+from nsctl.newton import NewtonConfig, _newton_step, initial_state
 from nsctl.operators import KktParams, StateIterate, build_kkt, lift_boundary
 from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
                            build_precond, inner_p1_apply, matching_apply,
@@ -116,6 +121,57 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(geom3):
     assert not any(g.flags.writeable for g in cell_stars(3))
 
 
+@pytest.fixture(scope="module")
+def step2_system(geom3):
+    """The augmented level-3 system of Newton step 2 at nu=1/100, beta=1e-2:
+    its wind and its frozen stabilization wind are the step-1 velocity."""
+    params = KktParams(nu=0.01, beta=1e-2)
+    zero = np.zeros(geom3.dofmap.n_v_full)
+    state, _, _ = _newton_step(initial_state(geom3.dofmap),
+                               NewtonConfig(exact_blocks=True), params, geom3,
+                               wind=zero)
+    return build_kkt(state, geom3.mesh, geom3.dofmap, geom3.patches,
+                     geom3.quad, params, wind=state.v, stab_wind=state.v,
+                     do_augment=True)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_concurrent_matching_build_equals_sequential(step2_system, exact):
+    """The two factors built side by side solve bit for bit as the same
+    factors built one after the other in this thread, also when both
+    threads fill the cold per-level geometry caches at once (a short switch
+    interval makes the threads interleave often)."""
+    precond_mod._velocity_prolongation.cache_clear()
+    cell_stars.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ms = build_matching(step2_system, exact=exact)
+    finally:
+        sys.setswitchinterval(interval)
+    if exact:
+        seq_21, seq_12 = factorize(ms.mat_21), factorize(ms.mat_12)
+    else:
+        seq_21 = precond_mod.build_multigrid(ms.mat_21, 3)
+        seq_12 = precond_mod.build_multigrid(ms.mat_12, 3)
+    b = np.random.default_rng(7).standard_normal(step2_system.n_v)
+    assert np.array_equal(ms.inv_21.solve(b), seq_21.solve(b))
+    assert np.array_equal(ms.inv_12.solve(b), seq_12.solve(b))
+
+
+@pytest.mark.parametrize("exact, error", [
+    (True, SingularMatrixError), (False, np.linalg.LinAlgError)])
+def test_matching_build_error_propagates(geom2, exact, error):
+    """A zero (Psi1 + L)^T cannot be factorized (LU) or star-smoothed
+    (multigrid); its build runs in the worker thread, and the error reaches
+    the caller."""
+    system = _stokes_system(geom2, augmented=True)
+    lam = system.vel.m / np.sqrt(system.params.beta)
+    broken = dataclasses.replace(system, a12=(-lam).tocsr())
+    with pytest.raises(error):
+        build_matching(broken, exact=exact)
+
+
 # --------------------------------------------------------------------------
 # outer Schur approximations
 # --------------------------------------------------------------------------
@@ -203,9 +259,9 @@ def test_inner_momentum_solve_quality(geom2, augmented):
     rhs = np.concatenate([system.rhs1, system.rhs2])
 
     cfg = KrylovConfig(fixed_iters=5)
-    _, stats5 = gmres(lambda x: mom @ x,
-                      lambda x: inner_p1_apply(stack, x), rhs, cfg)
-    assert stats5.true_residual <= 1e-2 * np.linalg.norm(rhs)
+    x5, _ = gmres(lambda x: mom @ x,
+                  lambda x: inner_p1_apply(stack, x), rhs, cfg)
+    assert np.linalg.norm(rhs - mom @ x5) <= 1e-2 * np.linalg.norm(rhs)
 
     cfg = KrylovConfig(restart=30, rtol=1e-10, maxiter=30)
     _, stats = gmres(lambda x: mom @ x,
