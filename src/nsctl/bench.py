@@ -16,9 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass
 
 from .grid_fem import setup_geometry
 from .krylov import KrylovConfig
@@ -34,6 +32,10 @@ CSV_COLUMNS = ["level", "dof", "nu", "beta", "gamma", "precond", "approach",
 
 @dataclass
 class CaseSpec:
+    """One benchmark case. Construction validates it: the level here, the
+    rest by building `params` (KktParams) and `config` (NewtonConfig), which
+    `run_case` solves with."""
+
     level: int
     nu: float
     beta: float
@@ -45,23 +47,18 @@ class CaseSpec:
     exact_blocks: bool = False
     tol_linear: float = 1e-6
     tol_newton: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        if self.nu <= 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.gamma is None:
-            self.gamma = float(10.0 / np.sqrt(self.beta))
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.precond not in ("al", "bpcd", "ideal"):
-            raise ValueError(f"unknown preconditioner {self.precond!r}")
-        if self.approach not in ("otd", "dto"):
-            raise ValueError(f"unknown approach {self.approach!r}")
+        self.params = KktParams(nu=self.nu, beta=self.beta, gamma=self.gamma,
+                                approach=self.approach, lps_on=self.lps,
+                                full_newton=self.full_newton)
+        self.gamma = self.params.gamma
+        self.config = NewtonConfig(
+            tol=self.tol_newton, precond=self.precond,
+            linear=KrylovConfig(restart=10, rtol=self.tol_linear, maxiter=200),
+            exact_blocks=self.exact_blocks)
 
 
 @dataclass
@@ -85,7 +82,6 @@ class BenchOptions:
     format: str = "csv"
     jobs: int = 1
     export_dir: str = None
-    problem: str = "cavity"
 
 
 # --------------------------------------------------------------------------
@@ -133,14 +129,12 @@ def _build_parser():
                         "inside the stack")
     p.add_argument("--tol-linear", type=float, default=1e-6)
     p.add_argument("--tol-newton", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=["csv", "json", "md"])
     p.add_argument("--export-matrices", default=None, metavar="DIR",
                    help="write per-step KKT blocks in Matrix Market format")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel cases (default 1, deterministic)")
-    p.add_argument("--problem", default="cavity", choices=["cavity"])
     return p
 
 
@@ -172,12 +166,12 @@ def parse_config(argv=None):
                           lps=(ns.lps == "on"),
                           exact_blocks=ns.exact_blocks,
                           tol_linear=ns.tol_linear,
-                          tol_newton=ns.tol_newton, seed=ns.seed)
+                          tol_newton=ns.tol_newton)
                  for l in levels for nu in nus for beta in betas]
     except ValueError as exc:
         parser.error(str(exc))
     opts = BenchOptions(out=ns.out, format=ns.format, jobs=ns.jobs,
-                        export_dir=ns.export_matrices, problem=ns.problem)
+                        export_dir=ns.export_matrices)
     return specs, opts
 
 
@@ -209,14 +203,7 @@ def run_case(spec: CaseSpec, export_dir=None) -> CaseResult:
     """Execute one benchmark case."""
     t0 = time.perf_counter()
     geom = setup_geometry(spec.level)
-    params = KktParams(nu=spec.nu, beta=spec.beta, gamma=spec.gamma,
-                       approach=spec.approach, lps_on=spec.lps,
-                       full_newton=spec.full_newton)
-    cfg = NewtonConfig(tol=spec.tol_newton, precond=spec.precond,
-                       linear=KrylovConfig(restart=10, rtol=spec.tol_linear,
-                                           maxiter=200),
-                       exact_blocks=spec.exact_blocks)
-    _, trace = newton_solve(cfg, params, geom,
+    _, trace = newton_solve(spec.config, spec.params, geom,
                             on_system=_make_exporter(spec, export_dir))
     return CaseResult(
         spec=spec, dof=geom.dofmap.coupled_dim,
@@ -311,7 +298,9 @@ def _json_text(results):
 
 
 def load_results(path):
-    """Read back a JSON emit; inverse of emit(..., format='json')."""
+    """Read back a JSON emit; inverse of emit(..., format='json'). The
+    `seed` that cases carried in earlier versions of the format is
+    ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != JSON_SCHEMA:
@@ -319,7 +308,8 @@ def load_results(path):
     out = []
     for d in payload["results"]:
         d = dict(d)
-        d["spec"] = CaseSpec(**d["spec"])
+        d["spec"] = CaseSpec(**{k: v for k, v in d["spec"].items()
+                                if k != "seed"})
         out.append(CaseResult(**d))
     return out
 

@@ -39,7 +39,6 @@ class DofMap:
     cell_q2: np.ndarray               # (n_cells, 9) Q2 node ids, local lex by (y, x)
     boundary_nodes: np.ndarray        # sorted Q2 node ids on the boundary
     interior_nodes: np.ndarray        # sorted complement
-    node_to_interior: np.ndarray      # (n_q2,) interior rank or -1
     n_v_int: int                      # interior velocity dofs, 2 * len(interior_nodes)
     n_p: int                          # pressure dofs, (2^l+1)^2
     cell_q1: np.ndarray               # (n_cells, 4) pressure dof ids
@@ -85,10 +84,6 @@ class QuadratureRule:
     q1_vals: np.ndarray               # (nq, 4)
     q1_grads: np.ndarray              # (nq, 4, 2)
 
-    @property
-    def n_points(self) -> int:
-        return self.weights.size
-
 
 def build_mesh(l: int) -> Mesh:
     """Build the level-l uniform mesh: 4^l square cells of edge 2^(1-l)."""
@@ -129,9 +124,6 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     boundary_nodes = np.flatnonzero(on_boundary)
     interior_nodes = np.flatnonzero(~on_boundary)
 
-    node_to_interior = np.full(n_q2, -1, dtype=np.int64)
-    node_to_interior[interior_nodes] = np.arange(interior_nodes.size)
-
     interior_vdofs = np.stack([2 * interior_nodes, 2 * interior_nodes + 1], axis=1).ravel()
 
     return DofMap(
@@ -140,7 +132,6 @@ def build_dofmap(mesh: Mesh) -> DofMap:
         cell_q2=cell_q2.astype(np.int64),
         boundary_nodes=boundary_nodes,
         interior_nodes=interior_nodes,
-        node_to_interior=node_to_interior,
         n_v_int=2 * interior_nodes.size,
         n_p=(nc + 1) ** 2,
         cell_q1=mesh.cell_vertices,

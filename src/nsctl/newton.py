@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .grid_fem import Geometry
 from .krylov import KrylovConfig, fgmres
 from .operators import (KktParams, StateIterate, build_kkt, eval_residual,
@@ -102,9 +103,9 @@ def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
 
 
 def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
-                 wind, stab_wind=None):
+                 wind, stab_wind=None, vel=None):
     system = build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                       params, wind=wind, stab_wind=stab_wind,
+                       params, wind=wind, stab_wind=stab_wind, vel=vel,
                        do_augment=(cfg.precond == "al"),
                        pin=(cfg.precond == "ideal"))
     stack = build_precond(system, kind=cfg.precond,
@@ -158,11 +159,12 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
         trace.converged = True
         return state, trace
 
+    vel = None                       # operators at state.v and stab
     for k in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         wind = zero if k == 1 else state.v
         state, stats, system = _newton_step(state, cfg, params, geom, wind,
-                                            stab_wind=stab)
+                                            stab_wind=stab, vel=vel)
         if k == 1:
             stab = state.v.copy()    # freeze the stabilization wind here
         if on_system is not None:
@@ -171,8 +173,13 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
         if not stats.converged:
             log.warning("newton step %d: linear solve not converged (%d iters, "
                         "residual %.3e)", k, stats.iters, stats.true_residual)
+        # one operator set per iterate, for its residual and for step k + 1
+        # (looked up on the module, so that a wrapper installed there sees it)
+        vel = operators.assemble_velocity(geom.mesh, geom.dofmap, geom.patches,
+                                          geom.quad, state.v, params.nu,
+                                          lps_on=params.lps_on, stab_wind=stab)
         res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
-                            geom.quad, params, stab_wind=stab)
+                            geom.quad, params, vel=vel, stab_wind=stab)
         trace.fgmres_iters.append(stats.iters)
         trace.linear_converged.append(bool(stats.converged))
         trace.step_seconds.append(time.perf_counter() - t0)

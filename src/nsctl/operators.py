@@ -2,20 +2,23 @@
 pressure-space operators, boundary lifting, the coupled KKT system of one
 Newton step, and the nonlinear residual.
 
-All velocity matrices are assembled on the full Q2 space first; Dirichlet
-conditions are imposed by elimination (interior restriction), which is what
-makes the coupled dimension match the closed-form dof count. The full-space
-variants are kept because the nonlinear residual needs boundary columns.
+Velocity matrices live on the full Q2 space, as the nonlinear residual needs
+their boundary columns; `build_kkt` imposes the Dirichlet conditions by
+eliminating the boundary dofs (interior restriction) from the summed step
+blocks, which makes the coupled dimension match the closed-form dof count.
+The wind-free matrices are built once per level (`_level_operators`), the
+others once per wind.
 """
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from .grid_fem import DofMap, Mesh, PatchPartition, QuadratureRule
+from .grid_fem import build_dofmap, build_mesh, tabulate
 
 log = logging.getLogger("nsctl.operators")
 
@@ -26,24 +29,13 @@ log = logging.getLogger("nsctl.operators")
 
 @dataclass
 class VelocityOperators:
-    """Vector Q2 operators, interior-restricted; *_full spans all Q2 dofs."""
+    """Vector Q2 operators on all velocity dofs; M and K are the level's."""
 
-    m: sp.csr_matrix                  # vector mass
-    k: sp.csr_matrix                  # vector stiffness
-    n: sp.csr_matrix                  # convection at the given wind
-    h: sp.csr_matrix                  # Newton linearization matrix
-    w: sp.csr_matrix                  # local-projection stabilization
-    m_full: sp.csr_matrix
-    k_full: sp.csr_matrix
-    n_full: sp.csr_matrix
-    h_full: sp.csr_matrix
-    w_full: sp.csr_matrix
-
-    def d(self, nu):
-        return (nu * self.k + self.n + self.w).tocsr()
-
-    def d_adj(self, nu):
-        return (nu * self.k - self.n + self.w).tocsr()
+    m_full: sp.csr_matrix             # vector mass
+    k_full: sp.csr_matrix             # vector stiffness
+    n_full: sp.csr_matrix             # convection at the given wind
+    h_full: sp.csr_matrix             # Newton linearization matrix
+    w_full: sp.csr_matrix             # local-projection stabilization
 
     def d_full(self, nu):
         return (nu * self.k_full + self.n_full + self.w_full).tocsr()
@@ -69,7 +61,6 @@ class DivergenceOperator:
 
     b: sp.csr_matrix                  # n_p x n_v_int
     b_full: sp.csr_matrix             # n_p x n_v_full
-    lift_contrib: np.ndarray          # b_full applied to the boundary lift
 
 
 @dataclass
@@ -113,8 +104,8 @@ class KktParams:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.gamma is None:
             self.gamma = float(10.0 / np.sqrt(self.beta))
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if self.gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.approach not in ("otd", "dto"):
             raise ValueError(f"unknown approach {self.approach!r}")
 
@@ -142,7 +133,7 @@ class KktSystem:
     augmented: bool = False
     pinned: bool = False
     n_p_full: int = 0                 # pressure dof count before pinning
-    vel: VelocityOperators = None
+    mass: sp.csr_matrix = None        # interior velocity mass (one block)
     pres: PressureOperators = None
     _matrix: sp.csr_matrix = field(default=None, repr=False)
     _momentum: sp.csr_matrix = field(default=None, repr=False)
@@ -245,6 +236,74 @@ def _wind_cellwise(wind, dofmap):
 
 
 # --------------------------------------------------------------------------
+# wind-free operators, once per level
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LevelOperators:
+    """The wind-free operators of one level and their element tables."""
+
+    wdet: np.ndarray                  # (nq,) physical quadrature weights
+    g2: np.ndarray                    # (nq, 9, 2) physical Q2 gradients
+    g1: np.ndarray                    # (nq, 4, 2) physical Q1 gradients
+    nn_w: np.ndarray                  # (nq, 81) wdet N_i N_j, the table of H
+    m_full: sp.csr_matrix             # vector mass
+    k_full: sp.csr_matrix             # vector stiffness
+    m: sp.csr_matrix                  # interior-restricted vector mass
+    div: DivergenceOperator
+    mp: sp.csr_matrix                 # pressure mass
+    kp: sp.csr_matrix                 # pressure stiffness
+    mp_diag: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _level_operators(level, quad_order):
+    """M, K, B, Mp, Kp and diag(Mp) of one level, with their element tables.
+
+    Cached per (level, quadrature order), so every geometry of a level
+    shares them; their arrays are read-only.
+    """
+    mesh = build_mesh(level)
+    dofmap = build_dofmap(mesh)
+    quad = tabulate(quad_order)
+    wdet, g2, g1 = _phys_tables(mesh, quad)
+    v2, v1 = quad.q2_vals, quad.q1_vals
+    idx_s, idx_p = dofmap.cell_q2, dofmap.cell_q1
+    nn, npp = dofmap.n_q2, dofmap.n_p
+
+    def cellwise(e, idx_r, idx_c, shape):
+        """Scatter an element matrix that is the same on every cell."""
+        return _scatter(idx_r, idx_c,
+                        np.broadcast_to(e, (mesh.n_cells,) + e.shape), shape)
+
+    m_full = _interleave_scalar(cellwise(
+        np.einsum("q,qi,qj->ij", wdet, v2, v2), idx_s, idx_s, (nn, nn)))
+    k_full = _interleave_scalar(cellwise(
+        np.einsum("q,qid,qjd->ij", wdet, g2, g2), idx_s, idx_s, (nn, nn)))
+    # B[i, (j,a)] = -int psi_i dN_j/dx_a
+    b_e = -np.einsum("q,qi,qja->ija", wdet, v1, g2).reshape(4, 18)
+    b_full = cellwise(b_e, idx_p, _vector_expand(idx_s),
+                      (npp, dofmap.n_v_full))
+    mp = cellwise(np.einsum("q,qi,qj->ij", wdet, v1, v1), idx_p, idx_p,
+                  (npp, npp))
+    kp = cellwise(np.einsum("q,qid,qjd->ij", wdet, g1, g1), idx_p, idx_p,
+                  (npp, npp))
+    nn_w = (wdet[:, None, None] * v2[:, :, None]
+            * v2[:, None, :]).reshape(wdet.size, 81)
+    div = DivergenceOperator(b=b_full[:, dofmap.interior_vdofs].tocsr(),
+                             b_full=b_full)
+    ops = LevelOperators(wdet=wdet, g2=g2, g1=g1, nn_w=nn_w, m_full=m_full,
+                         k_full=k_full, m=restrict(m_full, dofmap), div=div,
+                         mp=mp, kp=kp, mp_diag=mp.diagonal().copy())
+    for a in (wdet, g2, g1, nn_w, ops.mp_diag):
+        a.flags.writeable = False
+    for a in (m_full, k_full, ops.m, div.b, b_full, mp, kp):
+        for arr in (a.data, a.indices, a.indptr):
+            arr.flags.writeable = False
+    return ops
+
+
+# --------------------------------------------------------------------------
 # stabilization
 # --------------------------------------------------------------------------
 
@@ -273,6 +332,17 @@ def _lps_delta(patches, wind_nodes, mesh, nu):
     delta = np.where(pe > 1.0, h_m / (2.0 * safe) * (1.0 - 1.0 / pe_safe), 0.0)
     delta[speed <= 1e-12] = 0.0
     return delta
+
+
+def _stab_wind(wind, conv, stab_wind, dofmap, quad, grads):
+    """The stabilization wind and its streamline derivatives (`conv` holds
+    those of `wind`): `stab_wind` when given, otherwise `wind`."""
+    if stab_wind is None:
+        return wind, conv
+    wind_w = np.asarray(stab_wind, dtype=np.float64).ravel()
+    ws_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind_w, dofmap),
+                     quad.q2_vals)
+    return wind_w, np.einsum("cqd,qnd->cqn", ws_q, grads)
 
 
 def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
@@ -321,7 +391,8 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
 
 def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
-    """Assemble M, K, N(wind), H(wind) and the stabilization matrix W.
+    """Assemble N(wind), H(wind) and the stabilization matrix W, with the
+    level's M and K.
 
     The stabilization is built from `stab_wind` when given (both the patch
     weights and the streamline derivative), otherwise from `wind`. The
@@ -333,14 +404,11 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     if not np.all(np.isfinite(wind)):
         raise ValueError("wind field contains non-finite entries")
 
-    wdet, g2, _ = _phys_tables(mesh, quad)
+    lvl = _level_operators(mesh.level, quad.order)
+    wdet, g2 = lvl.wdet, lvl.g2
     nvals = quad.q2_vals
     n_cells = mesh.n_cells
     nn = dofmap.n_q2
-
-    # constant-coefficient scalar element matrices, identical on every cell
-    m_e = np.einsum("q,qi,qj->ij", wdet, nvals, nvals)
-    k_e = np.einsum("q,qid,qjd->ij", wdet, g2, g2)
 
     w_cell = _wind_cellwise(wind, dofmap)
     w_q = np.einsum("cnd,qn->cqd", w_cell, nvals)         # wind at quad points
@@ -352,52 +420,32 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     # as one matmul of the (cell, a, b) rows of dw_a/dx_b against the
     # (q, ij) table wdet N_i N_j (the 4-operand einsum takes ~40x longer)
     nq = wdet.size
-    nn_w = (wdet[:, None, None] * nvals[:, :, None]
-            * nvals[:, None, :]).reshape(nq, 81)
     gradw_rows = gradw.reshape(n_cells, nq, 4).transpose(0, 2, 1)
-    h_e = gradw_rows.reshape(-1, nq) @ nn_w
+    h_e = gradw_rows.reshape(-1, nq) @ lvl.nn_w
     h_e = h_e.reshape(n_cells, 2, 2, 9, 9).transpose(0, 3, 1, 4, 2)
     h_e = h_e.reshape(n_cells, 18, 18)
 
     idx_s = dofmap.cell_q2
     idx_v = _vector_expand(idx_s)
-    shape_s = (nn, nn)
-
-    m_s = _scatter(idx_s, idx_s, np.broadcast_to(m_e, (n_cells, 9, 9)), shape_s)
-    k_s = _scatter(idx_s, idx_s, np.broadcast_to(k_e, (n_cells, 9, 9)), shape_s)
-    n_s = _scatter(idx_s, idx_s, n_e, shape_s)
-
-    m_full = _interleave_scalar(m_s)
-    k_full = _interleave_scalar(k_s)
-    n_full = _interleave_scalar(n_s)
+    n_full = _interleave_scalar(_scatter(idx_s, idx_s, n_e, (nn, nn)))
     h_full = _scatter(idx_v, idx_v, h_e, (2 * nn, 2 * nn))
 
     if lps_on:
-        if stab_wind is None:
-            wind_w, conv_w = wind, conv
-        else:
-            wind_w = np.asarray(stab_wind, dtype=np.float64).ravel()
-            ws_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind_w, dofmap),
-                             nvals)
-            conv_w = np.einsum("cqd,qnd->cqn", ws_q, g2)
+        wind_w, conv_w = _stab_wind(wind, conv, stab_wind, dofmap, quad, g2)
         delta = _lps_delta(patches, wind_w.reshape(-1, 2), mesh, nu)
         w_full = _interleave_scalar(_lps_matrix(patches, conv_w, wdet, delta,
                                                 idx_s, nn))
     else:
         w_full = sp.csr_matrix((2 * nn, 2 * nn))
 
-    return VelocityOperators(
-        m=restrict(m_full, dofmap), k=restrict(k_full, dofmap),
-        n=restrict(n_full, dofmap), h=restrict(h_full, dofmap),
-        w=restrict(w_full, dofmap),
-        m_full=m_full, k_full=k_full, n_full=n_full, h_full=h_full,
-        w_full=w_full,
-    )
+    return VelocityOperators(m_full=lvl.m_full, k_full=lvl.k_full,
+                             n_full=n_full, h_full=h_full, w_full=w_full)
 
 
 def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
-    """Assemble Mp, Kp, Np(wind), Wp on the Q1 pressure space.
+    """Assemble Np(wind) and Wp on the Q1 pressure space, with the level's
+    Mp and Kp.
 
     As in `assemble_velocity`, the stabilization term uses `stab_wind` when
     given and the convection wind otherwise.
@@ -406,61 +454,33 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     if not np.all(np.isfinite(wind)):
         raise ValueError("wind field contains non-finite entries")
 
-    wdet, _, g1 = _phys_tables(mesh, quad)
-    nvals1 = quad.q1_vals
-    n_cells = mesh.n_cells
+    lvl = _level_operators(mesh.level, quad.order)
+    wdet, g1 = lvl.wdet, lvl.g1
     npp = dofmap.n_p
-
-    m_e = np.einsum("q,qi,qj->ij", wdet, nvals1, nvals1)
-    k_e = np.einsum("q,qid,qjd->ij", wdet, g1, g1)
 
     w_cell = _wind_cellwise(wind, dofmap)
     w_q = np.einsum("cnd,qn->cqd", w_cell, quad.q2_vals)
     conv1 = np.einsum("cqd,qnd->cqn", w_q, g1)
-    n_e = np.einsum("q,qi,cqj->cij", wdet, nvals1, conv1)
+    n_e = np.einsum("q,qi,cqj->cij", wdet, quad.q1_vals, conv1)
 
     idx = dofmap.cell_q1
     shape = (npp, npp)
-    mp = _scatter(idx, idx, np.broadcast_to(m_e, (n_cells, 4, 4)), shape)
-    kp = _scatter(idx, idx, np.broadcast_to(k_e, (n_cells, 4, 4)), shape)
     np_conv = _scatter(idx, idx, n_e, shape)
 
     if lps_on:
-        if stab_wind is None:
-            wind_w, conv_w = wind, conv1
-        else:
-            wind_w = np.asarray(stab_wind, dtype=np.float64).ravel()
-            ws_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind_w, dofmap),
-                             quad.q2_vals)
-            conv_w = np.einsum("cqd,qnd->cqn", ws_q, g1)
+        wind_w, conv_w = _stab_wind(wind, conv1, stab_wind, dofmap, quad, g1)
         delta = _lps_delta(patches, wind_w.reshape(-1, 2), mesh, nu)
         wp = _lps_matrix(patches, conv_w, wdet, delta, idx, npp)
     else:
         wp = sp.csr_matrix(shape)
 
-    return PressureOperators(mp=mp, kp=kp, np_conv=np_conv, wp=wp,
-                             mp_diag=mp.diagonal().copy())
+    return PressureOperators(mp=lvl.mp, kp=lvl.kp, np_conv=np_conv, wp=wp,
+                             mp_diag=lvl.mp_diag)
 
 
-def assemble_divergence(mesh, dofmap, quad, lift=None):
-    """Assemble B = -int psi_i div(phi_j) and its boundary-lift image."""
-    wdet, g2, _ = _phys_tables(mesh, quad)
-    n_cells = mesh.n_cells
-
-    # B[i, (j,a)] = -int psi_i dN_j/dx_a, identical on every cell
-    b_e = -np.einsum("q,qi,qja->ija", wdet, quad.q1_vals, g2).reshape(4, 18)
-
-    idx_p = dofmap.cell_q1
-    idx_v = _vector_expand(dofmap.cell_q2)
-    b_full = _scatter(idx_p, idx_v, np.broadcast_to(b_e, (n_cells, 4, 18)),
-                      (dofmap.n_p, dofmap.n_v_full))
-
-    b_int = b_full[:, dofmap.interior_vdofs].tocsr()
-    if lift is None:
-        lift_contrib = np.zeros(dofmap.n_p)
-    else:
-        lift_contrib = b_full @ np.asarray(lift, dtype=np.float64).ravel()
-    return DivergenceOperator(b=b_int, b_full=b_full, lift_contrib=lift_contrib)
+def assemble_divergence(mesh, dofmap, quad):
+    """B = -int psi_i div(phi_j), the level's."""
+    return _level_operators(mesh.level, quad.order).div
 
 
 def assemble_curvature(mesh, dofmap, quad, zeta):
@@ -471,7 +491,7 @@ def assemble_curvature(mesh, dofmap, quad, zeta):
     adjoint velocity.
     """
     ops = assemble_velocity(mesh, dofmap, None, quad, zeta, nu=1.0, lps_on=False)
-    return ops.n, ops.h
+    return restrict(ops.n_full, dofmap), restrict(ops.h_full, dofmap)
 
 
 def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
@@ -526,29 +546,40 @@ def lift_boundary(dofmap, g=None):
 # residual and coupled system
 # --------------------------------------------------------------------------
 
-def _constant_load(mesh, dofmap, quad, const):
-    """Load vector of a constant vector field (exact: the field is in Q2)."""
+def _constant_load(m_full, const):
+    """Load vector of a constant vector field: the mass matrix applied to
+    its nodal values (exact, the field is in Q2)."""
     if const[0] == 0.0 and const[1] == 0.0:
-        return np.zeros(dofmap.n_v_full)
-    wdet, _, _ = _phys_tables(mesh, quad)
-    m_e = np.einsum("q,qi,qj->ij", wdet, quad.q2_vals, quad.q2_vals)
-    row_sum = m_e.sum(axis=1)
-    out = np.zeros(dofmap.n_v_full)
-    np.add.at(out, 2 * dofmap.cell_q2, const[0] * row_sum)
-    np.add.at(out, 2 * dofmap.cell_q2 + 1, const[1] * row_sum)
-    return out
+        return np.zeros(m_full.shape[0])
+    return m_full @ np.tile(np.asarray(const, dtype=np.float64),
+                            m_full.shape[0] // 2)
 
 
-def _residual_from_ops(state, vel, div, mesh, dofmap, quad, params):
-    """Residual blocks with frozen operators (assembled at any wind)."""
+def eval_residual(state, mesh, dofmap, patches, quad, params,
+                  vel=None, stab_wind=None):
+    """Nonlinear residual at the given state.
+
+    The adjoint residual includes the -omega correction with
+    omega_i = ((grad v)^T zeta, phi_i), assembled as H(v)^T zeta; the first
+    divergence residual carries the boundary lift through the full-space
+    product. `vel` is the operator set to evaluate with (`build_kkt` passes
+    the one at its linearization wind); without it, the set at `state.v` is
+    assembled here, with `stab_wind` as the stabilization wind (see
+    `assemble_velocity`).
+    """
+    if vel is None:
+        vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
+                                params.nu, lps_on=params.lps_on,
+                                stab_wind=stab_wind)
+    div = assemble_divergence(mesh, dofmap, quad)
     keep = dofmap.interior_vdofs
     omega = vel.h_full.T @ state.zeta
     if params.approach == "otd":
         a12_full = vel.d_adj_full(params.nu)
     else:
         a12_full = vel.d_full(params.nu).T
-    f_vec = _constant_load(mesh, dofmap, quad, params.f_const)
-    vd_vec = _constant_load(mesh, dofmap, quad, params.vd_const)
+    f_vec = _constant_load(vel.m_full, params.f_const)
+    vd_vec = _constant_load(vel.m_full, params.vd_const)
 
     r1_full = vd_vec - vel.m_full @ state.v - a12_full @ state.zeta \
         - div.b_full.T @ state.mu - omega
@@ -559,25 +590,6 @@ def _residual_from_ops(state, vel, div, mesh, dofmap, quad, params):
                          r2_div=-(div.b_full @ state.zeta))
     res.norm = float(np.linalg.norm(res.stacked()))
     return res
-
-
-def eval_residual(state, mesh, dofmap, patches, quad, params,
-                  vel=None, div=None, stab_wind=None):
-    """Nonlinear residual at the given state.
-
-    The adjoint residual includes the -omega correction with
-    omega_i = ((grad v)^T zeta, phi_i), assembled as H(v)^T zeta; the first
-    divergence residual carries the boundary lift through the full-space
-    product. `stab_wind` fixes the stabilization wind (see
-    `assemble_velocity`).
-    """
-    if vel is None:
-        vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
-                                params.nu, lps_on=params.lps_on,
-                                stab_wind=stab_wind)
-    if div is None:
-        div = assemble_divergence(mesh, dofmap, quad)
-    return _residual_from_ops(state, vel, div, mesh, dofmap, quad, params)
 
 
 def augment(system, gamma, w_diag=None):
@@ -611,12 +623,12 @@ def augment(system, gamma, w_diag=None):
         rhs2=system.rhs2 + gamma * (system.b.T @ (system.rhs_div1 / w_diag)),
         rhs_div1=system.rhs_div1, rhs_div2=system.rhs_div2,
         augmented=True, pinned=system.pinned, n_p_full=system.n_p_full,
-        vel=system.vel, pres=system.pres,
+        mass=system.mass, pres=system.pres,
     )
 
 
 def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
-              do_augment=False, pin=False, stab_wind=None):
+              do_augment=False, pin=False, stab_wind=None, vel=None):
     """Assemble the Newton-step KKT system at the given state.
 
     `wind` overrides the linearization wind (the first iteration passes
@@ -624,32 +636,33 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     frozen operators, so a zero wind yields the Stokes control problem and
     the step solves it exactly. `stab_wind` fixes the stabilization wind
     independently of the linearization wind (see `assemble_velocity`).
+    `vel`, when given, is the operator set already assembled at these two
+    winds, and is used instead of assembling one.
     """
     if wind is None:
         wind = state.v
-    vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
-                            lps_on=params.lps_on, stab_wind=stab_wind)
+    if vel is None:
+        vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
+                                lps_on=params.lps_on, stab_wind=stab_wind)
     pres = assemble_pressure(mesh, dofmap, patches, quad, wind, params.nu,
                              lps_on=params.lps_on, stab_wind=stab_wind)
-    lift = np.zeros(dofmap.n_v_full)
-    lift[dofmap.boundary_vdofs] = state.v[dofmap.boundary_vdofs]
-    div = assemble_divergence(mesh, dofmap, quad, lift=lift)
+    div = assemble_divergence(mesh, dofmap, quad)
+    mass = _level_operators(mesh.level, quad.order).m
 
-    d_int = vel.d(params.nu)
+    a21 = restrict(vel.d_full(params.nu) + vel.h_full, dofmap)
     if params.approach == "otd":
-        a12 = (vel.d_adj(params.nu) + vel.h.T).tocsr()
+        a12 = restrict(vel.d_adj_full(params.nu) + vel.h_full.T, dofmap)
     else:
-        a12 = (d_int + vel.h).T.tocsr()
-    a21 = (d_int + vel.h).tocsr()
+        a12 = a21.T.tocsr()
 
-    a11 = vel.m
+    a11 = mass
     if params.full_newton:
         curv = assemble_curvature_exact(mesh, dofmap, quad, state.zeta,
                                         params.approach)
         a11 = (a11 + curv).tocsr()
-    a22 = (-(1.0 / params.beta) * vel.m).tocsr()
+    a22 = (-(1.0 / params.beta) * mass).tocsr()
 
-    res = _residual_from_ops(state, vel, div, mesh, dofmap, quad, params)
+    res = eval_residual(state, mesh, dofmap, patches, quad, params, vel=vel)
 
     b = div.b
     rhs_div1, rhs_div2 = res.r1_div, res.r2_div
@@ -660,8 +673,8 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
                        b=b, rhs1=res.r1, rhs2=res.r2,
                        rhs_div1=rhs_div1, rhs_div2=rhs_div2,
-                       pinned=pin, n_p_full=dofmap.n_p, vel=vel, pres=pres)
-    if do_augment and params.gamma > 0.0:
+                       pinned=pin, n_p_full=dofmap.n_p, mass=mass, pres=pres)
+    if do_augment:
         system = augment(system, params.gamma)
     return system
 

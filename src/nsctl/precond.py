@@ -176,7 +176,6 @@ class MatchingSchur:
     factorizations, or multigrid V-cycles in the production stack.
     """
 
-    lam: sp.csr_matrix
     mass: sp.csr_matrix
     mat_21: sp.csr_matrix             # Psi2 + L
     mat_12: sp.csr_matrix             # (Psi1 + L)^T
@@ -195,7 +194,7 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     a level's first use both builds may fill the per-level geometry caches;
     the two results are equal, so either may stay.
     """
-    m = system.vel.m
+    m = system.mass
     lam = (m / np.sqrt(system.params.beta)).tocsr()
     mat_21 = (system.a21 + lam).tocsr()
     mat_12 = (system.a12 + lam).tocsr()
@@ -208,7 +207,7 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
         future_12 = pool.submit(build, mat_12)
         inv_21 = build(mat_21)
         inv_12 = future_12.result()
-    return MatchingSchur(lam=lam, mass=m, mat_21=mat_21, mat_12=mat_12,
+    return MatchingSchur(mass=m, mat_21=mat_21, mat_12=mat_12,
                          inv_21=inv_21, inv_12=inv_12)
 
 
@@ -369,8 +368,6 @@ class PrecondStack:
     outer: object = None              # AlOuterSchur | BpcdOuterSchur | IdealPrecond
     mass_solve: callable = None       # action of M^-1 on one velocity block
     inner_iters: int = 5
-    cheb_steps: int = 20
-    exact_blocks: bool = False
 
 
 def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
@@ -381,8 +378,7 @@ def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
         return PrecondStack(kind=kind, system=system,
                             momentum=system.momentum(),
                             outer=IdealPrecond(system),
-                            inner_iters=inner_iters, cheb_steps=cheb_steps,
-                            exact_blocks=exact_blocks)
+                            inner_iters=inner_iters)
     if kind not in ("al", "bpcd"):
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if system.pinned:
@@ -393,12 +389,12 @@ def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
         raise ValueError("the bpcd preconditioner expects an unaugmented system")
 
     if exact_blocks:
-        m_fact = factorize(system.vel.m)
+        m_fact = factorize(system.mass)
         mass_solve = m_fact.solve
     else:
         if quad is None:
             quad = tabulate(5)
-        cheb = ChebyshevMassSolver(matrix=system.vel.m,
+        cheb = ChebyshevMassSolver(matrix=system.mass,
                                    interval=mass_eig_interval(quad, "q2"),
                                    steps=cheb_steps)
         mass_solve = lambda b: chebyshev_solve(cheb, b)  # noqa: E731
@@ -412,8 +408,7 @@ def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
     return PrecondStack(kind=kind, system=system, momentum=system.momentum(),
                         matching=build_matching(system, exact=exact_blocks),
                         outer=outer,
-                        mass_solve=mass_solve, inner_iters=inner_iters,
-                        cheb_steps=cheb_steps, exact_blocks=exact_blocks)
+                        mass_solve=mass_solve, inner_iters=inner_iters)
 
 
 def inner_p1_apply(stack: PrecondStack, rhs):

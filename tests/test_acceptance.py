@@ -19,7 +19,7 @@ from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig, chebyshev_solve,
 from nsctl.newton import initial_state
 from nsctl.operators import (KktParams, StateIterate, assemble_velocity,
                              augment, build_kkt, eval_residual,
-                             mass_eig_interval)
+                             mass_eig_interval, restrict)
 from nsctl.precond import IdealPrecond, build_matching
 
 DOF_COUNTS = {3: 1062, 4: 4422, 5: 18054, 6: 72966, 7: 293382}
@@ -98,9 +98,9 @@ def test_matching_spectral_bounds():
                                geom.dofmap, geom.patches, geom.quad, params,
                                wind=zero, do_augment=True)
             ms = build_matching(system)
-            m_inv = np.linalg.inv(system.vel.m.toarray())
+            m_inv = np.linalg.inv(system.mass.toarray())
             s_exact = system.a21.toarray() @ m_inv @ system.a12.toarray() \
-                + system.vel.m.toarray() / beta
+                + system.mass.toarray() / beta
             s_tilde = ms.mat_21.toarray() @ m_inv @ ms.mat_12.toarray()
             lam = np.linalg.eigvals(np.linalg.solve(s_tilde, s_exact))
             tag = f"l={level} beta={beta:g}"
@@ -121,7 +121,9 @@ def test_woodbury_block_identity():
     b = system.b.toarray()
     w = system.pres.mp_diag[1:]
     n_p = b.shape[0]
-    phi_1 = (system.vel.m + 0.5 * system.vel.k).toarray()
+    vel = assemble_velocity(geom.mesh, geom.dofmap, geom.patches, geom.quad,
+                            np.zeros(geom.dofmap.n_v_full), nu=1.0)
+    phi_1 = restrict(vel.m_full + 0.5 * vel.k_full, geom.dofmap).toarray()
     phi = sla.block_diag(phi_1, phi_1)
     psi = np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]])
     w_inv = np.block([[np.zeros((n_p, n_p)), np.diag(1.0 / w)],
@@ -190,14 +192,15 @@ def test_chebyshev_mass_solve_accuracy():
     geom = setup_geometry(4)
     vel = assemble_velocity(geom.mesh, geom.dofmap, geom.patches, geom.quad,
                             np.zeros(geom.dofmap.n_v_full), nu=1.0)
-    solver = ChebyshevMassSolver(matrix=vel.m,
+    m = restrict(vel.m_full, geom.dofmap)
+    solver = ChebyshevMassSolver(matrix=m,
                                  interval=mass_eig_interval(geom.quad, "q2"),
                                  steps=20)
     rng = np.random.default_rng(7)
     for trial in range(10):
-        b = rng.standard_normal(vel.m.shape[0])
+        b = rng.standard_normal(m.shape[0])
         x = chebyshev_solve(solver, b)
-        rel = np.linalg.norm(vel.m @ x - b) / np.linalg.norm(b)
+        rel = np.linalg.norm(m @ x - b) / np.linalg.norm(b)
         assert rel <= 1e-6, f"trial {trial}: {rel:.3e}"
 
 

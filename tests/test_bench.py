@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import nsctl.bench as bench_mod
 from nsctl.bench import (CSV_COLUMNS, CaseResult, CaseSpec, _csv_text, emit,
                          load_results, main, parse_config, pivot_tables,
                          run_case, run_sweep)
+from nsctl.newton import NewtonTrace
 
 
 def _result(level=2, nu=0.01, beta=1e-2, precond="al", newton=3, avg=7,
@@ -68,6 +70,9 @@ def test_parse_explicit_gamma():
     ["--level", "3", "--nu", ","],               # empty sweep
     ["--level", "3", "--jobs", "0"],             # bad job count
     ["--level", "0"],                            # CaseSpec validation
+    ["--level", "3", "--nu", "0"],               # KktParams validation
+    ["--level", "3", "--beta", "0"],
+    ["--level", "3", "--gamma", "0"],
 ])
 def test_parse_rejections(argv):
     with pytest.raises(SystemExit):
@@ -89,6 +94,28 @@ def test_run_case_small():
     mean = np.mean(res.fgmres_per_step)
     assert res.avg_fgmres == int(np.floor(mean + 0.5))
     assert res.runtime_s > 0.0
+
+
+def test_run_case_solves_with_the_spec_parameters(monkeypatch):
+    """The spec validates by building its KktParams and NewtonConfig, and
+    run_case solves with exactly those."""
+    seen = []
+
+    def fake_solve(cfg, params, geom, on_system=None):
+        seen.append((cfg, params))
+        return None, NewtonTrace(residuals=[1.0])
+
+    monkeypatch.setattr(bench_mod, "newton_solve", fake_solve)
+    spec = CaseSpec(level=2, nu=0.004, beta=1e-3, precond="bpcd",
+                    approach="dto", lps=False, exact_blocks=True,
+                    tol_linear=1e-8, tol_newton=1e-6)
+    run_case(spec)
+    assert seen == [(spec.config, spec.params)]
+    assert seen[0][0] is spec.config and seen[0][1] is spec.params
+    assert spec.params.gamma == spec.gamma
+    assert (spec.config.precond, spec.config.tol, spec.config.linear.rtol,
+            spec.config.exact_blocks) == ("bpcd", 1e-6, 1e-8, True)
+    assert (spec.params.approach, spec.params.lps_on) == ("dto", False)
 
 
 def test_run_case_deterministic():
@@ -180,6 +207,18 @@ def test_json_roundtrip(tmp_path):
     assert len(back) == 1
     assert back[0].spec == _result().spec
     assert back[0].avg_fgmres == _result().avg_fgmres
+
+
+def test_load_results_ignores_legacy_seed(tmp_path):
+    """Files written while cases still carried a `seed` load, without it."""
+    out = tmp_path / "old.json"
+    emit([_result()], "json", path=str(out))
+    payload = json.loads(out.read_text())
+    payload["results"][0]["spec"]["seed"] = 7
+    out.write_text(json.dumps(payload))
+    back = load_results(str(out))
+    assert back[0].spec == _result().spec
+    assert not hasattr(back[0].spec, "seed")
 
 
 def test_load_results_rejects_unknown_schema(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nsctl.newton as newton_mod
+import nsctl.operators as operators_mod
 from nsctl.krylov import KrylovConfig
 from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
                           initial_state, newton_solve, stokes_init)
@@ -138,6 +139,25 @@ def test_full_newton_converges_no_slower(geom3):
     _, full = newton_solve(cfg, KktParams(full_newton=True, **base), geom3)
     assert full.converged
     assert full.newton_iters <= inexact.newton_iters + 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_velocity_operators_assembled_once_per_wind(geom3, monkeypatch,
+                                                     exact):
+    """One operator set per wind: the lifted state's residual, the Stokes
+    step, and one per iterate, shared by its residual and the next step."""
+    real = operators_mod.assemble_velocity
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators_mod, "assemble_velocity", counting)
+    _, trace = newton_solve(NewtonConfig(exact_blocks=exact),
+                            KktParams(nu=0.004, beta=1e-3), geom3)
+    assert trace.converged and trace.newton_iters >= 3
+    assert len(calls) == trace.newton_iters + 2
 
 
 @pytest.mark.parametrize("bad_step", [0, 2])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nsctl.grid_fem import setup_geometry
 from nsctl.operators import (KktParams, StateIterate, _phys_tables, _scatter,
                              _vector_expand, _wind_cellwise,
                              assemble_curvature, assemble_curvature_exact,
                              assemble_divergence, assemble_pressure,
                              assemble_velocity, augment, build_kkt,
                              eval_residual, export_matrix_market,
-                             lift_boundary, mass_eig_interval)
+                             lift_boundary, mass_eig_interval, restrict)
 
 
 def _maxabs(mat):
@@ -51,9 +52,9 @@ def _zero_state(geom):
 # --------------------------------------------------------------------------
 
 def test_mass_symmetric_positive_definite(geom2):
-    vel = _vel(geom2, _zero_wind(geom2))
-    assert _maxabs(vel.m - vel.m.T) <= 1e-14
-    eigs = np.linalg.eigvalsh(vel.m.toarray())
+    m = restrict(_vel(geom2, _zero_wind(geom2)).m_full, geom2.dofmap)
+    assert _maxabs(m - m.T) <= 1e-14
+    eigs = np.linalg.eigvalsh(m.toarray())
     assert eigs.min() > 0.0
 
 
@@ -68,7 +69,7 @@ def test_mass_component_blocks_integrate_area(geom2):
 
 def test_stiffness_symmetric_with_constant_nullvector(geom2):
     vel = _vel(geom2, _zero_wind(geom2))
-    assert _maxabs(vel.k - vel.k.T) <= 1e-14
+    assert _maxabs(vel.k_full - vel.k_full.T) <= 1e-14
     ones = np.ones(vel.k_full.shape[0])
     assert np.abs(vel.k_full @ ones).max() <= 1e-13
 
@@ -105,8 +106,8 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
 
 def test_stabilization_symmetric_psd(geom2):
     vel = _vel(geom2, _const_wind(geom2, 1.0, 0.5), nu=1e-3)
-    assert _maxabs((vel.w - vel.w.T).tocsr()) <= 1e-14
-    eigs = np.linalg.eigvalsh(vel.w.toarray())
+    assert _maxabs((vel.w_full - vel.w_full.T).tocsr()) <= 1e-14
+    eigs = np.linalg.eigvalsh(vel.w_full.toarray())
     assert eigs.min() >= -1e-12
     assert eigs.max() > 0.0
 
@@ -115,15 +116,16 @@ def test_stabilization_wind_override(geom2):
     stab = _const_wind(geom2, 1.0, 0.5)
     frozen = _vel(geom2, _zero_wind(geom2), nu=1e-3, stab_wind=stab)
     direct = _vel(geom2, stab, nu=1e-3)
-    assert _maxabs(frozen.w) > 0.0
-    assert _maxabs((frozen.w - direct.w).tocsr()) == 0.0
+    assert _maxabs(frozen.w_full) > 0.0
+    assert _maxabs((frozen.w_full - direct.w_full).tocsr()) == 0.0
     assert _maxabs(frozen.n_full) == 0.0    # convection still uses `wind`
 
 
 def test_velocity_combination_identities(geom2):
     vel = _vel(geom2, lift_boundary(geom2.dofmap), nu=0.01)
-    d = vel.d(0.01) - (0.01 * vel.k + vel.n + vel.w)
-    d_adj = vel.d_adj(0.01) - (0.01 * vel.k - vel.n + vel.w)
+    d = vel.d_full(0.01) - (0.01 * vel.k_full + vel.n_full + vel.w_full)
+    d_adj = vel.d_adj_full(0.01) - (0.01 * vel.k_full - vel.n_full
+                                    + vel.w_full)
     assert _maxabs(d.tocsr()) == 0.0
     assert _maxabs(d_adj.tocsr()) == 0.0
 
@@ -135,6 +137,30 @@ def test_wind_validation(geom2):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         _vel(geom2, bad)
+
+
+def test_level_operators_shared_and_read_only(geom3):
+    """M, K, B, Mp, Kp and diag(Mp) are built once per level: two geometries
+    of one level get the same objects, whatever the wind, and they refuse
+    in-place writes."""
+    other = setup_geometry(3)
+    a = _vel(geom3, _zero_wind(geom3))
+    b = _vel(other, _const_wind(other, 1.0, 0.5), nu=1e-3)
+    pa, pb = _pres(geom3, _zero_wind(geom3)), _pres(other, _zero_wind(other))
+    da = assemble_divergence(geom3.mesh, geom3.dofmap, geom3.quad)
+    db = assemble_divergence(other.mesh, other.dofmap, other.quad)
+    assert a.m_full is b.m_full and a.k_full is b.k_full
+    assert pa.mp is pb.mp and pa.kp is pb.kp and pa.mp_diag is pb.mp_diag
+    assert da is db
+    assert a.n_full is not b.n_full
+    for mat in (a.m_full, a.k_full, pa.mp, pa.kp, da.b, da.b_full):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    with pytest.raises(ValueError):
+        pa.mp_diag[0] = 1.0
+    with pytest.raises(ValueError):
+        a.m_full.data *= 2.0
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +209,6 @@ def test_divergence_interior_columns_sum_to_zero(geom2):
     assert np.abs(div.b.T @ np.ones(div.b.shape[0])).max() <= 1e-13
 
 
-def test_divergence_lift_contribution(geom2):
-    lid = lift_boundary(geom2.dofmap)
-    div = assemble_divergence(geom2.mesh, geom2.dofmap, geom2.quad, lift=lid)
-    assert np.array_equal(div.lift_contrib, div.b_full @ lid)
-    assert np.abs(div.lift_contrib).max() > 1e-3
-
-
 # --------------------------------------------------------------------------
 # curvature
 # --------------------------------------------------------------------------
@@ -210,8 +229,8 @@ def test_curvature_matches_wind_blocks(geom2, rng):
         geom2.dofmap.n_v_int)
     n_z, h_z = assemble_curvature(geom2.mesh, geom2.dofmap, geom2.quad, zeta)
     ops = _vel(geom2, zeta, nu=1.0, lps_on=False)
-    assert _maxabs((n_z - ops.n).tocsr()) == 0.0
-    assert _maxabs((h_z - ops.h).tocsr()) == 0.0
+    assert _maxabs((n_z - restrict(ops.n_full, geom2.dofmap)).tocsr()) == 0.0
+    assert _maxabs((h_z - restrict(ops.h_full, geom2.dofmap)).tocsr()) == 0.0
 
 
 def test_curvature_dto_is_symmetric(geom2, rng):
@@ -278,6 +297,28 @@ def test_zero_data_problem_has_zero_residual(geom2):
     assert np.array_equal(res.stacked(), np.zeros(res.stacked().size))
 
 
+def test_constant_data_load_matches_element_sums(geom2):
+    """The forcing and desired-state loads of constant fields equal the
+    cellwise sums of the Q2 mass-matrix rows."""
+    d = geom2.dofmap
+    wdet, _, _ = _phys_tables(geom2.mesh, geom2.quad)
+    vals = geom2.quad.q2_vals
+    row_sum = np.einsum("q,qi,qj->ij", wdet, vals, vals).sum(axis=1)
+    # full-size values: np.add.at with broadcast values misreads them
+    # (numpy 2.4), which is how this load once went wrong
+    sums = np.tile(row_sum, d.cell_q2.shape[0])
+    want = np.zeros(d.n_v_full)
+    np.add.at(want, 2 * d.cell_q2.ravel(), 0.5 * sums)
+    np.add.at(want, 2 * d.cell_q2.ravel() + 1, -2.0 * sums)
+    params = KktParams(nu=0.01, beta=1e-2, f_const=(0.5, -2.0),
+                       vd_const=(0.5, -2.0))
+    res = eval_residual(_zero_state(geom2), geom2.mesh, d, geom2.patches,
+                        geom2.quad, params)
+    keep = d.interior_vdofs
+    assert np.allclose(res.r1, want[keep], rtol=1e-13, atol=1e-15)
+    assert np.allclose(res.r2, want[keep], rtol=1e-13, atol=1e-15)
+
+
 def test_kkt_matrix_matches_blocks(geom2, rng):
     params = KktParams(nu=0.01, beta=1e-2, approach="otd")
     state = _zero_state(geom2)
@@ -312,6 +353,46 @@ def test_kkt_dto_offdiagonal_symmetry(geom2):
     system = build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
                        geom2.quad, params)
     assert _maxabs((system.a12 - system.a21.T).tocsr()) == 0.0
+
+
+def _bits_equal(x, y):
+    if sp.issparse(x):
+        return all(np.array_equal(getattr(x, f), getattr(y, f))
+                   for f in ("indptr", "indices", "data"))
+    return np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("approach", ["otd", "dto"])
+def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
+    """build_kkt on a pre-assembled operator set (as the Newton driver
+    passes the residual's) gives exactly the system it assembles itself,
+    and its momentum blocks equal the sums of the restricted matrices."""
+    d = geom3.dofmap
+    params = KktParams(nu=0.004, beta=1e-3, approach=approach)
+    state = _zero_state(geom3)
+    state.v = lift_boundary(d)
+    for x in (state.v, state.zeta):
+        x[d.interior_vdofs] = rng.standard_normal(d.n_v_int)
+    state.mu[:] = rng.standard_normal(d.n_p)
+    stab = state.v + 0.1 * rng.standard_normal(d.n_v_full)
+    args = (state, geom3.mesh, d, geom3.patches, geom3.quad, params)
+    vel = _vel(geom3, state.v, nu=params.nu, stab_wind=stab)
+    own = build_kkt(*args, stab_wind=stab, do_augment=True)
+    given = build_kkt(*args, stab_wind=stab, do_augment=True, vel=vel)
+    for name in ("a11", "a12", "a21", "a22", "b", "rhs1", "rhs2",
+                 "rhs_div1", "rhs_div2"):
+        assert _bits_equal(getattr(own, name), getattr(given, name)), name
+
+    plain = build_kkt(*args, stab_wind=stab, vel=vel)
+    k, n, h, w = (restrict(m, d) for m in (vel.k_full, vel.n_full,
+                                            vel.h_full, vel.w_full))
+    d_int = (params.nu * k + n + w).tocsr()
+    assert _bits_equal(plain.a21, (d_int + h).tocsr())
+    if approach == "otd":
+        d_adj = (params.nu * k - n + w).tocsr()
+        assert _bits_equal(plain.a12, (d_adj + h.T).tocsr())
+    else:
+        assert _bits_equal(plain.a12, (d_int + h).T.tocsr())
 
 
 def test_full_newton_adds_exact_curvature(geom2, rng):
@@ -392,7 +473,7 @@ def test_pinned_system_drops_first_pressure_row(geom2):
 def test_matrix_market_export(geom2, tmp_path):
     vel = _vel(geom2, _zero_wind(geom2))
     out = tmp_path / "m.mtx"
-    export_matrix_market(vel.m, out)
+    export_matrix_market(vel.m_full, out)
     header = out.read_text().splitlines()[0]
     assert header == "%%MatrixMarket matrix coordinate real general"
 

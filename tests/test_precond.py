@@ -55,7 +55,7 @@ def test_matching_apply_matches_dense(geom2, rng):
 def test_matching_factors_include_shift(geom2):
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
-    shift = system.vel.m / np.sqrt(system.params.beta)
+    shift = system.mass / np.sqrt(system.params.beta)
     d21 = (ms.mat_21 - system.a21 - shift).tocsr()
     d12 = (ms.mat_12 - system.a12 - shift).tocsr()
     for diff in (d21, d12):
@@ -166,7 +166,7 @@ def test_matching_build_error_propagates(geom2, exact, error):
     (multigrid); its build runs in the worker thread, and the error reaches
     the caller."""
     system = _stokes_system(geom2, augmented=True)
-    lam = system.vel.m / np.sqrt(system.params.beta)
+    lam = system.mass / np.sqrt(system.params.beta)
     broken = dataclasses.replace(system, a12=(-lam).tocsr())
     with pytest.raises(error):
         build_matching(broken, exact=exact)
