@@ -93,7 +93,10 @@ def _parse_number(tok):
     tok = tok.strip()
     if "/" in tok:
         num, den = tok.split("/", 1)
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
     return float(tok)
 
 

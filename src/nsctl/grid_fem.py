@@ -64,7 +64,6 @@ class PatchPartition:
 
     patch_cells: np.ndarray           # (n_patches, 4) cell ids
     measures: np.ndarray              # (n_patches,)
-    centroids: np.ndarray             # (n_patches, 2)
     box_lengths: np.ndarray           # (n_patches, 2) patch extent per direction
 
     @property
@@ -149,14 +148,11 @@ def build_patches(mesh: Mesh) -> PatchPartition:
     patch_cells = np.column_stack([c00, c00 + 1, c00 + nc, c00 + nc + 1])
 
     h = mesh.h_q1
-    cx = -1.0 + (2 * pi + 1) * h
-    cy = -1.0 + (2 * pj + 1) * h
-    centroids = np.column_stack([cx, cy])
     n_patches = patch_cells.shape[0]
     measures = np.full(n_patches, 4.0 * h * h)
     box_lengths = np.full((n_patches, 2), 2.0 * h)
     return PatchPartition(patch_cells=patch_cells.astype(np.int64), measures=measures,
-                          centroids=centroids, box_lengths=box_lengths)
+                          box_lengths=box_lengths)
 
 
 def _gauss_1d(n: int):
@@ -270,8 +266,9 @@ class Geometry:
     quad: QuadratureRule
 
 
-def setup_geometry(level: int, quad_order: int = 5) -> Geometry:
-    """Build mesh, dof maps, macro patches and quadrature for one level."""
+def setup_geometry(level: int) -> Geometry:
+    """Build mesh, dof maps, macro patches and the 5 x 5 Gauss rule for one
+    level."""
     mesh = build_mesh(level)
     return Geometry(mesh=mesh, dofmap=build_dofmap(mesh),
-                    patches=build_patches(mesh), quad=tabulate(quad_order))
+                    patches=build_patches(mesh), quad=tabulate(5))

@@ -135,13 +135,14 @@ def chebyshev_solve(solver: ChebyshevMassSolver, b: np.ndarray) -> np.ndarray:
 class KrylovConfig:
     restart: int = 10
     rtol: float = 1e-6
-    atol: float = 0.0
     maxiter: int = 200
     fixed_iters: int = None            # exactly this many steps, no tolerance exit
 
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
+        if not np.isfinite(self.rtol):
+            raise ValueError(f"rtol must be finite, got {self.rtol}")
         if self.rtol <= 0.0 and self.fixed_iters is None:
             raise ValueError("rtol must be positive")
 
@@ -151,7 +152,6 @@ class SolveStats:
     iters: int = 0
     residuals: list = field(default_factory=list)
     converged: bool = False
-    breakdown: bool = False
     true_residual: float = 0.0
 
 
@@ -265,20 +265,18 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
 
     fixed = cfg.fixed_iters
     if fixed is not None:
-        x, _, breakdown = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b),
-                                       fixed, None, collect)
-        stats.breakdown = breakdown
+        x, _, _ = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b), fixed,
+                               None, collect)
         stats.converged = True
         return x, stats
 
-    target = max(cfg.rtol * norm_b, cfg.atol)
+    target = cfg.rtol * norm_b
     x = np.zeros_like(b)
     while stats.iters < cfg.maxiter:
         steps = min(cfg.restart, cfg.maxiter - stats.iters)
         before = len(stats.residuals)
         x, met, breakdown = _gmres_cycle(apply_a, apply_p, b, x, steps, target,
                                          collect)
-        stats.breakdown = stats.breakdown or breakdown
         true_res = np.linalg.norm(b - apply_a(x))
         if met or true_res <= target:
             stats.converged = True

@@ -35,8 +35,6 @@ class NewtonConfig:
     max_iters: int = 10
     precond: str = "al"               # "al" | "bpcd" | "ideal"
     linear: KrylovConfig = None
-    inner_iters: int = 5
-    cheb_steps: int = 20
     exact_blocks: bool = False
 
     def __post_init__(self):
@@ -109,9 +107,7 @@ def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
                        do_augment=(cfg.precond == "al"),
                        pin=(cfg.precond == "ideal"))
     stack = build_precond(system, kind=cfg.precond,
-                          inner_iters=cfg.inner_iters,
-                          cheb_steps=cfg.cheb_steps,
-                          exact_blocks=cfg.exact_blocks, quad=geom.quad)
+                          exact_blocks=cfg.exact_blocks)
     mat = system.matrix()
     x, stats = fgmres(lambda u: mat @ u,
                       lambda r: outer_p2_apply(stack, r),

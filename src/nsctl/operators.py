@@ -46,13 +46,11 @@ class VelocityOperators:
 
 @dataclass
 class PressureOperators:
-    """Q1 pressure-space operators (pure Neumann space, no elimination)."""
+    """Q1 pressure-space operators of one wind (pure Neumann space, no
+    elimination); Mp and Kp are the level's."""
 
-    mp: sp.csr_matrix
-    kp: sp.csr_matrix
     np_conv: sp.csr_matrix            # pressure convection at the given wind
     wp: sp.csr_matrix                 # pressure stabilization analogue
-    mp_diag: np.ndarray
 
 
 @dataclass
@@ -86,6 +84,12 @@ class ResidualVector:
         return np.concatenate([self.r1, self.r2, self.r1_div, self.r2_div])
 
 
+def _require_positive(name, value):
+    """Reject a value that is not finite and positive (NaN fails too)."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class KktParams:
     nu: float
@@ -98,14 +102,11 @@ class KktParams:
     vd_const: tuple = (0.0, 0.0)      # constant desired state
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _require_positive("nu", self.nu)
+        _require_positive("beta", self.beta)
         if self.gamma is None:
             self.gamma = float(10.0 / np.sqrt(self.beta))
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _require_positive("gamma", self.gamma)
         if self.approach not in ("otd", "dto"):
             raise ValueError(f"unknown approach {self.approach!r}")
 
@@ -118,6 +119,9 @@ class KktSystem:
     [[a11, a12], [a21, a22]]; a22 = -(1/beta) M. With `pinned` the first
     pressure dof is eliminated from both multiplier blocks so that direct
     solves (and the ideal preconditioner) see a nonsingular matrix.
+    `level_ops` is the cached record of the system's level, from which the
+    preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
+    intervals.
     """
 
     params: KktParams
@@ -130,10 +134,9 @@ class KktSystem:
     rhs2: np.ndarray
     rhs_div1: np.ndarray
     rhs_div2: np.ndarray
+    level_ops: "LevelOperators"       # the operators of the system's level
     augmented: bool = False
     pinned: bool = False
-    n_p_full: int = 0                 # pressure dof count before pinning
-    mass: sp.csr_matrix = None        # interior velocity mass (one block)
     pres: PressureOperators = None
     _matrix: sp.csr_matrix = field(default=None, repr=False)
     _momentum: sp.csr_matrix = field(default=None, repr=False)
@@ -181,7 +184,7 @@ class KktSystem:
         """Re-insert the pinned pressure dof (value 0) when pinned."""
         if not self.pinned:
             return q
-        out = np.zeros(self.n_p_full)
+        out = np.zeros(self.level_ops.mp_diag.size)
         out[1:] = q
         return out
 
@@ -241,8 +244,10 @@ def _wind_cellwise(wind, dofmap):
 
 @dataclass(frozen=True)
 class LevelOperators:
-    """The wind-free operators of one level and their element tables."""
+    """The wind-free operators of one level, their element tables and the
+    Chebyshev intervals of its two mass matrices."""
 
+    level: int
     wdet: np.ndarray                  # (nq,) physical quadrature weights
     g2: np.ndarray                    # (nq, 9, 2) physical Q2 gradients
     g1: np.ndarray                    # (nq, 4, 2) physical Q1 gradients
@@ -254,11 +259,14 @@ class LevelOperators:
     mp: sp.csr_matrix                 # pressure mass
     kp: sp.csr_matrix                 # pressure stiffness
     mp_diag: np.ndarray
+    m_interval: tuple                 # bounds of spec(diag(M)^-1 M)
+    mp_interval: tuple                # bounds of spec(diag(Mp)^-1 Mp)
 
 
 @lru_cache(maxsize=None)
 def _level_operators(level, quad_order):
-    """M, K, B, Mp, Kp and diag(Mp) of one level, with their element tables.
+    """M, K, B, Mp, Kp and diag(Mp) of one level, with their element tables
+    and the spectrum bounds of the Jacobi-scaled masses.
 
     Cached per (level, quadrature order), so every geometry of a level
     shares them; their arrays are read-only.
@@ -292,9 +300,12 @@ def _level_operators(level, quad_order):
             * v2[:, None, :]).reshape(wdet.size, 81)
     div = DivergenceOperator(b=b_full[:, dofmap.interior_vdofs].tocsr(),
                              b_full=b_full)
-    ops = LevelOperators(wdet=wdet, g2=g2, g1=g1, nn_w=nn_w, m_full=m_full,
-                         k_full=k_full, m=restrict(m_full, dofmap), div=div,
-                         mp=mp, kp=kp, mp_diag=mp.diagonal().copy())
+    ops = LevelOperators(level=level, wdet=wdet, g2=g2, g1=g1, nn_w=nn_w,
+                         m_full=m_full, k_full=k_full,
+                         m=restrict(m_full, dofmap), div=div, mp=mp, kp=kp,
+                         mp_diag=mp.diagonal().copy(),
+                         m_interval=mass_eig_interval(quad, "q2"),
+                         mp_interval=mass_eig_interval(quad, "q1"))
     for a in (wdet, g2, g1, nn_w, ops.mp_diag):
         a.flags.writeable = False
     for a in (m_full, k_full, ops.m, div.b, b_full, mp, kp):
@@ -444,8 +455,7 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
 
 def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
-    """Assemble Np(wind) and Wp on the Q1 pressure space, with the level's
-    Mp and Kp.
+    """Assemble Np(wind) and Wp on the Q1 pressure space.
 
     As in `assemble_velocity`, the stabilization term uses `stab_wind` when
     given and the convection wind otherwise.
@@ -474,8 +484,7 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     else:
         wp = sp.csr_matrix(shape)
 
-    return PressureOperators(mp=lvl.mp, kp=lvl.kp, np_conv=np_conv, wp=wp,
-                             mp_diag=lvl.mp_diag)
+    return PressureOperators(np_conv=np_conv, wp=wp)
 
 
 def assemble_divergence(mesh, dofmap, quad):
@@ -592,10 +601,11 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     return res
 
 
-def augment(system, gamma, w_diag=None):
+def augment(system, gamma):
     """Equivalent augmented system.
 
-    Both off-diagonal momentum blocks gain gamma B^T W^-1 B; the momentum
+    Both off-diagonal momentum blocks gain gamma B^T W^-1 B with W the
+    level's diag(Mp) (without its first entry when pinned); the momentum
     right-hand sides gain the matching row combination of the constraint
     rows, which pairs each momentum row with the *other* unknown's
     divergence residual.
@@ -604,14 +614,9 @@ def augment(system, gamma, w_diag=None):
         return system
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    if w_diag is None:
-        w_diag = system.pres.mp_diag
-        if system.pinned:
-            w_diag = w_diag[1:]
-    w_diag = np.asarray(w_diag, dtype=np.float64).ravel()
-    if w_diag.size != system.n_p or np.any(w_diag <= 0.0):
-        raise ValueError("augmentation weight must be positive and match "
-                         "the pressure dimension")
+    w_diag = system.level_ops.mp_diag
+    if system.pinned:
+        w_diag = w_diag[1:]
 
     c = (gamma * (system.b.T @ (sp.diags(1.0 / w_diag) @ system.b))).tocsr()
     return KktSystem(
@@ -622,8 +627,8 @@ def augment(system, gamma, w_diag=None):
         rhs1=system.rhs1 + gamma * (system.b.T @ (system.rhs_div2 / w_diag)),
         rhs2=system.rhs2 + gamma * (system.b.T @ (system.rhs_div1 / w_diag)),
         rhs_div1=system.rhs_div1, rhs_div2=system.rhs_div2,
-        augmented=True, pinned=system.pinned, n_p_full=system.n_p_full,
-        mass=system.mass, pres=system.pres,
+        level_ops=system.level_ops, augmented=True, pinned=system.pinned,
+        pres=system.pres,
     )
 
 
@@ -647,7 +652,8 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     pres = assemble_pressure(mesh, dofmap, patches, quad, wind, params.nu,
                              lps_on=params.lps_on, stab_wind=stab_wind)
     div = assemble_divergence(mesh, dofmap, quad)
-    mass = _level_operators(mesh.level, quad.order).m
+    lvl = _level_operators(mesh.level, quad.order)
+    mass = lvl.m
 
     a21 = restrict(vel.d_full(params.nu) + vel.h_full, dofmap)
     if params.approach == "otd":
@@ -672,8 +678,8 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
 
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
                        b=b, rhs1=res.r1, rhs2=res.r2,
-                       rhs_div1=rhs_div1, rhs_div2=rhs_div2,
-                       pinned=pin, n_p_full=dofmap.n_p, mass=mass, pres=pres)
+                       rhs_div1=rhs_div1, rhs_div2=rhs_div2, level_ops=lvl,
+                       pinned=pin, pres=pres)
     if do_augment:
         system = augment(system, params.gamma)
     return system

@@ -19,11 +19,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .grid_fem import (build_dofmap, build_mesh, cell_stars, q2_prolongation,
-                       tabulate)
+from .grid_fem import build_dofmap, build_mesh, cell_stars, q2_prolongation
 from .krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
                      chebyshev_solve, factorize, gmres)
-from .operators import KktSystem, augment, mass_eig_interval
+from .operators import KktSystem, augment
 
 __all__ = [
     "MatchingSchur", "AlOuterSchur", "BpcdOuterSchur", "PrecondStack",
@@ -60,20 +59,25 @@ def _pinned_solve(fact, r):
     return _demean(fact.solve(rt))
 
 
+def _mass_solve(matrix, interval, exact):
+    """Action of a mass matrix's inverse: its LU solve with `exact`,
+    otherwise CHEB_STEPS Chebyshev steps on the Jacobi-scaled spectrum
+    bounds `interval`."""
+    if exact:
+        return factorize(matrix).solve
+    cheb = ChebyshevMassSolver(matrix=matrix, interval=interval,
+                               steps=CHEB_STEPS)
+    return lambda b: chebyshev_solve(cheb, b)
+
+
 # --------------------------------------------------------------------------
 # geometric multigrid for the matching factors
 # --------------------------------------------------------------------------
 
 MG_COARSEST = 1                       # level whose Galerkin operator is LU-factorized
 MG_SWEEPS = 2                         # pre-smoothing sweeps per level
-
-
-def _velocity_level(n_v):
-    """Refinement level whose interior velocity space has n_v dofs."""
-    level = int(round(np.log2(np.sqrt(n_v / 2.0) + 1.0))) - 1
-    if level < 1 or 2 * (2 ** (level + 1) - 1) ** 2 != n_v:
-        raise ValueError(f"{n_v} velocity dofs match no uniform level")
-    return level
+INNER_ITERS = 5                       # inner GMRES steps per outer apply
+CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +198,14 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     a level's first use both builds may fill the per-level geometry caches;
     the two results are equal, so either may stay.
     """
-    m = system.mass
+    m = system.level_ops.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()
     mat_21 = (system.a21 + lam).tocsr()
     mat_12 = (system.a12 + lam).tocsr()
     if exact:
         build = factorize
     else:
-        level = _velocity_level(system.n_v)
+        level = system.level_ops.level
         build = lambda a: build_multigrid(a, level)  # noqa: E731
     with ThreadPoolExecutor(max_workers=1) as pool:
         future_12 = pool.submit(build, mat_12)
@@ -233,14 +237,15 @@ class AlOuterSchur:
     [y1; y2] = [Kp^-1 r1 + g W^-1 r2; g W^-1 r1 - (1/beta) Kp^-1 r2]."""
 
     kp_fact: Factorization            # pinned pressure Laplacian
-    w_diag: np.ndarray                # W = diag(Mp)
+    w_diag: np.ndarray                # W = diag(Mp), the level's (read-only)
     gamma: float
     beta: float
 
 
 def build_al_outer(system: KktSystem) -> AlOuterSchur:
-    return AlOuterSchur(kp_fact=factorize(_pin_matrix(system.pres.kp)),
-                        w_diag=system.pres.mp_diag.copy(),
+    lvl = system.level_ops
+    return AlOuterSchur(kp_fact=factorize(_pin_matrix(lvl.kp)),
+                        w_diag=lvl.mp_diag,
                         gamma=system.params.gamma, beta=system.params.beta)
 
 
@@ -268,23 +273,12 @@ class BpcdOuterSchur:
     mp_solve: callable                # action of Mp^-1 (Chebyshev or direct)
 
 
-def build_bpcd_outer(system: KktSystem, cheb_steps=20, exact_blocks=False,
-                     quad=None) -> BpcdOuterSchur:
-    pres = system.pres
-    nu = system.params.nu
-    base = (nu * pres.kp + pres.wp).tocsr()
-    if exact_blocks:
-        mp_fact = factorize(pres.mp)
-        mp_solve = mp_fact.solve
-    else:
-        if quad is None:
-            quad = tabulate(5)
-        cheb = ChebyshevMassSolver(matrix=pres.mp,
-                                   interval=mass_eig_interval(quad, "q1"),
-                                   steps=cheb_steps)
-        mp_solve = lambda b: chebyshev_solve(cheb, b)  # noqa: E731
-    return BpcdOuterSchur(kp_fact=factorize(_pin_matrix(pres.kp)),
-                          mp=pres.mp,
+def build_bpcd_outer(system: KktSystem, exact_blocks=False) -> BpcdOuterSchur:
+    lvl, pres = system.level_ops, system.pres
+    base = (system.params.nu * lvl.kp + pres.wp).tocsr()
+    mp_solve = _mass_solve(lvl.mp, lvl.mp_interval, exact_blocks)
+    return BpcdOuterSchur(kp_fact=factorize(_pin_matrix(lvl.kp)),
+                          mp=lvl.mp,
                           dp_od=(base - pres.np_conv).tocsr(),
                           dp_do=(base + pres.np_conv).tocsr(),
                           beta=system.params.beta, mp_solve=mp_solve)
@@ -367,18 +361,19 @@ class PrecondStack:
     matching: MatchingSchur = None
     outer: object = None              # AlOuterSchur | BpcdOuterSchur | IdealPrecond
     mass_solve: callable = None       # action of M^-1 on one velocity block
-    inner_iters: int = 5
 
 
-def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
-                  exact_blocks=False, quad=None) -> PrecondStack:
-    """Assemble factorizations and solvers for the requested preconditioner."""
+def build_precond(system: KktSystem, kind="al",
+                  exact_blocks=False) -> PrecondStack:
+    """Assemble factorizations and solvers for the requested preconditioner;
+    the level, its mass matrices and their Chebyshev intervals come from
+    `system.level_ops`. `exact_blocks` replaces the Chebyshev and multigrid
+    solves by LU."""
     kind = kind.lower()
     if kind == "ideal":
         return PrecondStack(kind=kind, system=system,
                             momentum=system.momentum(),
-                            outer=IdealPrecond(system),
-                            inner_iters=inner_iters)
+                            outer=IdealPrecond(system))
     if kind not in ("al", "bpcd"):
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if system.pinned:
@@ -388,27 +383,16 @@ def build_precond(system: KktSystem, kind="al", inner_iters=5, cheb_steps=20,
     if kind == "bpcd" and system.augmented:
         raise ValueError("the bpcd preconditioner expects an unaugmented system")
 
-    if exact_blocks:
-        m_fact = factorize(system.mass)
-        mass_solve = m_fact.solve
-    else:
-        if quad is None:
-            quad = tabulate(5)
-        cheb = ChebyshevMassSolver(matrix=system.mass,
-                                   interval=mass_eig_interval(quad, "q2"),
-                                   steps=cheb_steps)
-        mass_solve = lambda b: chebyshev_solve(cheb, b)  # noqa: E731
-
+    lvl = system.level_ops
+    mass_solve = _mass_solve(lvl.m, lvl.m_interval, exact_blocks)
     if kind == "al":
         outer = build_al_outer(system)
     else:
-        outer = build_bpcd_outer(system, cheb_steps=cheb_steps,
-                                 exact_blocks=exact_blocks, quad=quad)
+        outer = build_bpcd_outer(system, exact_blocks=exact_blocks)
 
     return PrecondStack(kind=kind, system=system, momentum=system.momentum(),
                         matching=build_matching(system, exact=exact_blocks),
-                        outer=outer,
-                        mass_solve=mass_solve, inner_iters=inner_iters)
+                        outer=outer, mass_solve=mass_solve)
 
 
 def inner_p1_apply(stack: PrecondStack, rhs):
@@ -445,7 +429,7 @@ def outer_p2_apply(stack: PrecondStack, rhs):
 
     bt = system.b.T
     t_m = r_m - np.concatenate([bt @ z_mu, bt @ z_p])
-    cfg = KrylovConfig(fixed_iters=stack.inner_iters)
+    cfg = KrylovConfig(fixed_iters=INNER_ITERS)
     z_m, _ = gmres(lambda x: stack.momentum @ x,
                    lambda x: inner_p1_apply(stack, x), t_m, cfg)
     return np.concatenate([z_m, z_mu, z_p])

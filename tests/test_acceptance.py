@@ -98,9 +98,10 @@ def test_matching_spectral_bounds():
                                geom.dofmap, geom.patches, geom.quad, params,
                                wind=zero, do_augment=True)
             ms = build_matching(system)
-            m_inv = np.linalg.inv(system.mass.toarray())
+            m = system.level_ops.m.toarray()
+            m_inv = np.linalg.inv(m)
             s_exact = system.a21.toarray() @ m_inv @ system.a12.toarray() \
-                + system.mass.toarray() / beta
+                + m / beta
             s_tilde = ms.mat_21.toarray() @ m_inv @ ms.mat_12.toarray()
             lam = np.linalg.eigvals(np.linalg.solve(s_tilde, s_exact))
             tag = f"l={level} beta={beta:g}"
@@ -119,7 +120,7 @@ def test_woodbury_block_identity():
     system = build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
                        geom.patches, geom.quad, params, pin=True)
     b = system.b.toarray()
-    w = system.pres.mp_diag[1:]
+    w = system.level_ops.mp_diag[1:]
     n_p = b.shape[0]
     vel = assemble_velocity(geom.mesh, geom.dofmap, geom.patches, geom.quad,
                             np.zeros(geom.dofmap.n_v_full), nu=1.0)

@@ -73,6 +73,10 @@ def test_parse_explicit_gamma():
     ["--level", "3", "--nu", "0"],               # KktParams validation
     ["--level", "3", "--beta", "0"],
     ["--level", "3", "--gamma", "0"],
+    ["--level", "2", "--nu", "1/0"],             # zero denominator
+    ["--level", "2", "--nu", "nan"],             # non-finite parameters
+    ["--level", "2", "--gamma", "nan"],
+    ["--level", "2", "--tol-linear", "nan"],
 ])
 def test_parse_rejections(argv):
     with pytest.raises(SystemExit):

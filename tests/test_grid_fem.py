@@ -94,8 +94,6 @@ def test_patch_measures_and_boxes():
     patches = build_patches(mesh)
     assert np.allclose(patches.measures, 4.0 * (0.25) ** 2)  # 0.25 each
     assert np.allclose(patches.box_lengths, 2.0 * mesh.h_q1)
-    # centroids sit at the centers of the 2x2 blocks
-    assert np.allclose(np.abs(patches.centroids).max(), 1.0 - 2 * mesh.h_q1 / 2)
 
 
 @pytest.mark.parametrize("level", [2, 3])

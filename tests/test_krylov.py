@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
                           fgmres, from_triplets, gmres)
-from nsctl.operators import (KktParams, StateIterate, assemble_pressure,
+from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              assemble_velocity, build_kkt, lift_boundary,
                              mass_eig_interval, restrict)
 
@@ -99,10 +99,9 @@ def test_factorize_rejects_nonsquare():
 
 
 def test_factorize_singular_neumann(geom2):
-    pres = assemble_pressure(geom2.mesh, geom2.dofmap, geom2.patches,
-                             geom2.quad, _zero_wind(geom2), nu=1.0)
+    lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
     with pytest.raises(SingularMatrixError):
-        factorize(pres.kp)
+        factorize(lvl.kp)
 
 
 def test_factorize_roundtrip_on_mass(geom3, rng):
@@ -120,7 +119,7 @@ def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
     system = build_kkt(state, geom3.mesh, d, geom3.patches, geom3.quad,
                        KktParams(nu=0.01, beta=beta), do_augment=True)
-    shift = system.mass / np.sqrt(beta)
+    shift = system.level_ops.m / np.sqrt(beta)
     for a in ((system.a21 + shift).tocsr(), (system.a12 + shift).tocsr()):
         b = rng.standard_normal(a.shape[0])
         res = np.linalg.norm(a @ factorize(a).solve(b) - b) / np.linalg.norm(b)
@@ -152,11 +151,10 @@ def test_chebyshev_interval_validation():
 
 
 def test_chebyshev_is_linear(geom2, rng):
-    pres = assemble_pressure(geom2.mesh, geom2.dofmap, geom2.patches,
-                             geom2.quad, _zero_wind(geom2), nu=1.0)
-    solver = ChebyshevMassSolver(matrix=pres.mp,
+    lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
+    solver = ChebyshevMassSolver(matrix=lvl.mp,
                                  interval=mass_eig_interval(geom2.quad, "q1"))
-    b = rng.standard_normal(pres.mp.shape[0])
+    b = rng.standard_normal(lvl.mp.shape[0])
     x1 = chebyshev_solve(solver, b)
     x2 = chebyshev_solve(solver, 2.0 * b)
     assert np.array_equal(x2, 2.0 * x1)   # scaling by 2 commutes exactly
@@ -266,3 +264,8 @@ def test_krylov_config_validation():
         KrylovConfig(restart=0)
     with pytest.raises(ValueError):
         KrylovConfig(rtol=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            KrylovConfig(rtol=bad)
+        with pytest.raises(ValueError):
+            KrylovConfig(rtol=bad, fixed_iters=5)

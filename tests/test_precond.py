@@ -12,7 +12,8 @@ from nsctl.grid_fem import cell_stars
 from nsctl.krylov import (Factorization, KrylovConfig, SingularMatrixError,
                           factorize, gmres)
 from nsctl.newton import NewtonConfig, _newton_step, initial_state
-from nsctl.operators import KktParams, StateIterate, build_kkt, lift_boundary
+from nsctl.operators import (KktParams, StateIterate, _level_operators,
+                             build_kkt, lift_boundary, mass_eig_interval)
 from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
                            build_precond, inner_p1_apply, matching_apply,
                            matching_forward, outer_p2_apply)
@@ -55,7 +56,7 @@ def test_matching_apply_matches_dense(geom2, rng):
 def test_matching_factors_include_shift(geom2):
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
-    shift = system.mass / np.sqrt(system.params.beta)
+    shift = system.level_ops.m / np.sqrt(system.params.beta)
     d21 = (ms.mat_21 - system.a21 - shift).tocsr()
     d12 = (ms.mat_12 - system.a12 - shift).tocsr()
     for diff in (d21, d12):
@@ -166,7 +167,7 @@ def test_matching_build_error_propagates(geom2, exact, error):
     (multigrid); its build runs in the worker thread, and the error reaches
     the caller."""
     system = _stokes_system(geom2, augmented=True)
-    lam = system.mass / np.sqrt(system.params.beta)
+    lam = system.level_ops.m / np.sqrt(system.params.beta)
     broken = dataclasses.replace(system, a12=(-lam).tocsr())
     with pytest.raises(error):
         build_matching(broken, exact=exact)
@@ -188,7 +189,7 @@ def test_al_outer_cross_pairing(geom2, rng):
     stack = build_precond(system, "al", exact_blocks=True)
     s = stack.outer
     n_p = system.n_p
-    kp = system.pres.kp
+    kp = system.level_ops.kp
 
     r = _zero_mean_pinned_rhs(rng, n_p)
     y1, y2 = precond_mod.al_outer_schur_apply(s, r, np.zeros(n_p))
@@ -216,7 +217,7 @@ def test_bpcd_stokes_limit(geom2):
     system = _stokes_system(geom2, augmented=False)
     stack = build_precond(system, "bpcd", exact_blocks=True)
     s = stack.outer
-    nu_kp = (system.params.nu * system.pres.kp).tocsr()
+    nu_kp = (system.params.nu * system.level_ops.kp).tocsr()
     for block in (s.dp_od, s.dp_do):
         diff = (block - nu_kp).tocsr()
         assert (np.abs(diff.data).max(initial=0.0) if diff.nnz else 0.0) \
@@ -225,8 +226,7 @@ def test_bpcd_stokes_limit(geom2):
 
 def test_bpcd_outer_zero_rhs(geom2):
     system = _stokes_system(geom2, augmented=False)
-    stack = build_precond(system, "bpcd", exact_blocks=False,
-                          quad=geom2.quad)
+    stack = build_precond(system, "bpcd", exact_blocks=False)
     y1, y2 = precond_mod.bpcd_outer_schur_apply(stack.outer,
                                                 np.zeros(system.n_p),
                                                 np.zeros(system.n_p))
@@ -365,9 +365,40 @@ def test_build_precond_validation(geom2):
         build_precond(plain, "ilu")
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_stack_reads_the_level_record(request, monkeypatch, level):
+    """Every step system carries the cached operators of its level, and the
+    stack takes the level, the mass matrices and their Chebyshev intervals
+    from that record, with no geometry passed in."""
+    geom = request.getfixturevalue(f"geom{level}")
+    lvl = _level_operators(level, geom.quad.order)
+    plain = _stokes_system(geom)
+    augmented = _stokes_system(geom, augmented=True)
+    for system in (plain, augmented, _stokes_system(geom, pinned=True)):
+        assert system.level_ops is lvl
+
+    built = []
+    real = precond_mod.ChebyshevMassSolver
+    names = {id(lvl.m): "M", id(lvl.mp): "Mp"}
+
+    def recording(**kw):
+        built.append((names.get(id(kw["matrix"])), kw["interval"]))
+        return real(**kw)
+
+    monkeypatch.setattr(precond_mod, "ChebyshevMassSolver", recording)
+    q2, q1 = mass_eig_interval(geom.quad, "q2"), mass_eig_interval(geom.quad, "q1")
+    stack = build_precond(augmented, "al")
+    for mg in (stack.matching.inv_21, stack.matching.inv_12):
+        assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
+    assert built == [("M", q2)]
+    built.clear()
+    build_precond(plain, "bpcd")
+    assert built == [("M", q2), ("Mp", q1)]
+
+
 def test_outer_p2_zero_rhs(geom2):
     for kind, augmented in (("al", True), ("bpcd", False)):
         system = _stokes_system(geom2, augmented=augmented)
-        stack = build_precond(system, kind, quad=geom2.quad)
+        stack = build_precond(system, kind)
         z = outer_p2_apply(stack, np.zeros(system.dim))
         assert not z.any()
