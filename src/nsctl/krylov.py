@@ -10,7 +10,6 @@ preconditioner that varies between steps is admitted.
 """
 
 import logging
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +23,6 @@ _REORTH_TOL = 1e-8
 
 class SingularMatrixError(Exception):
     """Raised when LU factorization meets a structurally or numerically singular matrix."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
 
 
 def from_triplets(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -67,9 +62,7 @@ def factorize(a: sp.spmatrix) -> Factorization:
     try:
         lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        m = re.search(r"\d+", str(exc))
-        pivot = int(m.group()) if m else None
-        raise SingularMatrixError(f"singular matrix: {exc}", pivot=pivot) from exc
+        raise SingularMatrixError(f"singular matrix: {exc}") from exc
     # SuperLU happily factorizes singular matrices, leaving zero (or
     # roundoff-sized) pivots behind instead of raising; reject those too.
     # The relative threshold separates rank deficiency (pivot ratio at
@@ -78,8 +71,7 @@ def factorize(a: sp.spmatrix) -> Factorization:
     u_diag = np.abs(lu.U.diagonal())
     bad = np.flatnonzero(u_diag <= 1e-12 * u_diag.max(initial=0.0))
     if bad.size:
-        raise SingularMatrixError(f"singular matrix: zero pivot at {bad[0]}",
-                                  pivot=int(bad[0]))
+        raise SingularMatrixError(f"singular matrix: zero pivot at {bad[0]}")
     return Factorization(lu)
 
 
@@ -163,11 +155,10 @@ def _as_operator(op):
     return lambda x, _m=op: _m @ x
 
 
-def _gmres_cycle(apply_a, apply_p, b, x0, steps, target, collect):
-    """One Arnoldi cycle of right-preconditioned flexible GMRES; returns
-    (x, met, breakdown)."""
-    n = b.shape[0]
-    r0 = b - apply_a(x0)
+def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
+    """One Arnoldi cycle of right-preconditioned flexible GMRES from x0,
+    whose residual b - A x0 is r0; returns (x, met, breakdown)."""
+    n = r0.shape[0]
     beta = np.linalg.norm(r0)
     if beta == 0.0:
         return x0, True, False
@@ -271,21 +262,21 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
         return x, stats
 
     target = cfg.rtol * norm_b
-    x = np.zeros_like(b)
+    x, r = np.zeros_like(b), b
     while stats.iters < cfg.maxiter:
         steps = min(cfg.restart, cfg.maxiter - stats.iters)
         before = len(stats.residuals)
-        x, met, breakdown = _gmres_cycle(apply_a, apply_p, b, x, steps, target,
+        x, met, breakdown = _gmres_cycle(apply_a, apply_p, r, x, steps, target,
                                          collect)
-        true_res = np.linalg.norm(b - apply_a(x))
-        if met or true_res <= target:
+        r = b - apply_a(x)
+        if met or np.linalg.norm(r) <= target:
             stats.converged = True
             break
         if breakdown:
             break
         if len(stats.residuals) == before:   # no progress possible
             break
-    stats.true_residual = np.linalg.norm(b - apply_a(x))
+    stats.true_residual = np.linalg.norm(r)
     if stats.true_residual <= target:
         stats.converged = True
     return x, stats

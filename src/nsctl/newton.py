@@ -102,32 +102,18 @@ def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
 
 def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
                  wind, stab_wind=None, vel=None):
-    system = build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                       params, wind=wind, stab_wind=stab_wind, vel=vel,
-                       do_augment=(cfg.precond == "al"),
-                       pin=(cfg.precond == "ideal"))
-    stack = build_precond(system, kind=cfg.precond,
-                          exact_blocks=cfg.exact_blocks)
+    """One Newton step; returns (state, stats, system) with `system` the form
+    of the step system the configured stack solved."""
+    stack = build_precond(
+        build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
+                  params, wind=wind, stab_wind=stab_wind, vel=vel),
+        kind=cfg.precond, exact_blocks=cfg.exact_blocks)
+    system = stack.system
     mat = system.matrix()
     x, stats = fgmres(lambda u: mat @ u,
                       lambda r: outer_p2_apply(stack, r),
                       system.rhs(), cfg.linear)
     return _apply_update(state, system, x, geom.dofmap), stats, system
-
-
-def stokes_init(params: KktParams, geom: Geometry,
-                cfg: NewtonConfig = None) -> StateIterate:
-    """Solve the Stokes control problem (zero-wind linearization at the lifted
-    zero state); this is what the first Newton iteration computes."""
-    if cfg is None:
-        cfg = NewtonConfig()
-    state = initial_state(geom.dofmap)
-    new_state, stats, _ = _newton_step(state, cfg, params, geom,
-                                       wind=np.zeros(geom.dofmap.n_v_full))
-    if not stats.converged:
-        log.warning("stokes init: linear solve not converged (%d iters, "
-                    "residual %.3e)", stats.iters, stats.true_residual)
-    return new_state
 
 
 def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
@@ -138,9 +124,10 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     residual of the lifted zero state, at the first non-finite residual, or
     after max_iters steps (in the last two cases the trace is marked not
     converged, averages taken over completed steps). `on_system(k, sys)` is
-    called with each assembled step system, e.g. for matrix export; the
-    system is released when it returns, before the next step is assembled,
-    so only one step's matrices and factors are alive at a time.
+    called with each step system in the form its stack solved, e.g. for
+    matrix export; the system is released when it returns, before the next
+    step is assembled, so only one step's matrices and factors are alive at
+    a time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)

@@ -10,9 +10,10 @@ The wind-free matrices are built once per level (`_level_operators`), the
 others once per wind.
 """
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,7 +122,8 @@ class KktSystem:
     solves (and the ideal preconditioner) see a nonsingular matrix.
     `level_ops` is the cached record of the system's level, from which the
     preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
-    intervals.
+    intervals. `pres()` assembles the pressure-space operators at the
+    step's winds, which only the bpcd preconditioner reads.
     """
 
     params: KktParams
@@ -135,9 +137,8 @@ class KktSystem:
     rhs_div1: np.ndarray
     rhs_div2: np.ndarray
     level_ops: "LevelOperators"       # the operators of the system's level
-    augmented: bool = False
+    pres: callable                    # () -> PressureOperators
     pinned: bool = False
-    pres: PressureOperators = None
     _matrix: sp.csr_matrix = field(default=None, repr=False)
     _momentum: sp.csr_matrix = field(default=None, repr=False)
 
@@ -192,13 +193,6 @@ class KktSystem:
 # --------------------------------------------------------------------------
 # element tables and scatter helpers
 # --------------------------------------------------------------------------
-
-def _phys_tables(mesh, quad):
-    """Physical-space quadrature weights and gradients (same on every cell)."""
-    jac = mesh.h_q1 / 2.0
-    wdet = quad.weights * jac * jac
-    return wdet, quad.q2_grads / jac, quad.q1_grads / jac
-
 
 def _scatter(idx_rows, idx_cols, blocks, shape):
     rows = np.repeat(idx_rows, idx_cols.shape[1], axis=1).ravel()
@@ -274,7 +268,10 @@ def _level_operators(level, quad_order):
     mesh = build_mesh(level)
     dofmap = build_dofmap(mesh)
     quad = tabulate(quad_order)
-    wdet, g2, g1 = _phys_tables(mesh, quad)
+    # physical-space weights and gradients, the same on every cell
+    jac = mesh.h_q1 / 2.0
+    wdet = quad.weights * jac * jac
+    g2, g1 = quad.q2_grads / jac, quad.q1_grads / jac
     v2, v1 = quad.q2_vals, quad.q1_vals
     idx_s, idx_p = dofmap.cell_q2, dofmap.cell_q1
     nn, npp = dofmap.n_q2, dofmap.n_p
@@ -515,7 +512,8 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
     """
     zeta = np.asarray(zeta, dtype=np.float64).ravel()
     if approach == "dto":
-        wdet, g2, _ = _phys_tables(mesh, quad)
+        lvl = _level_operators(mesh.level, quad.order)
+        wdet, g2 = lvl.wdet, lvl.g2
         nvals = quad.q2_vals
         n_cells = mesh.n_cells
         z_cell = _wind_cellwise(zeta, dofmap)
@@ -619,22 +617,26 @@ def augment(system, gamma):
         w_diag = w_diag[1:]
 
     c = (gamma * (system.b.T @ (sp.diags(1.0 / w_diag) @ system.b))).tocsr()
-    return KktSystem(
-        params=system.params,
-        a11=system.a11, a12=(system.a12 + c).tocsr(),
-        a21=(system.a21 + c).tocsr(), a22=system.a22,
-        b=system.b,
+    return dataclasses.replace(
+        system, a12=(system.a12 + c).tocsr(), a21=(system.a21 + c).tocsr(),
         rhs1=system.rhs1 + gamma * (system.b.T @ (system.rhs_div2 / w_diag)),
         rhs2=system.rhs2 + gamma * (system.b.T @ (system.rhs_div1 / w_diag)),
-        rhs_div1=system.rhs_div1, rhs_div2=system.rhs_div2,
-        level_ops=system.level_ops, augmented=True, pinned=system.pinned,
-        pres=system.pres,
-    )
+        _matrix=None, _momentum=None)
+
+
+def pin_pressure(system):
+    """The system with the first pressure dof eliminated from both
+    multiplier blocks (rows of B and of the divergence right-hand sides)."""
+    return dataclasses.replace(
+        system, b=system.b[1:, :].tocsr(), rhs_div1=system.rhs_div1[1:],
+        rhs_div2=system.rhs_div2[1:], pinned=True, _matrix=None,
+        _momentum=None)
 
 
 def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
-              do_augment=False, pin=False, stab_wind=None, vel=None):
-    """Assemble the Newton-step KKT system at the given state.
+              pin=False, stab_wind=None, vel=None):
+    """Assemble the plain (unaugmented) Newton-step KKT system at the given
+    state; with `pin`, the pinned one (see `pin_pressure`).
 
     `wind` overrides the linearization wind (the first iteration passes
     zero); the right-hand side is the residual evaluated with the same
@@ -649,8 +651,8 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     if vel is None:
         vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
                                 lps_on=params.lps_on, stab_wind=stab_wind)
-    pres = assemble_pressure(mesh, dofmap, patches, quad, wind, params.nu,
-                             lps_on=params.lps_on, stab_wind=stab_wind)
+    pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
+                   params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
     div = assemble_divergence(mesh, dofmap, quad)
     lvl = _level_operators(mesh.level, quad.order)
     mass = lvl.m
@@ -670,19 +672,11 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
 
     res = eval_residual(state, mesh, dofmap, patches, quad, params, vel=vel)
 
-    b = div.b
-    rhs_div1, rhs_div2 = res.r1_div, res.r2_div
-    if pin:
-        b = b[1:, :].tocsr()
-        rhs_div1, rhs_div2 = rhs_div1[1:], rhs_div2[1:]
-
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
-                       b=b, rhs1=res.r1, rhs2=res.r2,
-                       rhs_div1=rhs_div1, rhs_div2=rhs_div2, level_ops=lvl,
-                       pinned=pin, pres=pres)
-    if do_augment:
-        system = augment(system, params.gamma)
-    return system
+                       b=div.b, rhs1=res.r1, rhs2=res.r2,
+                       rhs_div1=res.r1_div, rhs_div2=res.r2_div,
+                       level_ops=lvl, pres=pres)
+    return pin_pressure(system) if pin else system
 
 
 # --------------------------------------------------------------------------

@@ -19,14 +19,15 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from . import operators
 from .grid_fem import build_dofmap, build_mesh, cell_stars, q2_prolongation
 from .krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
                      chebyshev_solve, factorize, gmres)
-from .operators import KktSystem, augment
+from .operators import KktSystem
 
 __all__ = [
     "MatchingSchur", "AlOuterSchur", "BpcdOuterSchur", "PrecondStack",
-    "IdealPrecond", "Multigrid", "augment", "build_matching",
+    "IdealPrecond", "Multigrid", "build_matching",
     "build_multigrid", "build_precond",
     "matching_apply", "matching_forward", "inner_p1_apply",
     "al_outer_schur_apply", "bpcd_outer_schur_apply", "outer_p2_apply",
@@ -274,7 +275,7 @@ class BpcdOuterSchur:
 
 
 def build_bpcd_outer(system: KktSystem, exact_blocks=False) -> BpcdOuterSchur:
-    lvl, pres = system.level_ops, system.pres
+    lvl, pres = system.level_ops, system.pres()
     base = (system.params.nu * lvl.kp + pres.wp).tocsr()
     mp_solve = _mass_solve(lvl.mp, lvl.mp_interval, exact_blocks)
     return BpcdOuterSchur(kp_fact=factorize(_pin_matrix(lvl.kp)),
@@ -353,11 +354,11 @@ class IdealPrecond:
 class PrecondStack:
     """Configured nested preconditioner: outer Schur approximation + fixed
     inner GMRES on the momentum block, which is preconditioned by the
-    Chebyshev mass solve and the matching-strategy Schur approximation."""
+    Chebyshev mass solve and the matching-strategy Schur approximation.
+    `system` is the form of the step system the stack solves."""
 
     kind: str                         # "al" | "bpcd" | "ideal"
     system: KktSystem
-    momentum: sp.csr_matrix
     matching: MatchingSchur = None
     outer: object = None              # AlOuterSchur | BpcdOuterSchur | IdealPrecond
     mass_solve: callable = None       # action of M^-1 on one velocity block
@@ -365,23 +366,26 @@ class PrecondStack:
 
 def build_precond(system: KktSystem, kind="al",
                   exact_blocks=False) -> PrecondStack:
-    """Assemble factorizations and solvers for the requested preconditioner;
-    the level, its mass matrices and their Chebyshev intervals come from
+    """Assemble factorizations and solvers for the requested preconditioner.
+
+    `system` is the plain step system (`build_kkt` without `pin`); the stack
+    derives the form it solves from it: "al" augments it, "ideal" pins it,
+    "bpcd" solves it as it is and assembles its pressure-space operators.
+    The level, its mass matrices and their Chebyshev intervals come from
     `system.level_ops`. `exact_blocks` replaces the Chebyshev and multigrid
     solves by LU."""
     kind = kind.lower()
-    if kind == "ideal":
-        return PrecondStack(kind=kind, system=system,
-                            momentum=system.momentum(),
-                            outer=IdealPrecond(system))
-    if kind not in ("al", "bpcd"):
+    if kind not in ("al", "bpcd", "ideal"):
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if system.pinned:
-        raise ValueError("al/bpcd stacks operate on the unpinned system")
-    if kind == "al" and not system.augmented:
-        raise ValueError("the al preconditioner expects an augmented system")
-    if kind == "bpcd" and system.augmented:
-        raise ValueError("the bpcd preconditioner expects an unaugmented system")
+        raise ValueError("build_precond takes the unpinned step system")
+    if kind == "ideal":
+        system = operators.pin_pressure(system)
+        return PrecondStack(kind=kind, system=system,
+                            outer=IdealPrecond(system))
+    if kind == "al":
+        # looked up on the module, so that a wrapper installed there sees it
+        system = operators.augment(system, system.params.gamma)
 
     lvl = system.level_ops
     mass_solve = _mass_solve(lvl.m, lvl.m_interval, exact_blocks)
@@ -390,7 +394,7 @@ def build_precond(system: KktSystem, kind="al",
     else:
         outer = build_bpcd_outer(system, exact_blocks=exact_blocks)
 
-    return PrecondStack(kind=kind, system=system, momentum=system.momentum(),
+    return PrecondStack(kind=kind, system=system,
                         matching=build_matching(system, exact=exact_blocks),
                         outer=outer, mass_solve=mass_solve)
 
@@ -429,7 +433,8 @@ def outer_p2_apply(stack: PrecondStack, rhs):
 
     bt = system.b.T
     t_m = r_m - np.concatenate([bt @ z_mu, bt @ z_p])
+    mom = system.momentum()
     cfg = KrylovConfig(fixed_iters=INNER_ITERS)
-    z_m, _ = gmres(lambda x: stack.momentum @ x,
+    z_m, _ = gmres(lambda x: mom @ x,
                    lambda x: inner_p1_apply(stack, x), t_m, cfg)
     return np.concatenate([z_m, z_mu, z_p])

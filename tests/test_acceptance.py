@@ -94,9 +94,10 @@ def test_matching_spectral_bounds():
         zero = np.zeros(geom.dofmap.n_v_full)
         for beta in (1e-1, 1e-3, 1e-5):
             params = KktParams(nu=0.01, beta=beta, approach="dto")
-            system = build_kkt(initial_state(geom.dofmap), geom.mesh,
-                               geom.dofmap, geom.patches, geom.quad, params,
-                               wind=zero, do_augment=True)
+            system = augment(
+                build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
+                          geom.patches, geom.quad, params, wind=zero),
+                params.gamma)
             ms = build_matching(system)
             m = system.level_ops.m.toarray()
             m_inv = np.linalg.inv(m)

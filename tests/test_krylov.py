@@ -12,8 +12,8 @@ from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
                           fgmres, from_triplets, gmres)
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
-                             assemble_velocity, build_kkt, lift_boundary,
-                             mass_eig_interval, restrict)
+                             assemble_velocity, augment, build_kkt,
+                             lift_boundary, mass_eig_interval, restrict)
 
 
 def _zero_wind(geom):
@@ -117,8 +117,9 @@ def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
     d = geom3.dofmap
     state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
-    system = build_kkt(state, geom3.mesh, d, geom3.patches, geom3.quad,
-                       KktParams(nu=0.01, beta=beta), do_augment=True)
+    params = KktParams(nu=0.01, beta=beta)
+    system = augment(build_kkt(state, geom3.mesh, d, geom3.patches,
+                               geom3.quad, params), params.gamma)
     shift = system.level_ops.m / np.sqrt(beta)
     for a in ((system.a21 + shift).tocsr(), (system.a12 + shift).tocsr()):
         b = rng.standard_normal(a.shape[0])
@@ -209,6 +210,32 @@ def test_gmres_fixed_iterations_apply_preconditioner_once_per_step(rng, k):
     _, stats = gmres(lambda u: a @ u, apply_p, b, KrylovConfig(fixed_iters=k))
     assert stats.iters == k
     assert len(calls) == k
+
+
+@pytest.mark.parametrize("cfg", [
+    KrylovConfig(fixed_iters=5),
+    KrylovConfig(restart=3, rtol=1e-10, maxiter=60)])
+def test_gmres_applies_operator_once_per_step_and_cycle(rng, cfg):
+    """Each Arnoldi step applies A once. A restarted solve applies it once
+    more per cycle, for the residual that serves both the convergence test
+    and the next cycle's start; the fixed mode starts from x = 0, whose
+    residual is b."""
+    a = _well_conditioned(rng)
+    b = rng.standard_normal(a.shape[0])
+    calls = []
+
+    def apply_a(u):
+        calls.append(1)
+        return a @ u
+
+    x, stats = gmres(apply_a, None, b, cfg)
+    if cfg.fixed_iters is not None:
+        assert len(calls) == stats.iters == cfg.fixed_iters
+        return
+    cycles = -(-stats.iters // cfg.restart)
+    assert stats.converged and cycles >= 3
+    assert len(calls) == stats.iters + cycles
+    assert stats.true_residual == np.linalg.norm(b - a @ x)
 
 
 def test_gmres_converges_and_reports_true_residual(rng):

@@ -10,7 +10,7 @@ import nsctl.newton as newton_mod
 import nsctl.operators as operators_mod
 from nsctl.krylov import KrylovConfig
 from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
-                          initial_state, newton_solve, stokes_init)
+                          initial_state, newton_solve)
 from nsctl.newton import _newton_step
 from nsctl.operators import KktParams, build_kkt
 
@@ -87,17 +87,6 @@ def test_approaches_coincide_at_zero_wind(geom2):
     assert np.allclose(otd.rhs(), dto.rhs(), atol=1e-14)
 
 
-def test_stokes_init_equals_first_newton_step(geom2):
-    params = KktParams(nu=0.01, beta=1e-2)
-    cfg = NewtonConfig(max_iters=1)
-    direct = stokes_init(params, geom2, cfg)
-    stepped, _ = newton_solve(cfg, params, geom2)
-    assert np.array_equal(direct.v, stepped.v)
-    assert np.array_equal(direct.zeta, stepped.zeta)
-    assert np.array_equal(direct.mu, stepped.mu)
-    assert np.array_equal(direct.p, stepped.p)
-
-
 def test_solution_respects_boundary_data(geom2):
     params = KktParams(nu=0.01, beta=1e-2)
     state, trace = newton_solve(NewtonConfig(), params, geom2)
@@ -158,6 +147,27 @@ def test_velocity_operators_assembled_once_per_wind(geom3, monkeypatch,
                             KktParams(nu=0.004, beta=1e-3), geom3)
     assert trace.converged and trace.newton_iters >= 3
     assert len(calls) == trace.newton_iters + 2
+
+
+@pytest.mark.parametrize("kind, exact", [
+    ("al", False), ("al", True), ("bpcd", False), ("ideal", False)])
+def test_pressure_operators_assembled_only_for_bpcd(geom2, monkeypatch, kind,
+                                                    exact):
+    """Np and Wp are read by the bpcd outer Schur approximation alone: a
+    solve assembles them once per step on that stack and never on the
+    others."""
+    real = operators_mod.assemble_pressure
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(operators_mod, "assemble_pressure", counting)
+    _, trace = newton_solve(NewtonConfig(precond=kind, exact_blocks=exact),
+                            KktParams(nu=0.01, beta=1e-2), geom2)
+    assert trace.converged and trace.newton_iters >= 3
+    assert len(calls) == (trace.newton_iters if kind == "bpcd" else 0)
 
 
 @pytest.mark.parametrize("bad_step", [0, 2])

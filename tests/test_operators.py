@@ -6,13 +6,13 @@ import scipy.sparse as sp
 
 from nsctl.grid_fem import setup_geometry
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
-                             _phys_tables, _scatter, _vector_expand,
-                             _wind_cellwise,
+                             _scatter, _vector_expand, _wind_cellwise,
                              assemble_curvature, assemble_curvature_exact,
                              assemble_divergence, assemble_pressure,
                              assemble_velocity, augment, build_kkt,
                              eval_residual, export_matrix_market,
-                             lift_boundary, mass_eig_interval, restrict)
+                             lift_boundary, mass_eig_interval, pin_pressure,
+                             restrict)
 
 
 def _maxabs(mat):
@@ -94,7 +94,8 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
     sum_q wdet N_i N_j dw_a/dx_b, written as one einsum, for a random wind."""
     d = geom3.dofmap
     wind = rng.standard_normal(d.n_v_full)
-    wdet, g2, _ = _phys_tables(geom3.mesh, geom3.quad)
+    lvl = _level_operators(geom3.mesh.level, geom3.quad.order)
+    wdet, g2 = lvl.wdet, lvl.g2
     nvals = geom3.quad.q2_vals
     gradw = np.einsum("cnd,qne->cqde", _wind_cellwise(wind, d), g2)
     h_e = np.einsum("q,qi,qj,cqab->ciajb", wdet, nvals, nvals, gradw)
@@ -310,7 +311,7 @@ def test_constant_data_load_matches_element_sums(geom2):
     """The forcing and desired-state loads of constant fields equal the
     cellwise sums of the Q2 mass-matrix rows."""
     d = geom2.dofmap
-    wdet, _, _ = _phys_tables(geom2.mesh, geom2.quad)
+    wdet = _level_operators(geom2.mesh.level, geom2.quad.order).wdet
     vals = geom2.quad.q2_vals
     row_sum = np.einsum("q,qi,qj->ij", wdet, vals, vals).sum(axis=1)
     # full-size values: np.add.at with broadcast values misreads them
@@ -386,8 +387,8 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
     stab = state.v + 0.1 * rng.standard_normal(d.n_v_full)
     args = (state, geom3.mesh, d, geom3.patches, geom3.quad, params)
     vel = _vel(geom3, state.v, nu=params.nu, stab_wind=stab)
-    own = build_kkt(*args, stab_wind=stab, do_augment=True)
-    given = build_kkt(*args, stab_wind=stab, do_augment=True, vel=vel)
+    own = augment(build_kkt(*args, stab_wind=stab), params.gamma)
+    given = augment(build_kkt(*args, stab_wind=stab, vel=vel), params.gamma)
     for name in ("a11", "a12", "a21", "a22", "b", "rhs1", "rhs2",
                  "rhs_div1", "rhs_div2"):
         assert _bits_equal(getattr(own, name), getattr(given, name)), name
@@ -442,7 +443,6 @@ def test_augment_marks_and_modifies(geom2):
     system = build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
                        geom2.quad, params)
     aug = augment(system, params.gamma)
-    assert aug.augmented and not system.augmented
     w = system.level_ops.mp_diag
     c = params.gamma * (system.b.T @ sp.diags(1.0 / w) @ system.b)
     assert _maxabs((aug.a12 - system.a12 - c).tocsr()) <= 1e-12
@@ -469,6 +469,30 @@ def test_pinned_system_drops_first_pressure_row(geom2):
     assert _maxabs((pinned.b - free.b[1:, :]).tocsr()) == 0.0
     q = pinned.expand_pressure(np.arange(1.0, pinned.n_p + 1))
     assert q.size == free.n_p and q[0] == 0.0
+
+
+@pytest.mark.parametrize("derive", [
+    lambda s: augment(s, s.params.gamma), pin_pressure],
+    ids=["augment", "pin_pressure"])
+def test_derived_system_rebuilds_cached_matrices(geom2, derive):
+    """A system derived from one whose coupled and momentum matrices were
+    already built assembles its own, not the cached ones."""
+    params = KktParams(nu=0.01, beta=1e-2)
+    state = _zero_state(geom2)
+    state.v = lift_boundary(geom2.dofmap)
+    system = build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
+                       geom2.quad, params)
+    system.matrix(), system.momentum()
+    new = derive(system)
+    for got, blocks in (
+            (new.matrix(), [[new.a11, new.a12, new.b.T, None],
+                            [new.a21, new.a22, None, new.b.T],
+                            [new.b, None, None, None],
+                            [None, new.b, None, None]]),
+            (new.momentum(), [[new.a11, new.a12], [new.a21, new.a22]])):
+        want = sp.bmat(blocks, format="csr")
+        assert got.shape == want.shape
+        assert _maxabs((got - want).tocsr()) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from nsctl.krylov import (Factorization, KrylovConfig, SingularMatrixError,
                           factorize, gmres)
 from nsctl.newton import NewtonConfig, _newton_step, initial_state
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
-                             build_kkt, lift_boundary, mass_eig_interval)
+                             augment, build_kkt, lift_boundary,
+                             mass_eig_interval)
 from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
                            build_precond, inner_p1_apply, matching_apply,
                            matching_forward, outer_p2_apply)
@@ -25,9 +26,9 @@ def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
     state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
     params = KktParams(nu=nu, beta=beta, approach=approach)
-    return build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                     params, wind=np.zeros(d.n_v_full), do_augment=augmented,
-                     pin=pinned)
+    system = build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
+                       params, wind=np.zeros(d.n_v_full), pin=pinned)
+    return augment(system, params.gamma) if augmented else system
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +76,9 @@ def test_multigrid_cycle_contracts_matching_residual(geom3, beta):
     d = geom3.dofmap
     state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
-    system = build_kkt(state, geom3.mesh, d, geom3.patches, geom3.quad,
-                       KktParams(nu=0.01, beta=beta), do_augment=True)
+    params = KktParams(nu=0.01, beta=beta)
+    system = augment(build_kkt(state, geom3.mesh, d, geom3.patches,
+                               geom3.quad, params), params.gamma)
     assert isinstance(build_matching(system).inv_21, Factorization)
     ms = build_matching(system, exact=False)
     for a, inv in ((ms.mat_21, ms.inv_21), (ms.mat_12, ms.inv_12)):
@@ -131,9 +133,9 @@ def step2_system(geom3):
     state, _, _ = _newton_step(initial_state(geom3.dofmap),
                                NewtonConfig(exact_blocks=True), params, geom3,
                                wind=zero)
-    return build_kkt(state, geom3.mesh, geom3.dofmap, geom3.patches,
-                     geom3.quad, params, wind=state.v, stab_wind=state.v,
-                     do_augment=True)
+    return augment(build_kkt(state, geom3.mesh, geom3.dofmap, geom3.patches,
+                             geom3.quad, params, wind=state.v,
+                             stab_wind=state.v), params.gamma)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -185,9 +187,8 @@ def _zero_mean_pinned_rhs(rng, n):
 
 
 def test_al_outer_cross_pairing(geom2, rng):
-    system = _stokes_system(geom2, augmented=True)
-    stack = build_precond(system, "al", exact_blocks=True)
-    s = stack.outer
+    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    system, s = stack.system, stack.outer
     n_p = system.n_p
     kp = system.level_ops.kp
 
@@ -205,8 +206,8 @@ def test_al_outer_cross_pairing(geom2, rng):
 
 
 def test_al_outer_zero_rhs(geom2):
-    system = _stokes_system(geom2, augmented=True)
-    stack = build_precond(system, "al", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    system = stack.system
     y1, y2 = precond_mod.al_outer_schur_apply(stack.outer,
                                               np.zeros(system.n_p),
                                               np.zeros(system.n_p))
@@ -214,8 +215,8 @@ def test_al_outer_zero_rhs(geom2):
 
 
 def test_bpcd_stokes_limit(geom2):
-    system = _stokes_system(geom2, augmented=False)
-    stack = build_precond(system, "bpcd", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=True)
+    system = stack.system
     s = stack.outer
     nu_kp = (system.params.nu * system.level_ops.kp).tocsr()
     for block in (s.dp_od, s.dp_do):
@@ -225,8 +226,8 @@ def test_bpcd_stokes_limit(geom2):
 
 
 def test_bpcd_outer_zero_rhs(geom2):
-    system = _stokes_system(geom2, augmented=False)
-    stack = build_precond(system, "bpcd", exact_blocks=False)
+    stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=False)
+    system = stack.system
     y1, y2 = precond_mod.bpcd_outer_schur_apply(stack.outer,
                                                 np.zeros(system.n_p),
                                                 np.zeros(system.n_p))
@@ -238,8 +239,8 @@ def test_bpcd_outer_zero_rhs(geom2):
 # --------------------------------------------------------------------------
 
 def test_inner_p1_zero_and_linearity(geom2, rng):
-    system = _stokes_system(geom2, augmented=True)
-    stack = build_precond(system, "al", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    system = stack.system
     z = inner_p1_apply(stack, np.zeros(2 * system.n_v))
     assert not z.any()
     a = rng.standard_normal(2 * system.n_v)
@@ -253,9 +254,9 @@ def test_inner_p1_zero_and_linearity(geom2, rng):
 @pytest.mark.parametrize("augmented", [True, False])
 def test_inner_momentum_solve_quality(geom2, augmented):
     kind = "al" if augmented else "bpcd"
-    system = _stokes_system(geom2, augmented=augmented)
-    stack = build_precond(system, kind, exact_blocks=True)
-    mom = stack.momentum
+    stack = build_precond(_stokes_system(geom2), kind, exact_blocks=True)
+    system = stack.system
+    mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
 
     cfg = KrylovConfig(fixed_iters=5)
@@ -274,9 +275,9 @@ def test_inner_momentum_solve_quality(geom2, augmented):
 def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
     """The update Z y equals P(V y), the form that applies the linear inner
     preconditioner once more, with y the residual minimizer over span(Z)."""
-    system = _stokes_system(geom2, augmented=True)
-    stack = build_precond(system, "al", exact_blocks=exact)
-    mom = stack.momentum
+    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=exact)
+    system = stack.system
+    mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
     basis, images = [], []
 
@@ -353,16 +354,11 @@ def test_ideal_side_validation(geom2, rng):
 # --------------------------------------------------------------------------
 
 def test_build_precond_validation(geom2):
-    plain = _stokes_system(geom2)
-    augmented = _stokes_system(geom2, augmented=True)
+    for kind in ("al", "bpcd", "ideal"):
+        with pytest.raises(ValueError):     # takes the unpinned system
+            build_precond(_stokes_system(geom2, pinned=True), kind)
     with pytest.raises(ValueError):
-        build_precond(plain, "al")          # needs augmentation
-    with pytest.raises(ValueError):
-        build_precond(augmented, "bpcd")    # must not be augmented
-    with pytest.raises(ValueError):
-        build_precond(_stokes_system(geom2, pinned=True), "al")
-    with pytest.raises(ValueError):
-        build_precond(plain, "ilu")
+        build_precond(_stokes_system(geom2), "ilu")
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -373,8 +369,8 @@ def test_stack_reads_the_level_record(request, monkeypatch, level):
     geom = request.getfixturevalue(f"geom{level}")
     lvl = _level_operators(level, geom.quad.order)
     plain = _stokes_system(geom)
-    augmented = _stokes_system(geom, augmented=True)
-    for system in (plain, augmented, _stokes_system(geom, pinned=True)):
+    for system in (plain, _stokes_system(geom, augmented=True),
+                   _stokes_system(geom, pinned=True)):
         assert system.level_ops is lvl
 
     built = []
@@ -387,7 +383,8 @@ def test_stack_reads_the_level_record(request, monkeypatch, level):
 
     monkeypatch.setattr(precond_mod, "ChebyshevMassSolver", recording)
     q2, q1 = mass_eig_interval(geom.quad, "q2"), mass_eig_interval(geom.quad, "q1")
-    stack = build_precond(augmented, "al")
+    stack = build_precond(plain, "al")
+    assert stack.system.level_ops is lvl
     for mg in (stack.matching.inv_21, stack.matching.inv_12):
         assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
     assert built == [("M", q2)]
@@ -397,8 +394,7 @@ def test_stack_reads_the_level_record(request, monkeypatch, level):
 
 
 def test_outer_p2_zero_rhs(geom2):
-    for kind, augmented in (("al", True), ("bpcd", False)):
-        system = _stokes_system(geom2, augmented=augmented)
-        stack = build_precond(system, kind)
-        z = outer_p2_apply(stack, np.zeros(system.dim))
+    for kind in ("al", "bpcd"):
+        stack = build_precond(_stokes_system(geom2), kind)
+        z = outer_p2_apply(stack, np.zeros(stack.system.dim))
         assert not z.any()
