@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import operators
 from .grid_fem import Geometry
 from .krylov import KrylovConfig, fgmres
 from .operators import (KktParams, StateIterate, build_kkt, eval_residual,
@@ -101,12 +100,13 @@ def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
 
 
 def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
-                 wind, stab_wind=None, vel=None):
+                 wind, stab_wind=None, res=None):
     """One Newton step; returns (state, stats, system) with `system` the form
-    of the step system the configured stack solved."""
+    of the step system the configured stack solved. `res` is the residual
+    at `state` when it was evaluated at these winds (see `build_kkt`)."""
     stack = build_precond(
         build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                  params, wind=wind, stab_wind=stab_wind, vel=vel),
+                  params, wind=wind, stab_wind=stab_wind, res=res),
         kind=cfg.precond, exact_blocks=cfg.exact_blocks)
     system = stack.system
     mat = system.matrix()
@@ -125,44 +125,41 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     after max_iters steps (in the last two cases the trace is marked not
     converged, averages taken over completed steps). `on_system(k, sys)` is
     called with each step system in the form its stack solved, e.g. for
-    matrix export; the system is released when it returns, before the next
-    step is assembled, so only one step's matrices and factors are alive at
-    a time.
+    matrix export; the system and the residual it was built from are
+    released when it returns, before the next iterate's operators are
+    assembled, so only one step's matrices and factors are alive at a time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
     stab = zero
-    res0 = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
-                         geom.quad, params, stab_wind=stab)
-    trace = NewtonTrace(residuals=[res0.norm])
-    if not np.isfinite(res0.norm):
+    res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
+                        geom.quad, params, stab_wind=stab)
+    trace = NewtonTrace(residuals=[res.norm])
+    if not np.isfinite(res.norm):
         log.warning("newton: non-finite initial residual, stopping")
         return state, trace
     if convergence_check(trace, cfg):
         trace.converged = True
         return state, trace
 
-    vel = None                       # operators at state.v and stab
+    res = None                       # the Stokes step evaluates its own
     for k in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         wind = zero if k == 1 else state.v
         state, stats, system = _newton_step(state, cfg, params, geom, wind,
-                                            stab_wind=stab, vel=vel)
+                                            stab_wind=stab, res=res)
         if k == 1:
             stab = state.v.copy()    # freeze the stabilization wind here
         if on_system is not None:
             on_system(k, system)
-        del system
+        del system, res
         if not stats.converged:
             log.warning("newton step %d: linear solve not converged (%d iters, "
                         "residual %.3e)", k, stats.iters, stats.true_residual)
-        # one operator set per iterate, for its residual and for step k + 1
-        # (looked up on the module, so that a wrapper installed there sees it)
-        vel = operators.assemble_velocity(geom.mesh, geom.dofmap, geom.patches,
-                                          geom.quad, state.v, params.nu,
-                                          lps_on=params.lps_on, stab_wind=stab)
+        # one operator set and one residual per iterate, which step k + 1
+        # is built from
         res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
-                            geom.quad, params, vel=vel, stab_wind=stab)
+                            geom.quad, params, stab_wind=stab)
         trace.fgmres_iters.append(stats.iters)
         trace.linear_converged.append(bool(stats.converged))
         trace.step_seconds.append(time.perf_counter() - t0)

@@ -11,7 +11,6 @@ others once per wind.
 """
 
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -20,8 +19,6 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from .grid_fem import build_dofmap, build_mesh, tabulate
-
-log = logging.getLogger("nsctl.operators")
 
 
 # --------------------------------------------------------------------------
@@ -75,11 +72,15 @@ class StateIterate:
 
 @dataclass
 class ResidualVector:
+    """The nonlinear residual by blocks, its norm, and the velocity operator
+    set it was evaluated with."""
+
     r1: np.ndarray                    # adjoint momentum, (n_v_int,)
     r2: np.ndarray                    # state momentum, (n_v_int,)
     r1_div: np.ndarray                # divergence of v, (n_p,)
     r2_div: np.ndarray                # divergence of zeta, (n_p,)
     norm: float = 0.0
+    vel: VelocityOperators = field(default=None, repr=False)
 
     def stacked(self):
         return np.concatenate([self.r1, self.r2, self.r1_div, self.r2_div])
@@ -232,6 +233,18 @@ def _wind_cellwise(wind, dofmap):
     return wind.reshape(-1, 2)[dofmap.cell_q2]      # (n_cells, 9, 2)
 
 
+def _checked_wind(wind, dofmap, name="wind"):
+    """A velocity field given by its Q2 nodal values, as a flat array;
+    rejects one of the wrong size or with non-finite entries."""
+    wind = np.asarray(wind, dtype=np.float64).ravel()
+    if wind.size != dofmap.n_v_full:
+        raise ValueError(f"{name} has dimension {wind.size}, "
+                         f"expected {dofmap.n_v_full}")
+    if not np.all(np.isfinite(wind)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return wind
+
+
 # --------------------------------------------------------------------------
 # wind-free operators, once per level
 # --------------------------------------------------------------------------
@@ -342,17 +355,6 @@ def _lps_delta(patches, wind_nodes, mesh, nu):
     return delta
 
 
-def _stab_wind(wind, conv, stab_wind, dofmap, quad, grads):
-    """The stabilization wind and its streamline derivatives (`conv` holds
-    those of `wind`): `stab_wind` when given, otherwise `wind`."""
-    if stab_wind is None:
-        return wind, conv
-    wind_w = np.asarray(stab_wind, dtype=np.float64).ravel()
-    ws_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind_w, dofmap),
-                     quad.q2_vals)
-    return wind_w, np.einsum("cqd,qnd->cqn", ws_q, grads)
-
-
 def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
     """Assemble sum_m delta_m int_Pm kappa(w.grad u) kappa(w.grad v).
 
@@ -397,90 +399,79 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
 # assembly operations
 # --------------------------------------------------------------------------
 
+def _streamline(wind, dofmap, quad, grads):
+    """(w . grad phi_n) at each quadrature point, as [cell, point, n], for
+    the shape functions phi_n whose gradients `grads` holds."""
+    w_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind, dofmap), quad.q2_vals)
+    return np.einsum("cqd,qnd->cqn", w_q, grads)
+
+
+def _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on, stab_wind,
+                vals, grads, cell_nodes, n):
+    """The scalar convection N(wind) and the stabilization W on one space,
+    given by its shape values and gradients at the quadrature points, its
+    cell-to-node map and its dimension `n`.
+
+    W is built from `stab_wind` when given (both the patch weights and the
+    streamline derivative), otherwise from `wind`; without `lps_on` it is
+    empty. Both winds are checked here.
+    """
+    wind = _checked_wind(wind, dofmap)
+    if stab_wind is not None:
+        stab_wind = _checked_wind(stab_wind, dofmap, "stab_wind")
+    wdet = _level_operators(mesh.level, quad.order).wdet
+    conv = _streamline(wind, dofmap, quad, grads)
+    n_e = np.einsum("q,qi,cqj->cij", wdet, vals, conv)
+    conv_mat = _scatter(cell_nodes, cell_nodes, n_e, (n, n))
+    if not lps_on:
+        return conv_mat, sp.csr_matrix((n, n))
+    if stab_wind is not None:
+        wind, conv = stab_wind, _streamline(stab_wind, dofmap, quad, grads)
+    delta = _lps_delta(patches, wind.reshape(-1, 2), mesh, nu)
+    return conv_mat, _lps_matrix(patches, conv, wdet, delta, cell_nodes, n)
+
+
 def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
     """Assemble N(wind), H(wind) and the stabilization matrix W, with the
     level's M and K.
 
-    The stabilization is built from `stab_wind` when given (both the patch
-    weights and the streamline derivative), otherwise from `wind`. The
-    Newton driver passes the frozen stabilization wind here.
+    The stabilization is built from `stab_wind` when given, otherwise from
+    `wind` (see `_wind_terms`). The Newton driver passes the frozen
+    stabilization wind here.
     """
-    wind = np.asarray(wind, dtype=np.float64).ravel()
-    if wind.size != dofmap.n_v_full:
-        raise ValueError(f"wind has dimension {wind.size}, expected {dofmap.n_v_full}")
-    if not np.all(np.isfinite(wind)):
-        raise ValueError("wind field contains non-finite entries")
-
     lvl = _level_operators(mesh.level, quad.order)
-    wdet, g2 = lvl.wdet, lvl.g2
-    nvals = quad.q2_vals
-    n_cells = mesh.n_cells
     nn = dofmap.n_q2
+    n_s, w_s = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
+                           stab_wind, quad.q2_vals, lvl.g2, dofmap.cell_q2, nn)
 
-    w_cell = _wind_cellwise(wind, dofmap)
-    w_q = np.einsum("cnd,qn->cqd", w_cell, nvals)         # wind at quad points
-    conv = np.einsum("cqd,qnd->cqn", w_q, g2)             # (w . grad N_n)
-    gradw = np.einsum("cnd,qne->cqde", w_cell, g2)        # dw_d / dx_e
-
-    n_e = np.einsum("q,qi,cqj->cij", wdet, nvals, conv)
     # H couples components: H[(i,a),(j,b)] = int N_i N_j dw_a/dx_b, formed
     # as one matmul of the (cell, a, b) rows of dw_a/dx_b against the
-    # (q, ij) table wdet N_i N_j (the 4-operand einsum takes ~40x longer)
-    nq = wdet.size
+    # (q, ij) table wdet N_i N_j (the 4-operand einsum takes ~40x longer);
+    # `_wind_terms` has checked the wind
+    w_cell = _wind_cellwise(np.asarray(wind, dtype=np.float64), dofmap)
+    gradw = np.einsum("cnd,qne->cqde", w_cell, lvl.g2)    # dw_d / dx_e
+    n_cells, nq = mesh.n_cells, lvl.wdet.size
     gradw_rows = gradw.reshape(n_cells, nq, 4).transpose(0, 2, 1)
     h_e = gradw_rows.reshape(-1, nq) @ lvl.nn_w
     h_e = h_e.reshape(n_cells, 2, 2, 9, 9).transpose(0, 3, 1, 4, 2)
     h_e = h_e.reshape(n_cells, 18, 18)
-
-    idx_s = dofmap.cell_q2
-    idx_v = _vector_expand(idx_s)
-    n_full = _interleave_scalar(_scatter(idx_s, idx_s, n_e, (nn, nn)))
+    idx_v = _vector_expand(dofmap.cell_q2)
     h_full = _scatter(idx_v, idx_v, h_e, (2 * nn, 2 * nn))
 
-    if lps_on:
-        wind_w, conv_w = _stab_wind(wind, conv, stab_wind, dofmap, quad, g2)
-        delta = _lps_delta(patches, wind_w.reshape(-1, 2), mesh, nu)
-        w_full = _interleave_scalar(_lps_matrix(patches, conv_w, wdet, delta,
-                                                idx_s, nn))
-    else:
-        w_full = sp.csr_matrix((2 * nn, 2 * nn))
-
     return VelocityOperators(m_full=lvl.m_full, k_full=lvl.k_full,
-                             n_full=n_full, h_full=h_full, w_full=w_full)
+                             n_full=_interleave_scalar(n_s), h_full=h_full,
+                             w_full=_interleave_scalar(w_s))
 
 
 def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
-    """Assemble Np(wind) and Wp on the Q1 pressure space.
-
-    As in `assemble_velocity`, the stabilization term uses `stab_wind` when
-    given and the convection wind otherwise.
-    """
-    wind = np.asarray(wind, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(wind)):
-        raise ValueError("wind field contains non-finite entries")
-
+    """Assemble Np(wind) and Wp on the Q1 pressure space, as
+    `assemble_velocity` assembles N and W on the velocity space."""
     lvl = _level_operators(mesh.level, quad.order)
-    wdet, g1 = lvl.wdet, lvl.g1
-    npp = dofmap.n_p
-
-    w_cell = _wind_cellwise(wind, dofmap)
-    w_q = np.einsum("cnd,qn->cqd", w_cell, quad.q2_vals)
-    conv1 = np.einsum("cqd,qnd->cqn", w_q, g1)
-    n_e = np.einsum("q,qi,cqj->cij", wdet, quad.q1_vals, conv1)
-
-    idx = dofmap.cell_q1
-    shape = (npp, npp)
-    np_conv = _scatter(idx, idx, n_e, shape)
-
-    if lps_on:
-        wind_w, conv_w = _stab_wind(wind, conv1, stab_wind, dofmap, quad, g1)
-        delta = _lps_delta(patches, wind_w.reshape(-1, 2), mesh, nu)
-        wp = _lps_matrix(patches, conv_w, wdet, delta, idx, npp)
-    else:
-        wp = sp.csr_matrix(shape)
-
+    np_conv, wp = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
+                              stab_wind, quad.q1_vals, lvl.g1, dofmap.cell_q1,
+                              dofmap.n_p)
     return PressureOperators(np_conv=np_conv, wp=wp)
 
 
@@ -572,7 +563,7 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     product. `vel` is the operator set to evaluate with (`build_kkt` passes
     the one at its linearization wind); without it, the set at `state.v` is
     assembled here, with `stab_wind` as the stabilization wind (see
-    `assemble_velocity`).
+    `assemble_velocity`). The result keeps the set it was evaluated with.
     """
     if vel is None:
         vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
@@ -594,7 +585,7 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
         + (1.0 / params.beta) * (vel.m_full @ state.zeta)
     res = ResidualVector(r1=r1_full[keep], r2=r2_full[keep],
                          r1_div=-(div.b_full @ state.v),
-                         r2_div=-(div.b_full @ state.zeta))
+                         r2_div=-(div.b_full @ state.zeta), vel=vel)
     res.norm = float(np.linalg.norm(res.stacked()))
     return res
 
@@ -634,7 +625,7 @@ def pin_pressure(system):
 
 
 def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
-              pin=False, stab_wind=None, vel=None):
+              pin=False, stab_wind=None, res=None):
     """Assemble the plain (unaugmented) Newton-step KKT system at the given
     state; with `pin`, the pinned one (see `pin_pressure`).
 
@@ -643,14 +634,17 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     frozen operators, so a zero wind yields the Stokes control problem and
     the step solves it exactly. `stab_wind` fixes the stabilization wind
     independently of the linearization wind (see `assemble_velocity`).
-    `vel`, when given, is the operator set already assembled at these two
-    winds, and is used instead of assembling one.
+    `res`, when given, is that residual, already evaluated at `state` with
+    the operator set at these two winds; the system is built from its set
+    instead of assembling one and evaluating the residual again.
     """
     if wind is None:
         wind = state.v
-    if vel is None:
+    if res is None:
         vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
                                 lps_on=params.lps_on, stab_wind=stab_wind)
+        res = eval_residual(state, mesh, dofmap, patches, quad, params, vel=vel)
+    vel = res.vel
     pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
     div = assemble_divergence(mesh, dofmap, quad)
@@ -669,8 +663,6 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
                                         params.approach)
         a11 = (a11 + curv).tocsr()
     a22 = (-(1.0 / params.beta) * mass).tocsr()
-
-    res = eval_residual(state, mesh, dofmap, patches, quad, params, vel=vel)
 
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
                        b=div.b, rhs1=res.r1, rhs2=res.r2,

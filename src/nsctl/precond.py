@@ -10,9 +10,8 @@ geometric multigrid (or LU with `exact_blocks`). Ideal (exact-block)
 preconditioners are provided for verification at desk scale.
 """
 
-import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,11 +28,9 @@ __all__ = [
     "MatchingSchur", "AlOuterSchur", "BpcdOuterSchur", "PrecondStack",
     "IdealPrecond", "Multigrid", "build_matching",
     "build_multigrid", "build_precond",
-    "matching_apply", "matching_forward", "inner_p1_apply",
+    "matching_apply", "inner_p1_apply",
     "al_outer_schur_apply", "bpcd_outer_schur_apply", "outer_p2_apply",
 ]
-
-log = logging.getLogger("nsctl.precond")
 
 _IDEAL_GUARD = 20000
 
@@ -186,7 +183,6 @@ class MatchingSchur:
     mat_12: sp.csr_matrix             # (Psi1 + L)^T
     inv_21: object                    # Factorization | Multigrid
     inv_12: object
-    _mass_fact: Factorization = field(default=None, repr=False)
 
 
 def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
@@ -219,13 +215,6 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
 def matching_apply(ms: MatchingSchur, rhs):
     """S~^-1 rhs = (Psi1 + L)^-T M (Psi2 + L)^-1 rhs (two solves, one multiply)."""
     return ms.inv_12.solve(ms.mass @ ms.inv_21.solve(rhs))
-
-
-def matching_forward(ms: MatchingSchur, x):
-    """S~ x, the explicitly applied approximation (used for round-trip checks)."""
-    if ms._mass_fact is None:
-        ms._mass_fact = factorize(ms.mass)
-    return ms.mat_21 @ ms._mass_fact.solve(ms.mat_12 @ x)
 
 
 # --------------------------------------------------------------------------

@@ -149,6 +149,24 @@ def test_velocity_operators_assembled_once_per_wind(geom3, monkeypatch,
     assert len(calls) == trace.newton_iters + 2
 
 
+def test_residual_evaluated_once_per_iterate(geom2, monkeypatch):
+    """The lifted state's residual, the Stokes step's (at its zero wind) and
+    one per iterate, which the next step is built from: a solve of s steps
+    evaluates the residual s + 2 times. Both the driver's name and the one
+    `build_kkt` calls are counted."""
+    calls = []
+    for mod in (newton_mod, operators_mod):
+        def counting(*args, _real=mod.eval_residual, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, "eval_residual", counting)
+    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
+                            geom2)
+    assert trace.converged and trace.newton_iters >= 3
+    assert len(calls) == trace.newton_iters + 2
+
+
 @pytest.mark.parametrize("kind, exact", [
     ("al", False), ("al", True), ("bpcd", False), ("ideal", False)])
 def test_pressure_operators_assembled_only_for_bpcd(geom2, monkeypatch, kind,

@@ -133,12 +133,21 @@ def test_velocity_combination_identities(geom2):
 
 
 def test_wind_validation(geom2):
-    with pytest.raises(ValueError):
-        _vel(geom2, np.zeros(7))
-    bad = _zero_wind(geom2)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        _vel(geom2, bad)
+    """Both spaces' assembly rejects a wind, or a stabilization wind, of the
+    wrong size or with a non-finite entry, with or without the
+    stabilization: a NaN stabilization wind must not switch it off."""
+    n = geom2.dofmap.n_v_full
+    nan = _zero_wind(geom2)
+    nan[3] = np.nan
+    wind = _const_wind(geom2, 1.0, 0.5)
+    for assemble in (_vel, _pres):
+        for bad in (np.zeros(7), np.zeros(n - 2), np.zeros(n + 2), nan):
+            with pytest.raises(ValueError):
+                assemble(geom2, bad)
+            for lps_on in (True, False):
+                with pytest.raises(ValueError):
+                    assemble(geom2, wind, nu=1e-3, lps_on=lps_on,
+                             stab_wind=bad)
 
 
 def test_level_operators_shared_and_read_only(geom3):
@@ -374,9 +383,10 @@ def _bits_equal(x, y):
 
 @pytest.mark.parametrize("approach", ["otd", "dto"])
 def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
-    """build_kkt on a pre-assembled operator set (as the Newton driver
-    passes the residual's) gives exactly the system it assembles itself,
-    and its momentum blocks equal the sums of the restricted matrices."""
+    """build_kkt on a residual evaluated beforehand with a given operator
+    set (as the Newton driver passes its own) gives exactly the system it
+    assembles itself, and its momentum blocks equal the sums of the
+    restricted matrices."""
     d = geom3.dofmap
     params = KktParams(nu=0.004, beta=1e-3, approach=approach)
     state = _zero_state(geom3)
@@ -387,13 +397,14 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
     stab = state.v + 0.1 * rng.standard_normal(d.n_v_full)
     args = (state, geom3.mesh, d, geom3.patches, geom3.quad, params)
     vel = _vel(geom3, state.v, nu=params.nu, stab_wind=stab)
+    res = eval_residual(*args, vel=vel)
     own = augment(build_kkt(*args, stab_wind=stab), params.gamma)
-    given = augment(build_kkt(*args, stab_wind=stab, vel=vel), params.gamma)
+    given = augment(build_kkt(*args, stab_wind=stab, res=res), params.gamma)
     for name in ("a11", "a12", "a21", "a22", "b", "rhs1", "rhs2",
                  "rhs_div1", "rhs_div2"):
         assert _bits_equal(getattr(own, name), getattr(given, name)), name
 
-    plain = build_kkt(*args, stab_wind=stab, vel=vel)
+    plain = build_kkt(*args, stab_wind=stab, res=res)
     k, n, h, w = (restrict(m, d) for m in (vel.k_full, vel.n_full,
                                             vel.h_full, vel.w_full))
     d_int = (params.nu * k + n + w).tocsr()

@@ -16,6 +16,8 @@ if _PERFBENCH not in sys.path:
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
 
 from nsctl import bench  # noqa: E402
 from nsctl.grid_fem import setup_geometry  # noqa: E402
@@ -79,3 +81,20 @@ def test_reference_solution_and_mass_norm(tmp_path):
     assert trace.converged
     dist = checker.mass_norm(2, state.v - ref.v)
     assert dist <= checks.REF_RTOL * checker.mass_norm(2, ref.v)
+
+
+def test_correctness_checks_accept_solved_cases(monkeypatch, tmp_path):
+    """Two level-2 cases solved as the worker solves them, with the final
+    state and frozen stabilization wind captured by `tracing.install`, pass
+    every correctness check: boundary data, zero means, the residual at the
+    captured wind, the reference solution and the beta sweep."""
+    for module, attr in (("nsctl.bench", "newton_solve"),
+                         ("nsctl.newton", "eval_residual")):
+        mod = importlib.import_module(module)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    cases = [workloads.Case(2, 1 / 100, beta, False) for beta in (1e-1, 1e-3)]
+    rec = tracing.Recorder()
+    tracing.install(rec, trace=False)
+    _, results, states = worker.solve_rounds(bench, cases, 0.0, rec)
+    assert checks.Checker(tmp_path).check_rounds(results, states, cases) \
+        == (0, True, [])

@@ -17,7 +17,7 @@ from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              mass_eig_interval)
 from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
                            build_precond, inner_p1_apply, matching_apply,
-                           matching_forward, outer_p2_apply)
+                           outer_p2_apply)
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
@@ -39,7 +39,8 @@ def test_matching_roundtrip(geom2, rng):
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
     x = rng.standard_normal(system.n_v)
-    back = matching_apply(ms, matching_forward(ms, x))
+    s_x = ms.mat_21 @ factorize(ms.mass).solve(ms.mat_12 @ x)     # S~ x
+    back = matching_apply(ms, s_x)
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
