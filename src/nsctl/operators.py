@@ -12,13 +12,14 @@ others once per wind.
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from .grid_fem import build_dofmap, build_mesh, tabulate
+from .krylov import factorize
 
 
 # --------------------------------------------------------------------------
@@ -49,14 +50,6 @@ class PressureOperators:
 
     np_conv: sp.csr_matrix            # pressure convection at the given wind
     wp: sp.csr_matrix                 # pressure stabilization analogue
-
-
-@dataclass
-class DivergenceOperator:
-    """(Negative) divergence matrix; b is interior-restricted, b_full is not."""
-
-    b: sp.csr_matrix                  # n_p x n_v_int
-    b_full: sp.csr_matrix             # n_p x n_v_full
 
 
 @dataclass
@@ -100,8 +93,6 @@ class KktParams:
     approach: str = "otd"             # "otd" | "dto"
     lps_on: bool = True
     full_newton: bool = False
-    f_const: tuple = (0.0, 0.0)       # constant forcing
-    vd_const: tuple = (0.0, 0.0)      # constant desired state
 
     def __post_init__(self):
         _require_positive("nu", self.nu)
@@ -252,7 +243,9 @@ def _checked_wind(wind, dofmap, name="wind"):
 @dataclass(frozen=True)
 class LevelOperators:
     """The wind-free operators of one level, their element tables and the
-    Chebyshev intervals of its two mass matrices."""
+    Chebyshev intervals of its two mass matrices. The properties are what
+    the preconditioner stacks derive from them, each built on first read.
+    """
 
     level: int
     wdet: np.ndarray                  # (nq,) physical quadrature weights
@@ -262,12 +255,39 @@ class LevelOperators:
     m_full: sp.csr_matrix             # vector mass
     k_full: sp.csr_matrix             # vector stiffness
     m: sp.csr_matrix                  # interior-restricted vector mass
-    div: DivergenceOperator
+    b: sp.csr_matrix                  # -div, n_p x n_v_int (interior columns)
+    b_full: sp.csr_matrix             # -div, n_p x n_v_full
     mp: sp.csr_matrix                 # pressure mass
     kp: sp.csr_matrix                 # pressure stiffness
     mp_diag: np.ndarray
     m_interval: tuple                 # bounds of spec(diag(M)^-1 M)
     mp_interval: tuple                # bounds of spec(diag(Mp)^-1 Mp)
+
+    @cached_property
+    def bt_winv_b(self):
+        """B^T W^-1 B with W = diag(Mp), the AL term per unit gamma."""
+        c = (self.b.T @ (sp.diags(1.0 / self.mp_diag) @ self.b)).tocsr()
+        for arr in (c.data, c.indices, c.indptr):
+            arr.flags.writeable = False
+        return c
+
+    @cached_property
+    def kp_pinned_lu(self):
+        """LU of Kp with row and column 0 replaced by the unit vector, which
+        makes the Neumann operator invertible and leaves the remaining
+        equations untouched; the outer Schur solves use it."""
+        n = self.kp.shape[0]
+        d = sp.diags(np.r_[0.0, np.ones(n - 1)])
+        e00 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n, n))
+        return factorize((d @ self.kp @ d + e00).tocsr())
+
+    @cached_property
+    def m_lu(self):                   # the exact velocity mass solve
+        return factorize(self.m)
+
+    @cached_property
+    def mp_lu(self):                  # the exact bpcd pressure mass solve
+        return factorize(self.mp)
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +296,8 @@ def _level_operators(level, quad_order):
     and the spectrum bounds of the Jacobi-scaled masses.
 
     Cached per (level, quadrature order), so every geometry of a level
-    shares them; their arrays are read-only.
+    shares them and what the record derives from them; their arrays are
+    read-only.
     """
     mesh = build_mesh(level)
     dofmap = build_dofmap(mesh)
@@ -308,17 +329,17 @@ def _level_operators(level, quad_order):
                   (npp, npp))
     nn_w = (wdet[:, None, None] * v2[:, :, None]
             * v2[:, None, :]).reshape(wdet.size, 81)
-    div = DivergenceOperator(b=b_full[:, dofmap.interior_vdofs].tocsr(),
-                             b_full=b_full)
     ops = LevelOperators(level=level, wdet=wdet, g2=g2, g1=g1, nn_w=nn_w,
                          m_full=m_full, k_full=k_full,
-                         m=restrict(m_full, dofmap), div=div, mp=mp, kp=kp,
+                         m=restrict(m_full, dofmap),
+                         b=b_full[:, dofmap.interior_vdofs].tocsr(),
+                         b_full=b_full, mp=mp, kp=kp,
                          mp_diag=mp.diagonal().copy(),
                          m_interval=mass_eig_interval(quad, "q2"),
                          mp_interval=mass_eig_interval(quad, "q1"))
     for a in (wdet, g2, g1, nn_w, ops.mp_diag):
         a.flags.writeable = False
-    for a in (m_full, k_full, ops.m, div.b, b_full, mp, kp):
+    for a in (m_full, k_full, ops.m, ops.b, b_full, mp, kp):
         for arr in (a.data, a.indices, a.indptr):
             arr.flags.writeable = False
     return ops
@@ -476,8 +497,8 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
 
 
 def assemble_divergence(mesh, dofmap, quad):
-    """B = -int psi_i div(phi_j), the level's."""
-    return _level_operators(mesh.level, quad.order).div
+    """The level's record, holding B = -int psi_i div(phi_j) as b and b_full."""
+    return _level_operators(mesh.level, quad.order)
 
 
 def assemble_curvature(mesh, dofmap, quad, zeta):
@@ -544,15 +565,6 @@ def lift_boundary(dofmap, g=None):
 # residual and coupled system
 # --------------------------------------------------------------------------
 
-def _constant_load(m_full, const):
-    """Load vector of a constant vector field: the mass matrix applied to
-    its nodal values (exact, the field is in Q2)."""
-    if const[0] == 0.0 and const[1] == 0.0:
-        return np.zeros(m_full.shape[0])
-    return m_full @ np.tile(np.asarray(const, dtype=np.float64),
-                            m_full.shape[0] // 2)
-
-
 def eval_residual(state, mesh, dofmap, patches, quad, params,
                   vel=None, stab_wind=None):
     """Nonlinear residual at the given state.
@@ -576,12 +588,10 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
         a12_full = vel.d_adj_full(params.nu)
     else:
         a12_full = vel.d_full(params.nu).T
-    f_vec = _constant_load(vel.m_full, params.f_const)
-    vd_vec = _constant_load(vel.m_full, params.vd_const)
-
-    r1_full = vd_vec - vel.m_full @ state.v - a12_full @ state.zeta \
+    # zero forcing and zero desired state
+    r1_full = -(vel.m_full @ state.v) - a12_full @ state.zeta \
         - div.b_full.T @ state.mu - omega
-    r2_full = f_vec - vel.d_full(params.nu) @ state.v - div.b_full.T @ state.p \
+    r2_full = -(vel.d_full(params.nu) @ state.v) - div.b_full.T @ state.p \
         + (1.0 / params.beta) * (vel.m_full @ state.zeta)
     res = ResidualVector(r1=r1_full[keep], r2=r2_full[keep],
                          r1_div=-(div.b_full @ state.v),
@@ -591,23 +601,23 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
 
 
 def augment(system, gamma):
-    """Equivalent augmented system.
+    """Equivalent augmented system of the plain step system.
 
     Both off-diagonal momentum blocks gain gamma B^T W^-1 B with W the
-    level's diag(Mp) (without its first entry when pinned); the momentum
+    level's diag(Mp), B^T W^-1 B taken from the level record; the momentum
     right-hand sides gain the matching row combination of the constraint
     rows, which pairs each momentum row with the *other* unknown's
-    divergence residual.
+    divergence residual. A pinned system is refused.
     """
+    if system.pinned:
+        raise ValueError("augment takes the unpinned step system")
     if gamma == 0.0:
         return system
     if gamma < 0.0:
         raise ValueError("gamma must be nonnegative")
-    w_diag = system.level_ops.mp_diag
-    if system.pinned:
-        w_diag = w_diag[1:]
-
-    c = (gamma * (system.b.T @ (sp.diags(1.0 / w_diag) @ system.b))).tocsr()
+    lvl = system.level_ops
+    c = gamma * lvl.bt_winv_b
+    w_diag = lvl.mp_diag
     return dataclasses.replace(
         system, a12=(system.a12 + c).tocsr(), a21=(system.a21 + c).tocsr(),
         rhs1=system.rhs1 + gamma * (system.b.T @ (system.rhs_div2 / w_diag)),
@@ -647,9 +657,7 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     vel = res.vel
     pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
-    div = assemble_divergence(mesh, dofmap, quad)
     lvl = _level_operators(mesh.level, quad.order)
-    mass = lvl.m
 
     a21 = restrict(vel.d_full(params.nu) + vel.h_full, dofmap)
     if params.approach == "otd":
@@ -657,15 +665,15 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     else:
         a12 = a21.T.tocsr()
 
-    a11 = mass
+    a11 = lvl.m
     if params.full_newton:
         curv = assemble_curvature_exact(mesh, dofmap, quad, state.zeta,
                                         params.approach)
         a11 = (a11 + curv).tocsr()
-    a22 = (-(1.0 / params.beta) * mass).tocsr()
+    a22 = (-(1.0 / params.beta) * lvl.m).tocsr()
 
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
-                       b=div.b, rhs1=res.r1, rhs2=res.r2,
+                       b=lvl.b, rhs1=res.r1, rhs2=res.r2,
                        rhs_div1=res.r1_div, rhs_div2=res.r2_div,
                        level_ops=lvl, pres=pres)
     return pin_pressure(system) if pin else system

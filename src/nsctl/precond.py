@@ -10,6 +10,7 @@ geometric multigrid (or LU with `exact_blocks`). Ideal (exact-block)
 preconditioners are provided for verification at desk scale.
 """
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
 from .operators import KktSystem
 
 __all__ = [
-    "MatchingSchur", "AlOuterSchur", "BpcdOuterSchur", "PrecondStack",
+    "MatchingSchur", "BpcdOuterSchur", "PrecondStack",
     "IdealPrecond", "Multigrid", "build_matching",
     "build_multigrid", "build_precond",
     "matching_apply", "inner_p1_apply",
@@ -39,17 +40,6 @@ def _demean(x):
     return x - x.mean()
 
 
-def _pin_matrix(a):
-    """Replace row/column 0 by the unit vector, making a Neumann operator
-    invertible while leaving the remaining equations untouched."""
-    n = a.shape[0]
-    mask = np.ones(n)
-    mask[0] = 0.0
-    d = sp.diags(mask)
-    e00 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n, n))
-    return (d @ a @ d + e00).tocsr()
-
-
 def _pinned_solve(fact, r):
     """Solve a pinned Neumann operator with zero-mean projection on both sides."""
     rt = _demean(np.asarray(r, dtype=np.float64))
@@ -57,12 +47,9 @@ def _pinned_solve(fact, r):
     return _demean(fact.solve(rt))
 
 
-def _mass_solve(matrix, interval, exact):
-    """Action of a mass matrix's inverse: its LU solve with `exact`,
-    otherwise CHEB_STEPS Chebyshev steps on the Jacobi-scaled spectrum
-    bounds `interval`."""
-    if exact:
-        return factorize(matrix).solve
+def _chebyshev_mass_solve(matrix, interval):
+    """Action of a mass matrix's inverse by CHEB_STEPS Chebyshev steps on
+    the Jacobi-scaled spectrum bounds `interval`."""
     cheb = ChebyshevMassSolver(matrix=matrix, interval=interval,
                                steps=CHEB_STEPS)
     return lambda b: chebyshev_solve(cheb, b)
@@ -76,6 +63,7 @@ MG_COARSEST = 1                       # level whose Galerkin operator is LU-fact
 MG_SWEEPS = 2                         # pre-smoothing sweeps per level
 INNER_ITERS = 5                       # inner GMRES steps per outer apply
 CHEB_STEPS = 20                       # Chebyshev steps per mass solve
+REFINE_STEPS = 2                      # refinement steps per ideal block solve
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +163,8 @@ class MatchingSchur:
     (augmented, if applicable) system; the choice of L makes
     L Phi^-1 L^T match the (1/beta) M term of the exact Schur complement.
     `inv_21` and `inv_12` apply the inverses of the two factors: LU
-    factorizations, or multigrid V-cycles in the production stack.
+    factorizations, or multigrid V-cycles in the production stack;
+    `inv_12` is a weak proxy to the one its build thread holds.
     """
 
     mass: sp.csr_matrix
@@ -185,15 +174,24 @@ class MatchingSchur:
     inv_12: object
 
 
+def _build_and_hold(held, build, a):
+    """`build(a)` as a weak proxy; the only strong reference goes to `held`."""
+    held.append(build(a))
+    return weakref.proxy(held[0])
+
+
 def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     """Matching factors, LU-factorized (`exact`) or applied by multigrid.
 
     The two inverses are independent, so `inv_12` is built in a worker
     thread while this thread builds `inv_21`; SuperLU and the numpy/scipy
-    kernels release the GIL, so the builds overlap. The worker is joined
-    before this returns, and an error from either build is raised here. On
-    a level's first use both builds may fill the per-level geometry caches;
-    the two results are equal, so either may stay.
+    kernels release the GIL, so the builds overlap. An error from either
+    build is raised here. On a level's first use both builds may fill the
+    per-level geometry caches; the two results are equal, so either may
+    stay. scipy's SuperLU wrapper frees memory only on the thread that
+    allocated it, so the worker's inverse is dropped on the worker, when
+    the result's finalizer shuts the worker down; the result holds it
+    through a weak proxy.
     """
     m = system.level_ops.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()
@@ -204,12 +202,24 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     else:
         level = system.level_ops.level
         build = lambda a: build_multigrid(a, level)  # noqa: E731
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future_12 = pool.submit(build, mat_12)
+    held, pool = [], ThreadPoolExecutor(max_workers=1)
+    future_12 = pool.submit(_build_and_hold, held, build, mat_12)
+
+    def stop():
+        pool.submit(held.clear)      # drop the inverse on the worker thread
+        pool.shutdown()
+
+    try:
         inv_21 = build(mat_21)
         inv_12 = future_12.result()
-    return MatchingSchur(mass=m, mat_21=mat_21, mat_12=mat_12,
-                         inv_21=inv_21, inv_12=inv_12)
+    except BaseException:
+        stop()
+        raise
+    ms = MatchingSchur(mass=m, mat_21=mat_21, mat_12=mat_12,
+                       inv_21=inv_21, inv_12=inv_12)
+    # at interpreter exit the pool is already shut down: leave it be
+    weakref.finalize(ms, stop).atexit = False
+    return ms
 
 
 def matching_apply(ms: MatchingSchur, rhs):
@@ -221,29 +231,15 @@ def matching_apply(ms: MatchingSchur, rhs):
 # outer Schur approximations
 # --------------------------------------------------------------------------
 
-@dataclass
-class AlOuterSchur:
+def al_outer_schur_apply(system: KktSystem, r1, r2):
     """Blockwise outer Schur inverse for the augmented system:
-    [y1; y2] = [Kp^-1 r1 + g W^-1 r2; g W^-1 r1 - (1/beta) Kp^-1 r2]."""
-
-    kp_fact: Factorization            # pinned pressure Laplacian
-    w_diag: np.ndarray                # W = diag(Mp), the level's (read-only)
-    gamma: float
-    beta: float
-
-
-def build_al_outer(system: KktSystem) -> AlOuterSchur:
-    lvl = system.level_ops
-    return AlOuterSchur(kp_fact=factorize(_pin_matrix(lvl.kp)),
-                        w_diag=lvl.mp_diag,
-                        gamma=system.params.gamma, beta=system.params.beta)
-
-
-def al_outer_schur_apply(s: AlOuterSchur, r1, r2):
-    k1 = _pinned_solve(s.kp_fact, r1)
-    k2 = _pinned_solve(s.kp_fact, r2)
-    y1 = k1 + s.gamma * (r2 / s.w_diag)
-    y2 = s.gamma * (r1 / s.w_diag) - k2 / s.beta
+    [y1; y2] = [Kp^-1 r1 + g W^-1 r2; g W^-1 r1 - (1/beta) Kp^-1 r2], with
+    the level's pinned-Kp LU and W = diag(Mp); it needs no set-up."""
+    lvl, gamma = system.level_ops, system.params.gamma
+    k1 = _pinned_solve(lvl.kp_pinned_lu, r1)
+    k2 = _pinned_solve(lvl.kp_pinned_lu, r2)
+    y1 = k1 + gamma * (r2 / lvl.mp_diag)
+    y2 = gamma * (r1 / lvl.mp_diag) - k2 / system.params.beta
     return y1, y2
 
 
@@ -255,7 +251,7 @@ class BpcdOuterSchur:
     the Newton matrices omitted; it is applied by multiplication.
     """
 
-    kp_fact: Factorization            # pinned pressure Laplacian
+    kp_fact: Factorization            # pinned pressure Laplacian, the level's
     mp: sp.csr_matrix
     dp_od: sp.csr_matrix              # nu Kp - Np + Wp (the (1,2) entry)
     dp_do: sp.csr_matrix              # nu Kp + Np + Wp (the (2,1) entry)
@@ -266,9 +262,9 @@ class BpcdOuterSchur:
 def build_bpcd_outer(system: KktSystem, exact_blocks=False) -> BpcdOuterSchur:
     lvl, pres = system.level_ops, system.pres()
     base = (system.params.nu * lvl.kp + pres.wp).tocsr()
-    mp_solve = _mass_solve(lvl.mp, lvl.mp_interval, exact_blocks)
-    return BpcdOuterSchur(kp_fact=factorize(_pin_matrix(lvl.kp)),
-                          mp=lvl.mp,
+    mp_solve = (lvl.mp_lu.solve if exact_blocks
+                else _chebyshev_mass_solve(lvl.mp, lvl.mp_interval))
+    return BpcdOuterSchur(kp_fact=lvl.kp_pinned_lu, mp=lvl.mp,
                           dp_od=(base - pres.np_conv).tocsr(),
                           dp_do=(base + pres.np_conv).tocsr(),
                           beta=system.params.beta, mp_solve=mp_solve)
@@ -305,25 +301,24 @@ class IdealPrecond:
         self._sd = self.b_blk @ x
         self._schur_lu = sla.lu_factor(self._sd)
 
-    def f_solve(self, r, refine=2):
+    def f_solve(self, r):
         """Momentum solve, polished by iterative refinement so the defective
         unit eigenvalue of the preconditioned matrix survives in floating
         point (its perturbation enters under a square root)."""
         z = self.f_fact.solve(r)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             z = z + self.f_fact.solve(r - self._f_mat @ z)
         return z
 
-    def schur_solve(self, r, refine=2):
+    def schur_solve(self, r):
         z = sla.lu_solve(self._schur_lu, r)
-        for _ in range(refine):
+        for _ in range(REFINE_STEPS):
             z = z + sla.lu_solve(self._schur_lu, r - self._sd @ z)
         return z
 
     def apply(self, rhs, side="p2"):
-        side = side.lower()
         if side not in ("p1", "p2"):
-            raise ValueError(f"side must be P1 or P2, got {side!r}")
+            raise ValueError(f"side must be p1 or p2, got {side!r}")
         nm = 2 * self.system.n_v
         r_m, r_p = rhs[:nm], rhs[nm:]
         if side == "p1":
@@ -349,7 +344,7 @@ class PrecondStack:
     kind: str                         # "al" | "bpcd" | "ideal"
     system: KktSystem
     matching: MatchingSchur = None
-    outer: object = None              # AlOuterSchur | BpcdOuterSchur | IdealPrecond
+    outer: object = None              # BpcdOuterSchur | IdealPrecond; None for "al"
     mass_solve: callable = None       # action of M^-1 on one velocity block
 
 
@@ -361,9 +356,8 @@ def build_precond(system: KktSystem, kind="al",
     derives the form it solves from it: "al" augments it, "ideal" pins it,
     "bpcd" solves it as it is and assembles its pressure-space operators.
     The level, its mass matrices and their Chebyshev intervals come from
-    `system.level_ops`. `exact_blocks` replaces the Chebyshev and multigrid
-    solves by LU."""
-    kind = kind.lower()
+    `system.level_ops`, with the LUs of the pinned Kp and of the exact mass
+    solves. `exact_blocks` replaces the Chebyshev and multigrid solves by LU."""
     if kind not in ("al", "bpcd", "ideal"):
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if system.pinned:
@@ -377,12 +371,10 @@ def build_precond(system: KktSystem, kind="al",
         system = operators.augment(system, system.params.gamma)
 
     lvl = system.level_ops
-    mass_solve = _mass_solve(lvl.m, lvl.m_interval, exact_blocks)
-    if kind == "al":
-        outer = build_al_outer(system)
-    else:
-        outer = build_bpcd_outer(system, exact_blocks=exact_blocks)
-
+    mass_solve = (lvl.m_lu.solve if exact_blocks
+                  else _chebyshev_mass_solve(lvl.m, lvl.m_interval))
+    outer = (build_bpcd_outer(system, exact_blocks=exact_blocks)
+             if kind == "bpcd" else None)
     return PrecondStack(kind=kind, system=system,
                         matching=build_matching(system, exact=exact_blocks),
                         outer=outer, mass_solve=mass_solve)
@@ -415,7 +407,7 @@ def outer_p2_apply(stack: PrecondStack, rhs):
     r_mu, r_p = rhs[nm:nm + npp], rhs[nm + npp:]
 
     if stack.kind == "al":
-        y1, y2 = al_outer_schur_apply(stack.outer, r_mu, r_p)
+        y1, y2 = al_outer_schur_apply(system, r_mu, r_p)
     else:
         y1, y2 = bpcd_outer_schur_apply(stack.outer, r_mu, r_p)
     z_mu, z_p = -y1, -y2

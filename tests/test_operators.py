@@ -163,9 +163,11 @@ def test_level_operators_shared_and_read_only(geom3):
     assert a.m_full is b.m_full and a.k_full is b.k_full
     assert a.m_full is lvl.m_full
     assert lvl is _level_operators(other.mesh.level, other.quad.order)
-    assert da is db
+    assert da is db is lvl
+    assert lvl.bt_winv_b is lvl.bt_winv_b
     assert a.n_full is not b.n_full
-    for mat in (a.m_full, a.k_full, lvl.mp, lvl.kp, da.b, da.b_full):
+    for mat in (a.m_full, a.k_full, lvl.mp, lvl.kp, da.b, da.b_full,
+                lvl.bt_winv_b):
         for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
@@ -316,28 +318,6 @@ def test_zero_data_problem_has_zero_residual(geom2):
     assert np.array_equal(res.stacked(), np.zeros(res.stacked().size))
 
 
-def test_constant_data_load_matches_element_sums(geom2):
-    """The forcing and desired-state loads of constant fields equal the
-    cellwise sums of the Q2 mass-matrix rows."""
-    d = geom2.dofmap
-    wdet = _level_operators(geom2.mesh.level, geom2.quad.order).wdet
-    vals = geom2.quad.q2_vals
-    row_sum = np.einsum("q,qi,qj->ij", wdet, vals, vals).sum(axis=1)
-    # full-size values: np.add.at with broadcast values misreads them
-    # (numpy 2.4), which is how this load once went wrong
-    sums = np.tile(row_sum, d.cell_q2.shape[0])
-    want = np.zeros(d.n_v_full)
-    np.add.at(want, 2 * d.cell_q2.ravel(), 0.5 * sums)
-    np.add.at(want, 2 * d.cell_q2.ravel() + 1, -2.0 * sums)
-    params = KktParams(nu=0.01, beta=1e-2, f_const=(0.5, -2.0),
-                       vd_const=(0.5, -2.0))
-    res = eval_residual(_zero_state(geom2), geom2.mesh, d, geom2.patches,
-                        geom2.quad, params)
-    keep = d.interior_vdofs
-    assert np.allclose(res.r1, want[keep], rtol=1e-13, atol=1e-15)
-    assert np.allclose(res.r2, want[keep], rtol=1e-13, atol=1e-15)
-
-
 def test_kkt_matrix_matches_blocks(geom2, rng):
     params = KktParams(nu=0.01, beta=1e-2, approach="otd")
     state = _zero_state(geom2)
@@ -445,6 +425,15 @@ def test_augment_validation(geom2):
                        geom2.patches, geom2.quad, params)
     with pytest.raises(ValueError):
         augment(system, -1.0)
+
+
+def test_augment_refuses_pinned_system(geom2):
+    params = KktParams(nu=0.01, beta=1e-2)
+    system = build_kkt(_zero_state(geom2), geom2.mesh, geom2.dofmap,
+                       geom2.patches, geom2.quad, params, pin=True)
+    for gamma in (0.0, params.gamma):
+        with pytest.raises(ValueError):
+            augment(system, gamma)
 
 
 def test_augment_marks_and_modifies(geom2):
