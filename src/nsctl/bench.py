@@ -240,7 +240,8 @@ def run_sweep(specs, jobs=1, export_dir=None):
         raise ValueError("empty sweep")
     work = [(spec, export_dir) for spec in specs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at start: no more than the cases
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_case_guarded, work))
     else:
         results = [_run_case_guarded(w) for w in work]

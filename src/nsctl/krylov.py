@@ -85,8 +85,8 @@ class ChebyshevMassSolver:
 
     matrix: sp.csr_matrix
     interval: tuple
-    steps: int = 20
-    diag: np.ndarray = field(default=None)
+    steps: int
+    diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lmin, lmax = self.interval
@@ -94,8 +94,7 @@ class ChebyshevMassSolver:
             raise ValueError(f"Chebyshev interval must be positive, got [{lmin}, {lmax}]")
         if lmax < lmin:
             raise ValueError(f"empty Chebyshev interval [{lmin}, {lmax}]")
-        if self.diag is None:
-            self.diag = self.matrix.diagonal().copy()
+        self.diag = self.matrix.diagonal().copy()
         if np.any(self.diag <= 0.0):
             raise ValueError("mass matrix diagonal must be positive")
 

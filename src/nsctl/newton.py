@@ -71,9 +71,9 @@ class NewtonTrace:
         return int(np.floor(np.mean(self.fgmres_iters) + 0.5))
 
 
-def initial_state(dofmap, g=None) -> StateIterate:
-    """Lifted zero state: boundary data on v, everything else zero."""
-    return StateIterate(v=lift_boundary(dofmap, g),
+def initial_state(dofmap) -> StateIterate:
+    """Lifted zero state: the lid data on v, everything else zero."""
+    return StateIterate(v=lift_boundary(dofmap),
                         zeta=np.zeros(dofmap.n_v_full),
                         mu=np.zeros(dofmap.n_p), p=np.zeros(dofmap.n_p), k=0)
 
@@ -109,9 +109,7 @@ def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
                   params, wind=wind, stab_wind=stab_wind, res=res),
         kind=cfg.precond, exact_blocks=cfg.exact_blocks)
     system = stack.system
-    mat = system.matrix()
-    x, stats = fgmres(lambda u: mat @ u,
-                      lambda r: outer_p2_apply(stack, r),
+    x, stats = fgmres(system.matvec, lambda r: outer_p2_apply(stack, r),
                       system.rhs(), cfg.linear)
     return _apply_update(state, system, x, geom.dofmap), stats, system
 

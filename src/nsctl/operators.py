@@ -116,6 +116,11 @@ class KktSystem:
     preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
     intervals. `pres()` assembles the pressure-space operators at the
     step's winds, which only the bpcd preconditioner reads.
+
+    The blocks are the system's one representation: `matvec` and
+    `momentum_matvec` apply it block by block, and `matrix()` and
+    `momentum()` assemble a new copy for the callers that need one matrix
+    (direct-solve references, the ideal stack's momentum LU).
     """
 
     params: KktParams
@@ -131,8 +136,6 @@ class KktSystem:
     level_ops: "LevelOperators"       # the operators of the system's level
     pres: callable                    # () -> PressureOperators
     pinned: bool = False
-    _matrix: sp.csr_matrix = field(default=None, repr=False)
-    _momentum: sp.csr_matrix = field(default=None, repr=False)
 
     @property
     def n_v(self):
@@ -149,24 +152,33 @@ class KktSystem:
     def rhs(self):
         return np.concatenate([self.rhs1, self.rhs2, self.rhs_div1, self.rhs_div2])
 
+    def momentum_matvec(self, x):
+        """[[a11, a12], [a21, a22]] x, applied block by block."""
+        x1, x2 = x[:self.n_v], x[self.n_v:]
+        return np.concatenate([self.a11 @ x1 + self.a12 @ x2,
+                               self.a21 @ x1 + self.a22 @ x2])
+
+    def matvec(self, x):
+        """The coupled operator [[F, Bblk^T], [Bblk, 0]] applied to x block
+        by block."""
+        x1, x2, x3, x4 = self.split(x)
+        bt = self.b.T
+        return np.concatenate([self.a11 @ x1 + self.a12 @ x2 + bt @ x3,
+                               self.a21 @ x1 + self.a22 @ x2 + bt @ x4,
+                               self.b @ x1, self.b @ x2])
+
     def momentum(self):
         """The 2x2 velocity block [[a11, a12], [a21, a22]] as one matrix."""
-        if self._momentum is None:
-            self._momentum = sp.bmat([[self.a11, self.a12],
-                                      [self.a21, self.a22]], format="csr")
-        return self._momentum
+        return sp.bmat([[self.a11, self.a12], [self.a21, self.a22]],
+                       format="csr")
 
     def matrix(self):
         """The full coupled matrix [[F, Bblk^T], [Bblk, 0]]."""
-        if self._matrix is None:
-            bt = self.b.T.tocsr()
-            self._matrix = sp.bmat([
-                [self.a11, self.a12, bt, None],
-                [self.a21, self.a22, None, bt],
-                [self.b, None, None, None],
-                [None, self.b, None, None],
-            ], format="csr")
-        return self._matrix
+        bt = self.b.T.tocsr()
+        return sp.bmat([[self.a11, self.a12, bt, None],
+                        [self.a21, self.a22, None, bt],
+                        [self.b, None, None, None],
+                        [None, self.b, None, None]], format="csr")
 
     def split(self, x):
         nv, npp = self.n_v, self.n_p
@@ -200,18 +212,6 @@ def _vector_expand(idx_scalar):
     """Scalar node ids -> interleaved vector dof ids (2 per node)."""
     out = np.stack([2 * idx_scalar, 2 * idx_scalar + 1], axis=-1)
     return out.reshape(idx_scalar.shape[0], -1)
-
-
-def _interleave_scalar(a_s):
-    """Expand a scalar-node operator to interleaved vector dofs: kron(A, I2)."""
-    a = a_s.tocoo()
-    rows = np.concatenate([2 * a.row, 2 * a.row + 1])
-    cols = np.concatenate([2 * a.col, 2 * a.col + 1])
-    vals = np.concatenate([a.data, a.data])
-    n = 2 * a_s.shape[0]
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    out.sort_indices()
-    return out
 
 
 def restrict(a_full, dofmap):
@@ -315,10 +315,11 @@ def _level_operators(level, quad_order):
         return _scatter(idx_r, idx_c,
                         np.broadcast_to(e, (mesh.n_cells,) + e.shape), shape)
 
-    m_full = _interleave_scalar(cellwise(
-        np.einsum("q,qi,qj->ij", wdet, v2, v2), idx_s, idx_s, (nn, nn)))
-    k_full = _interleave_scalar(cellwise(
-        np.einsum("q,qid,qjd->ij", wdet, g2, g2), idx_s, idx_s, (nn, nn)))
+    # vector operators on interleaved dofs: kron(A, I2) of the scalar ones
+    m_full = sp.kron(cellwise(np.einsum("q,qi,qj->ij", wdet, v2, v2),
+                              idx_s, idx_s, (nn, nn)), sp.eye(2), format="csr")
+    k_full = sp.kron(cellwise(np.einsum("q,qid,qjd->ij", wdet, g2, g2),
+                              idx_s, idx_s, (nn, nn)), sp.eye(2), format="csr")
     # B[i, (j,a)] = -int psi_i dN_j/dx_a
     b_e = -np.einsum("q,qi,qja->ija", wdet, v1, g2).reshape(4, 18)
     b_full = cellwise(b_e, idx_p, _vector_expand(idx_s),
@@ -481,8 +482,9 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     h_full = _scatter(idx_v, idx_v, h_e, (2 * nn, 2 * nn))
 
     return VelocityOperators(m_full=lvl.m_full, k_full=lvl.k_full,
-                             n_full=_interleave_scalar(n_s), h_full=h_full,
-                             w_full=_interleave_scalar(w_s))
+                             n_full=sp.kron(n_s, sp.eye(2), format="csr"),
+                             h_full=h_full,
+                             w_full=sp.kron(w_s, sp.eye(2), format="csr"))
 
 
 def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
@@ -541,23 +543,14 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
     return (n_z + h_z).tocsr()
 
 
-def lift_boundary(dofmap, g=None):
-    """Full velocity vector holding the Dirichlet data.
-
-    By default the lid (the open top edge) gets [1, 0] and everything else
-    no-slip; in particular the two top corners take the value [0, 0]. A
-    callable g(x, y) -> (gx, gy) overrides the data on the whole boundary.
-    """
+def lift_boundary(dofmap):
+    """Full velocity vector holding the Dirichlet data: the lid (the open
+    top edge) gets [1, 0] and everything else no-slip; in particular the two
+    top corners take the value [0, 0]."""
     out = np.zeros(dofmap.n_v_full)
     coords = dofmap.q2_coords[dofmap.boundary_nodes]
-    if g is None:
-        vals = np.zeros((coords.shape[0], 2))
-        on_lid = (coords[:, 1] == 1.0) & (np.abs(coords[:, 0]) < 1.0)
-        vals[on_lid, 0] = 1.0
-    else:
-        vals = np.array([g(x, y) for x, y in coords], dtype=np.float64)
-    out[2 * dofmap.boundary_nodes] = vals[:, 0]
-    out[2 * dofmap.boundary_nodes + 1] = vals[:, 1]
+    on_lid = (coords[:, 1] == 1.0) & (np.abs(coords[:, 0]) < 1.0)
+    out[2 * dofmap.boundary_nodes[on_lid]] = 1.0
     return out
 
 
@@ -621,8 +614,7 @@ def augment(system, gamma):
     return dataclasses.replace(
         system, a12=(system.a12 + c).tocsr(), a21=(system.a21 + c).tocsr(),
         rhs1=system.rhs1 + gamma * (system.b.T @ (system.rhs_div2 / w_diag)),
-        rhs2=system.rhs2 + gamma * (system.b.T @ (system.rhs_div1 / w_diag)),
-        _matrix=None, _momentum=None)
+        rhs2=system.rhs2 + gamma * (system.b.T @ (system.rhs_div1 / w_diag)))
 
 
 def pin_pressure(system):
@@ -630,8 +622,7 @@ def pin_pressure(system):
     multiplier blocks (rows of B and of the divergence right-hand sides)."""
     return dataclasses.replace(
         system, b=system.b[1:, :].tocsr(), rhs_div1=system.rhs_div1[1:],
-        rhs_div2=system.rhs_div2[1:], pinned=True, _matrix=None,
-        _momentum=None)
+        rhs_div2=system.rhs_div2[1:], pinned=True)
 
 
 def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,

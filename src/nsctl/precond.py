@@ -293,7 +293,7 @@ class IdealPrecond:
         if not system.pinned:
             raise ValueError("ideal preconditioner needs a pinned system")
         self.system = system
-        self._f_mat = system.momentum().tocsr()
+        self._f_mat = system.momentum()
         self.f_fact = factorize(self._f_mat)
         b = system.b
         self.b_blk = sp.bmat([[b, None], [None, b]], format="csr")
@@ -414,8 +414,7 @@ def outer_p2_apply(stack: PrecondStack, rhs):
 
     bt = system.b.T
     t_m = r_m - np.concatenate([bt @ z_mu, bt @ z_p])
-    mom = system.momentum()
     cfg = KrylovConfig(fixed_iters=INNER_ITERS)
-    z_m, _ = gmres(lambda x: mom @ x,
+    z_m, _ = gmres(system.momentum_matvec,
                    lambda x: inner_p1_apply(stack, x), t_m, cfg)
     return np.concatenate([z_m, z_mu, z_p])

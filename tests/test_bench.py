@@ -152,6 +152,37 @@ def test_run_sweep_guards_failures(monkeypatch):
                for c in row)
 
 
+@pytest.mark.parametrize("jobs,n_cases,workers", [(8, 1, 1), (8, 3, 3),
+                                                    (2, 3, 2)])
+def test_run_sweep_pool_no_larger_than_the_sweep(monkeypatch, jobs, n_cases,
+                                                 workers):
+    """The pool forks all its workers at start, so it gets no more than
+    there are cases; checked with an in-process stand-in for the pool."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(bench_mod, "run_case", lambda spec, export_dir=None:
+                        _result(level=spec.level, beta=spec.beta))
+    specs = [CaseSpec(level=2, nu=0.01, beta=10.0 ** -k)
+             for k in range(1, n_cases + 1)]
+    results, _ = run_sweep(specs, jobs=jobs)
+    assert sizes == [workers]
+    assert [r.spec.beta for r in results] == [s.beta for s in specs]
+
+
 # --------------------------------------------------------------------------
 # pivots and emits
 # --------------------------------------------------------------------------

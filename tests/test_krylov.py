@@ -146,15 +146,18 @@ def test_chebyshev_identity_one_step(rng):
 
 def test_chebyshev_interval_validation():
     with pytest.raises(ValueError):
-        ChebyshevMassSolver(matrix=sp.eye(3, format="csr"), interval=(0.0, 1.0))
+        ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
+                            interval=(0.0, 1.0), steps=20)
     with pytest.raises(ValueError):
-        ChebyshevMassSolver(matrix=sp.eye(3, format="csr"), interval=(2.0, 1.0))
+        ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
+                            interval=(2.0, 1.0), steps=20)
 
 
 def test_chebyshev_is_linear(geom2, rng):
     lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
     solver = ChebyshevMassSolver(matrix=lvl.mp,
-                                 interval=mass_eig_interval(geom2.quad, "q1"))
+                                 interval=mass_eig_interval(geom2.quad, "q1"),
+                                 steps=20)
     b = rng.standard_normal(lvl.mp.shape[0])
     x1 = chebyshev_solve(solver, b)
     x2 = chebyshev_solve(solver, 2.0 * b)

@@ -12,7 +12,7 @@ from nsctl.krylov import KrylovConfig
 from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
                           initial_state, newton_solve)
 from nsctl.newton import _newton_step
-from nsctl.operators import KktParams, build_kkt
+from nsctl.operators import KktParams, KktSystem, StateIterate, build_kkt
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,9 @@ def test_config_validation():
 
 
 def test_zero_data_state_is_a_fixed_point(geom2):
-    state = initial_state(geom2.dofmap, g=lambda x, y: (0.0, 0.0))
+    d = geom2.dofmap
+    state = StateIterate(v=np.zeros(d.n_v_full), zeta=np.zeros(d.n_v_full),
+                         mu=np.zeros(d.n_p), p=np.zeros(d.n_p))
     params = KktParams(nu=0.01, beta=1e-2)
     cfg = NewtonConfig()
     new_state, stats, _ = _newton_step(
@@ -243,3 +245,20 @@ def test_unconverged_linear_solve_warns(geom2, caplog):
     for k, msg in enumerate(warned, start=1):
         assert msg.startswith(f"newton step {k}: linear solve not converged "
                               "(1 iters, residual ")
+
+
+@pytest.mark.parametrize("kind,exact", [("al", False), ("al", True),
+                                        ("bpcd", False)])
+def test_step_solves_assemble_no_coupled_matrix(geom2, monkeypatch, kind,
+                                                exact):
+    """Both Krylov loops apply the step system block by block: a Newton
+    solve converges with the assembled coupled and momentum matrices
+    unavailable."""
+    def refuse(self):
+        raise AssertionError("a Newton step assembled a block matrix")
+
+    monkeypatch.setattr(KktSystem, "matrix", refuse)
+    monkeypatch.setattr(KktSystem, "momentum", refuse)
+    cfg = NewtonConfig(precond=kind, exact_blocks=exact)
+    _, trace = newton_solve(cfg, KktParams(nu=0.01, beta=1e-2), geom2)
+    assert trace.converged and all(trace.linear_converged)

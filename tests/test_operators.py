@@ -272,16 +272,6 @@ def test_lift_default_lid(geom2):
             assert (ux, uy) == (0.0, 0.0)   # corners and the rest: no slip
 
 
-def test_lift_callable_override(geom2):
-    lid = lift_boundary(geom2.dofmap, g=lambda x, y: (y, -x))
-    coords = geom2.dofmap.q2_coords
-    bnd = geom2.dofmap.boundary_nodes
-    assert np.array_equal(lid[2 * bnd], coords[bnd, 1])
-    assert np.array_equal(lid[2 * bnd + 1], -coords[bnd, 0])
-    interior = geom2.dofmap.interior_nodes
-    assert np.abs(lid[2 * interior]).max(initial=0.0) == 0.0
-
-
 # --------------------------------------------------------------------------
 # parameters, coupled system, augmentation
 # --------------------------------------------------------------------------
@@ -471,28 +461,24 @@ def test_pinned_system_drops_first_pressure_row(geom2):
     assert q.size == free.n_p and q[0] == 0.0
 
 
+@pytest.mark.parametrize("approach", ["otd", "dto"])
 @pytest.mark.parametrize("derive", [
-    lambda s: augment(s, s.params.gamma), pin_pressure],
-    ids=["augment", "pin_pressure"])
-def test_derived_system_rebuilds_cached_matrices(geom2, derive):
-    """A system derived from one whose coupled and momentum matrices were
-    already built assembles its own, not the cached ones."""
-    params = KktParams(nu=0.01, beta=1e-2)
+    lambda s: s, lambda s: augment(s, s.params.gamma), pin_pressure],
+    ids=["plain", "augment", "pin_pressure"])
+def test_block_products_match_assembled(geom2, rng, derive, approach):
+    """The block products the Krylov loops apply equal the assembled
+    coupled and momentum matrices, on every form of the step system."""
+    params = KktParams(nu=0.01, beta=1e-2, approach=approach)
     state = _zero_state(geom2)
     state.v = lift_boundary(geom2.dofmap)
-    system = build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
-                       geom2.quad, params)
-    system.matrix(), system.momentum()
-    new = derive(system)
-    for got, blocks in (
-            (new.matrix(), [[new.a11, new.a12, new.b.T, None],
-                            [new.a21, new.a22, None, new.b.T],
-                            [new.b, None, None, None],
-                            [None, new.b, None, None]]),
-            (new.momentum(), [[new.a11, new.a12], [new.a21, new.a22]])):
-        want = sp.bmat(blocks, format="csr")
+    system = derive(build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
+                              geom2.quad, params))
+    x = rng.standard_normal(system.dim)
+    for got, want in ((system.matvec(x), system.matrix() @ x),
+                      (system.momentum_matvec(x[:2 * system.n_v]),
+                       system.momentum() @ x[:2 * system.n_v])):
         assert got.shape == want.shape
-        assert _maxabs((got - want).tocsr()) == 0.0
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # --------------------------------------------------------------------------
