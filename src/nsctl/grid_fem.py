@@ -8,7 +8,7 @@ components are interleaved (dof = 2*node + component); all cells are identical
 axis-aligned squares, so one reference-element table serves every cell.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,7 @@ class DofMap:
     n_v_int: int                      # interior velocity dofs, 2 * len(interior_nodes)
     n_p: int                          # pressure dofs, (2^l+1)^2
     cell_q1: np.ndarray               # (n_cells, 4) pressure dof ids
-    interior_vdofs: np.ndarray = field(default=None)  # full -> kept velocity dof ids
+    interior_vdofs: np.ndarray        # full -> kept velocity dof ids
 
     @property
     def n_v_full(self) -> int:

@@ -33,10 +33,7 @@ def from_triplets(rows, cols, vals, shape) -> sp.csr_matrix:
     if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
                       or cols.min() < 0 or cols.max() >= shape[1]):
         raise ValueError("triplet index out of bounds for shape %r" % (shape,))
-    a = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 class Factorization:
@@ -146,14 +143,6 @@ class SolveStats:
     true_residual: float = 0.0
 
 
-def _as_operator(op):
-    if op is None:
-        return lambda x: x
-    if callable(op):
-        return op
-    return lambda x, _m=op: _m @ x
-
-
 def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
     """One Arnoldi cycle of right-preconditioned flexible GMRES from x0,
     whose residual b - A x0 is r0; returns (x, met, breakdown)."""
@@ -237,10 +226,11 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
 
     With cfg.fixed_iters set, runs exactly that many Arnoldi steps (no
     tolerance exit) -- the mode used for the inner momentum solver. That mode
-    does not compute `true_residual`, which stays 0.
+    does not compute `true_residual`, which stays 0. `apply_p` None means
+    no preconditioner.
     """
-    apply_a = _as_operator(apply_a)
-    apply_p = _as_operator(apply_p)
+    if apply_p is None:
+        apply_p = lambda x: x  # noqa: E731
     b = np.asarray(b, dtype=np.float64)
     stats = SolveStats()
 

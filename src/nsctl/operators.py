@@ -19,7 +19,9 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 
 from .grid_fem import build_dofmap, build_mesh, tabulate
-from .krylov import factorize
+from .krylov import ChebyshevMassSolver, factorize
+
+CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +116,7 @@ class KktSystem:
     solves (and the ideal preconditioner) see a nonsingular matrix.
     `level_ops` is the cached record of the system's level, from which the
     preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
-    intervals. `pres()` assembles the pressure-space operators at the
+    mass solvers. `pres()` assembles the pressure-space operators at the
     step's winds, which only the bpcd preconditioner reads.
 
     The blocks are the system's one representation: `matvec` and
@@ -201,11 +203,8 @@ class KktSystem:
 def _scatter(idx_rows, idx_cols, blocks, shape):
     rows = np.repeat(idx_rows, idx_cols.shape[1], axis=1).ravel()
     cols = np.tile(idx_cols, (1, idx_rows.shape[1])).ravel()
-    a = sp.coo_matrix((np.ascontiguousarray(blocks).ravel(), (rows, cols)),
-                      shape=shape).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+    return sp.coo_matrix((np.ascontiguousarray(blocks).ravel(), (rows, cols)),
+                         shape=shape).tocsr()
 
 
 def _vector_expand(idx_scalar):
@@ -243,7 +242,7 @@ def _checked_wind(wind, dofmap, name="wind"):
 @dataclass(frozen=True)
 class LevelOperators:
     """The wind-free operators of one level, their element tables and the
-    Chebyshev intervals of its two mass matrices. The properties are what
+    Chebyshev solvers of its two mass matrices. The properties are what
     the preconditioner stacks derive from them, each built on first read.
     """
 
@@ -260,8 +259,8 @@ class LevelOperators:
     mp: sp.csr_matrix                 # pressure mass
     kp: sp.csr_matrix                 # pressure stiffness
     mp_diag: np.ndarray
-    m_interval: tuple                 # bounds of spec(diag(M)^-1 M)
-    mp_interval: tuple                # bounds of spec(diag(Mp)^-1 Mp)
+    m_cheb: ChebyshevMassSolver       # M^-1 by CHEB_STEPS Chebyshev steps
+    mp_cheb: ChebyshevMassSolver      # Mp^-1 likewise
 
     @cached_property
     def bt_winv_b(self):
@@ -293,7 +292,8 @@ class LevelOperators:
 @lru_cache(maxsize=None)
 def _level_operators(level, quad_order):
     """M, K, B, Mp, Kp and diag(Mp) of one level, with their element tables
-    and the spectrum bounds of the Jacobi-scaled masses.
+    and the Chebyshev solvers of the two masses on the spectrum bounds of
+    the Jacobi-scaled element masses.
 
     Cached per (level, quadrature order), so every geometry of a level
     shares them and what the record derives from them; their arrays are
@@ -330,17 +330,22 @@ def _level_operators(level, quad_order):
                   (npp, npp))
     nn_w = (wdet[:, None, None] * v2[:, :, None]
             * v2[:, None, :]).reshape(wdet.size, 81)
+    m = restrict(m_full, dofmap)
     ops = LevelOperators(level=level, wdet=wdet, g2=g2, g1=g1, nn_w=nn_w,
-                         m_full=m_full, k_full=k_full,
-                         m=restrict(m_full, dofmap),
+                         m_full=m_full, k_full=k_full, m=m,
                          b=b_full[:, dofmap.interior_vdofs].tocsr(),
                          b_full=b_full, mp=mp, kp=kp,
                          mp_diag=mp.diagonal().copy(),
-                         m_interval=mass_eig_interval(quad, "q2"),
-                         mp_interval=mass_eig_interval(quad, "q1"))
-    for a in (wdet, g2, g1, nn_w, ops.mp_diag):
+                         m_cheb=ChebyshevMassSolver(
+                             matrix=m, interval=mass_eig_interval(quad, "q2"),
+                             steps=CHEB_STEPS),
+                         mp_cheb=ChebyshevMassSolver(
+                             matrix=mp, interval=mass_eig_interval(quad, "q1"),
+                             steps=CHEB_STEPS))
+    for a in (wdet, g2, g1, nn_w, ops.mp_diag, ops.m_cheb.diag,
+              ops.mp_cheb.diag):
         a.flags.writeable = False
-    for a in (m_full, k_full, ops.m, ops.b, b_full, mp, kp):
+    for a in (m_full, k_full, m, ops.b, b_full, mp, kp):
         for arr in (a.data, a.indices, a.indptr):
             arr.flags.writeable = False
     return ops
@@ -410,11 +415,9 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
     cols.append(np.tile(nodes_p, (1, npb)).ravel())
     vals.append(outer.ravel())
 
-    a = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_dofs, n_dofs)).tocsr()
-    a.sum_duplicates()
-    return a
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_dofs, n_dofs)).tocsr()
 
 
 # --------------------------------------------------------------------------
@@ -604,10 +607,6 @@ def augment(system, gamma):
     """
     if system.pinned:
         raise ValueError("augment takes the unpinned step system")
-    if gamma == 0.0:
-        return system
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
     lvl = system.level_ops
     c = gamma * lvl.bt_winv_b
     w_diag = lvl.mp_diag

@@ -21,8 +21,8 @@ import scipy.sparse as sp
 
 from . import operators
 from .grid_fem import build_dofmap, build_mesh, cell_stars, q2_prolongation
-from .krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
-                     chebyshev_solve, factorize, gmres)
+from .krylov import (Factorization, KrylovConfig, chebyshev_solve, factorize,
+                     gmres)
 from .operators import KktSystem
 
 __all__ = [
@@ -47,14 +47,6 @@ def _pinned_solve(fact, r):
     return _demean(fact.solve(rt))
 
 
-def _chebyshev_mass_solve(matrix, interval):
-    """Action of a mass matrix's inverse by CHEB_STEPS Chebyshev steps on
-    the Jacobi-scaled spectrum bounds `interval`."""
-    cheb = ChebyshevMassSolver(matrix=matrix, interval=interval,
-                               steps=CHEB_STEPS)
-    return lambda b: chebyshev_solve(cheb, b)
-
-
 # --------------------------------------------------------------------------
 # geometric multigrid for the matching factors
 # --------------------------------------------------------------------------
@@ -62,7 +54,6 @@ def _chebyshev_mass_solve(matrix, interval):
 MG_COARSEST = 1                       # level whose Galerkin operator is LU-factorized
 MG_SWEEPS = 2                         # pre-smoothing sweeps per level
 INNER_ITERS = 5                       # inner GMRES steps per outer apply
-CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 REFINE_STEPS = 2                      # refinement steps per ideal block solve
 
 
@@ -162,16 +153,15 @@ class MatchingSchur:
     Psi2 is the (2,1) momentum block and Psi1^T the (1,2) block of the
     (augmented, if applicable) system; the choice of L makes
     L Phi^-1 L^T match the (1/beta) M term of the exact Schur complement.
-    `inv_21` and `inv_12` apply the inverses of the two factors: LU
-    factorizations, or multigrid V-cycles in the production stack;
-    `inv_12` is a weak proxy to the one its build thread holds.
+    `mass` is the level record's M. `inv_21` and `inv_12` apply the
+    inverses of the two factors: LU factorizations, or multigrid V-cycles
+    in the production stack; `inv_12` is a weak proxy to the one its build
+    thread holds. The factors themselves are not kept.
     """
 
     mass: sp.csr_matrix
-    mat_21: sp.csr_matrix             # Psi2 + L
-    mat_12: sp.csr_matrix             # (Psi1 + L)^T
-    inv_21: object                    # Factorization | Multigrid
-    inv_12: object
+    inv_21: object                    # Factorization | Multigrid of Psi2 + L
+    inv_12: object                    # the same, of (Psi1 + L)^T
 
 
 def _build_and_hold(held, build, a):
@@ -215,8 +205,7 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     except BaseException:
         stop()
         raise
-    ms = MatchingSchur(mass=m, mat_21=mat_21, mat_12=mat_12,
-                       inv_21=inv_21, inv_12=inv_12)
+    ms = MatchingSchur(mass=m, inv_21=inv_21, inv_12=inv_12)
     # at interpreter exit the pool is already shut down: leave it be
     weakref.finalize(ms, stop).atexit = False
     return ms
@@ -245,17 +234,16 @@ def al_outer_schur_apply(system: KktSystem, r1, r2):
 
 @dataclass
 class BpcdOuterSchur:
-    """Commutator-based outer Schur inverse Mp_blk^-1 . D_p . Kp_blk^-1.
+    """The per-step part of the commutator-based outer Schur inverse
+    Mp_blk^-1 . D_p . Kp_blk^-1.
 
     D_p carries the pressure-space analogues of the momentum operators with
-    the Newton matrices omitted; it is applied by multiplication.
+    the Newton matrices omitted; it is applied by multiplication. Kp and Mp
+    are the level's, read from the step system.
     """
 
-    kp_fact: Factorization            # pinned pressure Laplacian, the level's
-    mp: sp.csr_matrix
     dp_od: sp.csr_matrix              # nu Kp - Np + Wp (the (1,2) entry)
     dp_do: sp.csr_matrix              # nu Kp + Np + Wp (the (2,1) entry)
-    beta: float
     mp_solve: callable                # action of Mp^-1 (Chebyshev or direct)
 
 
@@ -263,18 +251,20 @@ def build_bpcd_outer(system: KktSystem, exact_blocks=False) -> BpcdOuterSchur:
     lvl, pres = system.level_ops, system.pres()
     base = (system.params.nu * lvl.kp + pres.wp).tocsr()
     mp_solve = (lvl.mp_lu.solve if exact_blocks
-                else _chebyshev_mass_solve(lvl.mp, lvl.mp_interval))
-    return BpcdOuterSchur(kp_fact=lvl.kp_pinned_lu, mp=lvl.mp,
-                          dp_od=(base - pres.np_conv).tocsr(),
+                else lambda b: chebyshev_solve(lvl.mp_cheb, b))
+    return BpcdOuterSchur(dp_od=(base - pres.np_conv).tocsr(),
                           dp_do=(base + pres.np_conv).tocsr(),
-                          beta=system.params.beta, mp_solve=mp_solve)
+                          mp_solve=mp_solve)
 
 
-def bpcd_outer_schur_apply(s: BpcdOuterSchur, r1, r2):
-    u1 = _pinned_solve(s.kp_fact, r1)
-    u2 = _pinned_solve(s.kp_fact, r2)
-    t1 = s.mp @ u1 + s.dp_od @ u2
-    t2 = s.dp_do @ u1 - (s.mp @ u2) / s.beta
+def bpcd_outer_schur_apply(system: KktSystem, s: BpcdOuterSchur, r1, r2):
+    """Blockwise bpcd outer Schur inverse, with the level's pinned-Kp LU
+    and Mp."""
+    lvl = system.level_ops
+    u1 = _pinned_solve(lvl.kp_pinned_lu, r1)
+    u2 = _pinned_solve(lvl.kp_pinned_lu, r2)
+    t1 = lvl.mp @ u1 + s.dp_od @ u2
+    t2 = s.dp_do @ u1 - (lvl.mp @ u2) / system.params.beta
     return s.mp_solve(t1), s.mp_solve(t2)
 
 
@@ -355,9 +345,10 @@ def build_precond(system: KktSystem, kind="al",
     `system` is the plain step system (`build_kkt` without `pin`); the stack
     derives the form it solves from it: "al" augments it, "ideal" pins it,
     "bpcd" solves it as it is and assembles its pressure-space operators.
-    The level, its mass matrices and their Chebyshev intervals come from
-    `system.level_ops`, with the LUs of the pinned Kp and of the exact mass
-    solves. `exact_blocks` replaces the Chebyshev and multigrid solves by LU."""
+    Everything that depends on the level alone comes from `system.level_ops`:
+    M, Mp, Kp, their Chebyshev solvers, and the LUs of the pinned Kp and of
+    the exact mass solves. The stack holds only what the step builds.
+    `exact_blocks` replaces the Chebyshev and multigrid solves by LU."""
     if kind not in ("al", "bpcd", "ideal"):
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if system.pinned:
@@ -372,7 +363,7 @@ def build_precond(system: KktSystem, kind="al",
 
     lvl = system.level_ops
     mass_solve = (lvl.m_lu.solve if exact_blocks
-                  else _chebyshev_mass_solve(lvl.m, lvl.m_interval))
+                  else lambda b: chebyshev_solve(lvl.m_cheb, b))
     outer = (build_bpcd_outer(system, exact_blocks=exact_blocks)
              if kind == "bpcd" else None)
     return PrecondStack(kind=kind, system=system,
@@ -409,7 +400,7 @@ def outer_p2_apply(stack: PrecondStack, rhs):
     if stack.kind == "al":
         y1, y2 = al_outer_schur_apply(system, r_mu, r_p)
     else:
-        y1, y2 = bpcd_outer_schur_apply(stack.outer, r_mu, r_p)
+        y1, y2 = bpcd_outer_schur_apply(system, stack.outer, r_mu, r_p)
     z_mu, z_p = -y1, -y2
 
     bt = system.b.T

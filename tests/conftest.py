@@ -28,6 +28,18 @@ def geom3():
     return setup_geometry(3)
 
 
+def _matching_factors(system):
+    """Psi2 + L and (Psi1 + L)^T with L = M / sqrt(beta), formed as
+    `build_matching` forms the two matrices it inverts."""
+    lam = (system.level_ops.m / np.sqrt(system.params.beta)).tocsr()
+    return (system.a21 + lam).tocsr(), (system.a12 + lam).tocsr()
+
+
+@pytest.fixture
+def matching_factors():
+    return _matching_factors
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -88,7 +88,7 @@ def test_ideal_preconditioner_two_step_convergence():
     assert spread <= 1e-8, f"eigenvalue spread {spread:.3e}"
 
 
-def test_matching_spectral_bounds():
+def test_matching_spectral_bounds(matching_factors):
     for level in (2, 3):
         geom = setup_geometry(level)
         zero = np.zeros(geom.dofmap.n_v_full)
@@ -103,7 +103,9 @@ def test_matching_spectral_bounds():
             m_inv = np.linalg.inv(m)
             s_exact = system.a21.toarray() @ m_inv @ system.a12.toarray() \
                 + m / beta
-            s_tilde = ms.mat_21.toarray() @ m_inv @ ms.mat_12.toarray()
+            mat_21, mat_12 = matching_factors(system)
+            assert ms.mass is system.level_ops.m
+            s_tilde = mat_21.toarray() @ m_inv @ mat_12.toarray()
             lam = np.linalg.eigvals(np.linalg.solve(s_tilde, s_exact))
             tag = f"l={level} beta={beta:g}"
             assert np.abs(lam.imag).max() <= 1e-8, tag

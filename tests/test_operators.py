@@ -171,10 +171,29 @@ def test_level_operators_shared_and_read_only(geom3):
         for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-    with pytest.raises(ValueError):
-        lvl.mp_diag[0] = 1.0
+    for diag in (lvl.mp_diag, lvl.m_cheb.diag, lvl.mp_cheb.diag):
+        with pytest.raises(ValueError):
+            diag[0] = 1.0
     with pytest.raises(ValueError):
         a.m_full.data *= 2.0
+
+
+def test_scatter_sums_duplicates_into_canonical_csr():
+    """`_scatter` relies on scipy's COO -> CSR conversion to sum duplicate
+    entries and sort each row's column indices."""
+    rows = np.array([[2, 0], [0, 2], [1, 2]])
+    cols = np.array([[1, 0], [1, 0], [0, 1]])
+    blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
+    a = _scatter(rows, cols, blocks, (3, 2))
+    want = np.zeros((3, 2))
+    np.add.at(want, (np.repeat(rows, 2, axis=1).ravel(),
+                     np.tile(cols, (1, 2)).ravel()), blocks.ravel())
+    assert a.format == "csr"
+    assert a.has_canonical_format and a.has_sorted_indices
+    for i in range(a.shape[0]):
+        assert np.all(np.diff(a.indices[a.indptr[i]:a.indptr[i + 1]]) > 0)
+    assert a.nnz == np.count_nonzero(want)
+    assert np.array_equal(a.toarray(), want)
 
 
 # --------------------------------------------------------------------------
@@ -400,21 +419,6 @@ def test_full_newton_adds_exact_curvature(geom2, rng):
                                     state.zeta, "dto")
     assert _maxabs((s1.a11 - s0.a11 - curv).tocsr()) <= 1e-15
     assert _maxabs((s1.a12 - s0.a12).tocsr()) == 0.0
-
-
-def test_augment_gamma_zero_is_identity(geom2):
-    params = KktParams(nu=0.01, beta=1e-2)
-    system = build_kkt(_zero_state(geom2), geom2.mesh, geom2.dofmap,
-                       geom2.patches, geom2.quad, params)
-    assert augment(system, 0.0) is system
-
-
-def test_augment_validation(geom2):
-    params = KktParams(nu=0.01, beta=1e-2)
-    system = build_kkt(_zero_state(geom2), geom2.mesh, geom2.dofmap,
-                       geom2.patches, geom2.quad, params)
-    with pytest.raises(ValueError):
-        augment(system, -1.0)
 
 
 def test_augment_refuses_pinned_system(geom2):

@@ -11,15 +11,16 @@ import scipy.sparse as sp
 import nsctl.operators as operators_mod
 import nsctl.precond as precond_mod
 from nsctl.grid_fem import cell_stars, setup_geometry
-from nsctl.krylov import (Factorization, KrylovConfig, SingularMatrixError,
-                          factorize, gmres)
+from nsctl.krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
+                          SingularMatrixError, chebyshev_solve, factorize,
+                          gmres)
 from nsctl.newton import NewtonConfig, _newton_step, initial_state
-from nsctl.operators import (KktParams, StateIterate, _level_operators,
-                             augment, build_kkt, lift_boundary,
-                             mass_eig_interval)
-from nsctl.precond import (IdealPrecond, Multigrid, build_matching,
-                           build_precond, inner_p1_apply, matching_apply,
-                           outer_p2_apply)
+from nsctl.operators import (CHEB_STEPS, KktParams, StateIterate,
+                             _level_operators, augment, build_kkt,
+                             lift_boundary, mass_eig_interval)
+from nsctl.precond import (BpcdOuterSchur, IdealPrecond, MatchingSchur,
+                           Multigrid, build_matching, build_precond,
+                           inner_p1_apply, matching_apply, outer_p2_apply)
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
@@ -37,39 +38,49 @@ def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
 # matching strategy
 # --------------------------------------------------------------------------
 
-def test_matching_roundtrip(geom2, rng):
+def test_matching_roundtrip(geom2, rng, matching_factors):
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
+    mat_21, mat_12 = matching_factors(system)
     x = rng.standard_normal(system.n_v)
-    s_x = ms.mat_21 @ factorize(ms.mass).solve(ms.mat_12 @ x)     # S~ x
+    s_x = mat_21 @ factorize(ms.mass).solve(mat_12 @ x)           # S~ x
     back = matching_apply(ms, s_x)
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
-def test_matching_apply_matches_dense(geom2, rng):
+def test_matching_apply_matches_dense(geom2, rng, matching_factors):
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
+    mat_21, mat_12 = matching_factors(system)
     m_inv = np.linalg.inv(ms.mass.toarray())
-    s_dense = ms.mat_21.toarray() @ m_inv @ ms.mat_12.toarray()
+    s_dense = mat_21.toarray() @ m_inv @ mat_12.toarray()
     rhs = rng.standard_normal(system.n_v)
     got = matching_apply(ms, rhs)
     want = np.linalg.solve(s_dense, rhs)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def test_matching_factors_include_shift(geom2):
+def test_matching_factors_include_shift(geom2, rng, matching_factors):
+    """The two inverses invert a21 and a12 shifted by L = M / sqrt(beta),
+    and the mass they apply between them is the level record's M."""
     system = _stokes_system(geom2, augmented=True)
     ms = build_matching(system)
+    assert ms.mass is system.level_ops.m
     shift = system.level_ops.m / np.sqrt(system.params.beta)
-    d21 = (ms.mat_21 - system.a21 - shift).tocsr()
-    d12 = (ms.mat_12 - system.a12 - shift).tocsr()
-    for diff in (d21, d12):
+    mat_21, mat_12 = matching_factors(system)
+    for diff in ((mat_21 - system.a21 - shift).tocsr(),
+                 (mat_12 - system.a12 - shift).tocsr()):
         assert (np.abs(diff.data).max(initial=0.0) if diff.nnz else 0.0) \
             <= 1e-14
+    b = rng.standard_normal(system.n_v)
+    for a, inv in ((mat_21, ms.inv_21), (mat_12, ms.inv_12)):
+        assert np.linalg.norm(a @ inv.solve(b) - b) \
+            <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("beta", [1e-1, 1e-5])
-def test_multigrid_cycle_contracts_matching_residual(geom3, beta):
+def test_multigrid_cycle_contracts_matching_residual(geom3, beta,
+                                                     matching_factors):
     """One cycle on the level-3 augmented matching factors, lid wind included.
 
     Measured worst reductions over three random right-hand sides: 0.048 at
@@ -84,7 +95,8 @@ def test_multigrid_cycle_contracts_matching_residual(geom3, beta):
                                geom3.quad, params), params.gamma)
     assert isinstance(build_matching(system).inv_21, Factorization)
     ms = build_matching(system, exact=False)
-    for a, inv in ((ms.mat_21, ms.inv_21), (ms.mat_12, ms.inv_12)):
+    mat_21, mat_12 = matching_factors(system)
+    for a, inv in ((mat_21, ms.inv_21), (mat_12, ms.inv_12)):
         assert isinstance(inv, Multigrid)
         for seed in range(3):
             b = np.random.default_rng(seed).standard_normal(a.shape[0])
@@ -104,9 +116,10 @@ def _csr_equal(a, b):
             and np.array_equal(a.data, b.data))
 
 
-def test_multigrid_hierarchy_identical_with_warm_geometry_cache(geom3):
+def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
+        geom3, matching_factors):
     system = _stokes_system(geom3, beta=1e-3, augmented=True)
-    mat = build_matching(system).mat_21
+    mat, _ = matching_factors(system)
     precond_mod._velocity_prolongation.cache_clear()
     cell_stars.cache_clear()
     cold = precond_mod.build_multigrid(mat, 3)
@@ -142,7 +155,8 @@ def step2_system(geom3):
 
 
 @pytest.mark.parametrize("exact", [True, False])
-def test_concurrent_matching_build_equals_sequential(step2_system, exact):
+def test_concurrent_matching_build_equals_sequential(step2_system, exact,
+                                                     matching_factors):
     """The two factors built side by side solve bit for bit as the same
     factors built one after the other in this thread, also when both
     threads fill the cold per-level geometry caches at once (a short switch
@@ -155,11 +169,12 @@ def test_concurrent_matching_build_equals_sequential(step2_system, exact):
         ms = build_matching(step2_system, exact=exact)
     finally:
         sys.setswitchinterval(interval)
+    mat_21, mat_12 = matching_factors(step2_system)
     if exact:
-        seq_21, seq_12 = factorize(ms.mat_21), factorize(ms.mat_12)
+        seq_21, seq_12 = factorize(mat_21), factorize(mat_12)
     else:
-        seq_21 = precond_mod.build_multigrid(ms.mat_21, 3)
-        seq_12 = precond_mod.build_multigrid(ms.mat_12, 3)
+        seq_21 = precond_mod.build_multigrid(mat_21, 3)
+        seq_12 = precond_mod.build_multigrid(mat_12, 3)
     b = np.random.default_rng(7).standard_normal(step2_system.n_v)
     assert np.array_equal(ms.inv_21.solve(b), seq_21.solve(b))
     assert np.array_equal(ms.inv_12.solve(b), seq_12.solve(b))
@@ -255,10 +270,34 @@ def test_bpcd_stokes_limit(geom2):
 def test_bpcd_outer_zero_rhs(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=False)
     system = stack.system
-    y1, y2 = precond_mod.bpcd_outer_schur_apply(stack.outer,
+    y1, y2 = precond_mod.bpcd_outer_schur_apply(system, stack.outer,
                                                 np.zeros(system.n_p),
                                                 np.zeros(system.n_p))
     assert not y1.any() and not y2.any()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
+    """The bpcd outer Schur inverse, with Kp's LU, Mp and beta read from the
+    step system, equals the blockwise formula bit for bit on a step system
+    at the lid wind."""
+    d = geom2.dofmap
+    state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
+                         mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
+    plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad,
+                      KktParams(nu=0.01, beta=1e-2))
+    stack = build_precond(plain, "bpcd", exact_blocks=exact)
+    system, s = stack.system, stack.outer
+    lvl, beta = system.level_ops, system.params.beta
+    r1, r2 = rng.standard_normal(system.n_p), rng.standard_normal(system.n_p)
+    u1 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r1)
+    u2 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r2)
+    want = (s.mp_solve(lvl.mp @ u1 + s.dp_od @ u2),
+            s.mp_solve(s.dp_do @ u1 - (lvl.mp @ u2) / beta))
+    got = precond_mod.bpcd_outer_schur_apply(system, s, r1, r2)
+    assert np.any(want[0]) and np.any(want[1])
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 # --------------------------------------------------------------------------
@@ -389,35 +428,53 @@ def test_build_precond_validation(geom2):
 
 
 @pytest.mark.parametrize("level", [2, 3])
-def test_stack_reads_the_level_record(request, monkeypatch, level):
+def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     """Every step system carries the cached operators of its level, and the
-    stack takes the level, the mass matrices and their Chebyshev intervals
-    from that record, with no geometry passed in."""
+    stack takes the level and the Chebyshev mass solvers from that record,
+    with no geometry passed in: once the record is built, building the AL
+    and bpcd stacks constructs no Chebyshev solver, and their mass solves
+    are the record's solvers bit for bit."""
     geom = request.getfixturevalue(f"geom{level}")
     lvl = _level_operators(level, geom.quad.order)
     plain = _stokes_system(geom)
     for system in (plain, _stokes_system(geom, augmented=True),
                    _stokes_system(geom, pinned=True)):
         assert system.level_ops is lvl
+    for cheb, mat, space in ((lvl.m_cheb, lvl.m, "q2"),
+                             (lvl.mp_cheb, lvl.mp, "q1")):
+        assert cheb.matrix is mat and cheb.steps == CHEB_STEPS
+        assert cheb.interval == mass_eig_interval(geom.quad, space)
 
-    built = []
-    real = precond_mod.ChebyshevMassSolver
-    names = {id(lvl.m): "M", id(lvl.mp): "Mp"}
+    def refuse(self):
+        raise AssertionError("a stack built a Chebyshev mass solver")
 
-    def recording(**kw):
-        built.append((names.get(id(kw["matrix"])), kw["interval"]))
-        return real(**kw)
-
-    monkeypatch.setattr(precond_mod, "ChebyshevMassSolver", recording)
-    q2, q1 = mass_eig_interval(geom.quad, "q2"), mass_eig_interval(geom.quad, "q1")
+    monkeypatch.setattr(ChebyshevMassSolver, "__post_init__", refuse)
     stack = build_precond(plain, "al")
     assert stack.system.level_ops is lvl
     for mg in (stack.matching.inv_21, stack.matching.inv_12):
         assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
-    assert built == [("M", q2)]
-    built.clear()
-    build_precond(plain, "bpcd")
-    assert built == [("M", q2), ("Mp", q1)]
+    bpcd = build_precond(plain, "bpcd")
+    b = rng.standard_normal(lvl.m.shape[0])
+    bp = rng.standard_normal(lvl.mp.shape[0])
+    want = chebyshev_solve(lvl.m_cheb, b)
+    assert np.array_equal(stack.mass_solve(b), want)
+    assert np.array_equal(bpcd.mass_solve(b), want)
+    assert np.array_equal(bpcd.outer.mp_solve(bp),
+                          chebyshev_solve(lvl.mp_cheb, bp))
+
+
+def test_stacks_hold_only_per_step_objects(geom2):
+    """A matching Schur approximation holds M and the two inverses only,
+    with M the level record's; the bpcd outer Schur holds none of the
+    level's data."""
+    assert [f.name for f in dataclasses.fields(MatchingSchur)] \
+        == ["mass", "inv_21", "inv_12"]
+    assert not {"kp_fact", "mp", "beta"} \
+        & {f.name for f in dataclasses.fields(BpcdOuterSchur)}
+    stack = build_precond(_stokes_system(geom2), "bpcd")
+    assert set(vars(stack.matching)) == {"mass", "inv_21", "inv_12"}
+    assert stack.matching.mass is stack.system.level_ops.m
+    assert set(vars(stack.outer)) == {"dp_od", "dp_do", "mp_solve"}
 
 
 def test_level_factorizations_built_once(geom2, monkeypatch):
@@ -448,7 +505,6 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
         if not exact:
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
-    assert stack.outer.kp_fact is lvl.kp_pinned_lu
     assert stack.mass_solve == lvl.m_lu.solve
     assert stack.outer.mp_solve == lvl.mp_lu.solve
 
