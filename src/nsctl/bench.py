@@ -57,7 +57,7 @@ class CaseSpec:
         self.gamma = self.params.gamma
         self.config = NewtonConfig(
             tol=self.tol_newton, precond=self.precond,
-            linear=KrylovConfig(restart=10, rtol=self.tol_linear, maxiter=200),
+            linear=KrylovConfig(rtol=self.tol_linear),
             exact_blocks=self.exact_blocks)
 
 

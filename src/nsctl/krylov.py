@@ -133,6 +133,8 @@ class KrylovConfig:
             raise ValueError(f"rtol must be finite, got {self.rtol}")
         if self.rtol <= 0.0 and self.fixed_iters is None:
             raise ValueError("rtol must be positive")
+        if self.fixed_iters is not None and self.fixed_iters < 1:
+            raise ValueError("fixed_iters must be >= 1")
 
 
 @dataclass

@@ -33,7 +33,7 @@ class NewtonConfig:
     tol: float = 1e-5                 # relative nonlinear residual reduction
     max_iters: int = 10
     precond: str = "al"               # "al" | "bpcd" | "ideal"
-    linear: KrylovConfig = None
+    linear: KrylovConfig = field(default_factory=KrylovConfig)
     exact_blocks: bool = False
 
     def __post_init__(self):
@@ -43,8 +43,6 @@ class NewtonConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.precond not in ("al", "bpcd", "ideal"):
             raise ValueError(f"unknown preconditioner kind {self.precond!r}")
-        if self.linear is None:
-            self.linear = KrylovConfig(restart=10, rtol=1e-6, maxiter=200)
 
 
 @dataclass

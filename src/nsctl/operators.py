@@ -30,28 +30,24 @@ CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 @dataclass
 class VelocityOperators:
-    """Vector Q2 operators on all velocity dofs; M and K are the level's."""
+    """Vector Q2 operators on all velocity dofs at one wind: the state
+    operator D and its adjoint D_adj, each formed once, with the parts the
+    residual and the curvature read; M is the level's."""
 
     m_full: sp.csr_matrix             # vector mass
-    k_full: sp.csr_matrix             # vector stiffness
     n_full: sp.csr_matrix             # convection at the given wind
     h_full: sp.csr_matrix             # Newton linearization matrix
-    w_full: sp.csr_matrix             # local-projection stabilization
-
-    def d_full(self, nu):
-        return (nu * self.k_full + self.n_full + self.w_full).tocsr()
-
-    def d_adj_full(self, nu):
-        return (nu * self.k_full - self.n_full + self.w_full).tocsr()
+    d_full: sp.csr_matrix             # nu K + N + W
+    d_adj_full: sp.csr_matrix         # nu K - N + W
 
 
 @dataclass
 class PressureOperators:
-    """Q1 pressure-space operators of one wind (pure Neumann space, no
-    elimination); Mp and Kp are the level's."""
+    """The pressure-space analogues of D and D_adj at one wind, with the
+    Newton matrices omitted (pure Neumann space, no elimination)."""
 
-    np_conv: sp.csr_matrix            # pressure convection at the given wind
-    wp: sp.csr_matrix                 # pressure stabilization analogue
+    dp: sp.csr_matrix                 # nu Kp + Np + Wp
+    dp_adj: sp.csr_matrix             # nu Kp - Np + Wp
 
 
 @dataclass
@@ -116,8 +112,8 @@ class KktSystem:
     solves (and the ideal preconditioner) see a nonsingular matrix.
     `level_ops` is the cached record of the system's level, from which the
     preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
-    mass solvers. `pres()` assembles the pressure-space operators at the
-    step's winds, which only the bpcd preconditioner reads.
+    mass solvers. `pres()` assembles the pressure-space pair at the step's
+    winds, which only the bpcd preconditioner reads.
 
     The blocks are the system's one representation: `matvec` and
     `momentum_matvec` apply it block by block, and `matrix()` and
@@ -200,10 +196,17 @@ class KktSystem:
 # element tables and scatter helpers
 # --------------------------------------------------------------------------
 
-def _scatter(idx_rows, idx_cols, blocks, shape):
-    rows = np.repeat(idx_rows, idx_cols.shape[1], axis=1).ravel()
-    cols = np.tile(idx_cols, (1, idx_rows.shape[1])).ravel()
-    return sp.coo_matrix((np.ascontiguousarray(blocks).ravel(), (rows, cols)),
+def _scatter(shape, *parts):
+    """Sum element blocks into one CSR matrix. Each part is a triplet
+    (idx_rows, idx_cols, blocks) whose blocks[e] lands at rows idx_rows[e]
+    and columns idx_cols[e]; the parts are concatenated in order and
+    converted once, which sums the duplicates."""
+    rows, cols, vals = zip(*((np.repeat(r, c.shape[1], axis=1).ravel(),
+                              np.tile(c, (1, r.shape[1])).ravel(),
+                              np.ascontiguousarray(b).ravel())
+                             for r, c, b in parts))
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
                          shape=shape).tocsr()
 
 
@@ -258,9 +261,12 @@ class LevelOperators:
     b_full: sp.csr_matrix             # -div, n_p x n_v_full
     mp: sp.csr_matrix                 # pressure mass
     kp: sp.csr_matrix                 # pressure stiffness
-    mp_diag: np.ndarray
     m_cheb: ChebyshevMassSolver       # M^-1 by CHEB_STEPS Chebyshev steps
     mp_cheb: ChebyshevMassSolver      # Mp^-1 likewise
+
+    @property
+    def mp_diag(self):                # diag(Mp), the one its solver holds
+        return self.mp_cheb.diag
 
     @cached_property
     def bt_winv_b(self):
@@ -312,8 +318,8 @@ def _level_operators(level, quad_order):
 
     def cellwise(e, idx_r, idx_c, shape):
         """Scatter an element matrix that is the same on every cell."""
-        return _scatter(idx_r, idx_c,
-                        np.broadcast_to(e, (mesh.n_cells,) + e.shape), shape)
+        return _scatter(shape, (idx_r, idx_c,
+                                np.broadcast_to(e, (mesh.n_cells,) + e.shape)))
 
     # vector operators on interleaved dofs: kron(A, I2) of the scalar ones
     m_full = sp.kron(cellwise(np.einsum("q,qi,qj->ij", wdet, v2, v2),
@@ -335,15 +341,13 @@ def _level_operators(level, quad_order):
                          m_full=m_full, k_full=k_full, m=m,
                          b=b_full[:, dofmap.interior_vdofs].tocsr(),
                          b_full=b_full, mp=mp, kp=kp,
-                         mp_diag=mp.diagonal().copy(),
                          m_cheb=ChebyshevMassSolver(
                              matrix=m, interval=mass_eig_interval(quad, "q2"),
                              steps=CHEB_STEPS),
                          mp_cheb=ChebyshevMassSolver(
                              matrix=mp, interval=mass_eig_interval(quad, "q1"),
                              steps=CHEB_STEPS))
-    for a in (wdet, g2, g1, nn_w, ops.mp_diag, ops.m_cheb.diag,
-              ops.mp_cheb.diag):
+    for a in (wdet, g2, g1, nn_w, ops.m_cheb.diag, ops.mp_cheb.diag):
         a.flags.writeable = False
     for a in (m_full, k_full, m, ops.b, b_full, mp, kp):
         for arr in (a.data, a.indices, a.indptr):
@@ -398,26 +402,16 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
 
     cells_act = patches.patch_cells[active].ravel()
     w_act = np.repeat(delta[active], 4)
-    blocks = t_cell[cells_act] * w_act[:, None, None]
     idx = cell_nodes[cells_act]
-    nb = idx.shape[1]
-    rows = [np.repeat(idx, nb, axis=1).ravel()]
-    cols = [np.tile(idx, (1, nb)).ravel()]
-    vals = [blocks.ravel()]
 
     # rank-one patch-mean correction: -(delta/|P|) (int w.grad u)(int w.grad v)
     nodes_p = cell_nodes[patches.patch_cells[active]].reshape(active.size, -1)
     a_p = a_cell[patches.patch_cells[active]].reshape(active.size, -1)
     coef = (delta[active] / patches.measures[active])[:, None, None]
     outer = -coef * a_p[:, :, None] * a_p[:, None, :]
-    npb = nodes_p.shape[1]
-    rows.append(np.repeat(nodes_p, npb, axis=1).ravel())
-    cols.append(np.tile(nodes_p, (1, npb)).ravel())
-    vals.append(outer.ravel())
-
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n_dofs, n_dofs)).tocsr()
+    return _scatter((n_dofs, n_dofs),
+                    (idx, idx, t_cell[cells_act] * w_act[:, None, None]),
+                    (nodes_p, nodes_p, outer))
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +441,7 @@ def _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on, stab_wind,
     wdet = _level_operators(mesh.level, quad.order).wdet
     conv = _streamline(wind, dofmap, quad, grads)
     n_e = np.einsum("q,qi,cqj->cij", wdet, vals, conv)
-    conv_mat = _scatter(cell_nodes, cell_nodes, n_e, (n, n))
+    conv_mat = _scatter((n, n), (cell_nodes, cell_nodes, n_e))
     if not lps_on:
         return conv_mat, sp.csr_matrix((n, n))
     if stab_wind is not None:
@@ -458,8 +452,8 @@ def _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on, stab_wind,
 
 def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
-    """Assemble N(wind), H(wind) and the stabilization matrix W, with the
-    level's M and K.
+    """Assemble N(wind), H(wind) and the stabilization matrix W, and form
+    D = nu K + N + W and D_adj = nu K - N + W with the level's K.
 
     The stabilization is built from `stab_wind` when given, otherwise from
     `wind` (see `_wind_terms`). The Newton driver passes the frozen
@@ -469,6 +463,8 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     nn = dofmap.n_q2
     n_s, w_s = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
                            stab_wind, quad.q2_vals, lvl.g2, dofmap.cell_q2, nn)
+    n_full = sp.kron(n_s, sp.eye(2), format="csr")
+    w_full = sp.kron(w_s, sp.eye(2), format="csr")
 
     # H couples components: H[(i,a),(j,b)] = int N_i N_j dw_a/dx_b, formed
     # as one matmul of the (cell, a, b) rows of dw_a/dx_b against the
@@ -482,23 +478,26 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     h_e = h_e.reshape(n_cells, 2, 2, 9, 9).transpose(0, 3, 1, 4, 2)
     h_e = h_e.reshape(n_cells, 18, 18)
     idx_v = _vector_expand(dofmap.cell_q2)
-    h_full = _scatter(idx_v, idx_v, h_e, (2 * nn, 2 * nn))
+    h_full = _scatter((2 * nn, 2 * nn), (idx_v, idx_v, h_e))
 
-    return VelocityOperators(m_full=lvl.m_full, k_full=lvl.k_full,
-                             n_full=sp.kron(n_s, sp.eye(2), format="csr"),
-                             h_full=h_full,
-                             w_full=sp.kron(w_s, sp.eye(2), format="csr"))
+    return VelocityOperators(
+        m_full=lvl.m_full, n_full=n_full, h_full=h_full,
+        d_full=(nu * lvl.k_full + n_full + w_full).tocsr(),
+        d_adj_full=(nu * lvl.k_full - n_full + w_full).tocsr())
 
 
 def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                       stab_wind=None):
     """Assemble Np(wind) and Wp on the Q1 pressure space, as
-    `assemble_velocity` assembles N and W on the velocity space."""
+    `assemble_velocity` assembles N and W on the velocity space, and form
+    the pair nu Kp + Np + Wp and nu Kp - Np + Wp with the level's Kp."""
     lvl = _level_operators(mesh.level, quad.order)
     np_conv, wp = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
                               stab_wind, quad.q1_vals, lvl.g1, dofmap.cell_q1,
                               dofmap.n_p)
-    return PressureOperators(np_conv=np_conv, wp=wp)
+    base = (nu * lvl.kp + wp).tocsr()
+    return PressureOperators(dp=(base + np_conv).tocsr(),
+                             dp_adj=(base - np_conv).tocsr())
 
 
 def assemble_divergence(mesh, dofmap, quad):
@@ -540,7 +539,7 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
         c_e = c_e.reshape(n_cells, 18, 18)
         idx_v = _vector_expand(dofmap.cell_q2)
         nn2 = dofmap.n_v_full
-        c_int = restrict(_scatter(idx_v, idx_v, c_e, (nn2, nn2)), dofmap)
+        c_int = restrict(_scatter((nn2, nn2), (idx_v, idx_v, c_e)), dofmap)
         return (c_int + c_int.T).tocsr()
     n_z, h_z = assemble_curvature(mesh, dofmap, quad, zeta)
     return (n_z + h_z).tocsr()
@@ -568,10 +567,11 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     The adjoint residual includes the -omega correction with
     omega_i = ((grad v)^T zeta, phi_i), assembled as H(v)^T zeta; the first
     divergence residual carries the boundary lift through the full-space
-    product. `vel` is the operator set to evaluate with (`build_kkt` passes
-    the one at its linearization wind); without it, the set at `state.v` is
-    assembled here, with `stab_wind` as the stabilization wind (see
-    `assemble_velocity`). The result keeps the set it was evaluated with.
+    product. `vel` is the operator set to evaluate with, assembled at
+    `params.nu` (`build_kkt` passes the one at its linearization wind);
+    without it, the set at `state.v` is assembled here, with `stab_wind` as
+    the stabilization wind (see `assemble_velocity`). The result keeps the
+    set it was evaluated with.
     """
     if vel is None:
         vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
@@ -580,14 +580,11 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     div = assemble_divergence(mesh, dofmap, quad)
     keep = dofmap.interior_vdofs
     omega = vel.h_full.T @ state.zeta
-    if params.approach == "otd":
-        a12_full = vel.d_adj_full(params.nu)
-    else:
-        a12_full = vel.d_full(params.nu).T
+    a12_full = vel.d_adj_full if params.approach == "otd" else vel.d_full.T
     # zero forcing and zero desired state
     r1_full = -(vel.m_full @ state.v) - a12_full @ state.zeta \
         - div.b_full.T @ state.mu - omega
-    r2_full = -(vel.d_full(params.nu) @ state.v) - div.b_full.T @ state.p \
+    r2_full = -(vel.d_full @ state.v) - div.b_full.T @ state.p \
         + (1.0 / params.beta) * (vel.m_full @ state.zeta)
     res = ResidualVector(r1=r1_full[keep], r2=r2_full[keep],
                          r1_div=-(div.b_full @ state.v),
@@ -649,9 +646,9 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
     lvl = _level_operators(mesh.level, quad.order)
 
-    a21 = restrict(vel.d_full(params.nu) + vel.h_full, dofmap)
+    a21 = restrict(vel.d_full + vel.h_full, dofmap)
     if params.approach == "otd":
-        a12 = restrict(vel.d_adj_full(params.nu) + vel.h_full.T, dofmap)
+        a12 = restrict(vel.d_adj_full + vel.h_full.T, dofmap)
     else:
         a12 = a21.T.tocsr()
 

@@ -26,7 +26,7 @@ from .krylov import (Factorization, KrylovConfig, chebyshev_solve, factorize,
 from .operators import KktSystem
 
 __all__ = [
-    "MatchingSchur", "BpcdOuterSchur", "PrecondStack",
+    "MatchingSchur", "PrecondStack",
     "IdealPrecond", "Multigrid", "build_matching",
     "build_multigrid", "build_precond",
     "matching_apply", "inner_p1_apply",
@@ -232,40 +232,17 @@ def al_outer_schur_apply(system: KktSystem, r1, r2):
     return y1, y2
 
 
-@dataclass
-class BpcdOuterSchur:
-    """The per-step part of the commutator-based outer Schur inverse
-    Mp_blk^-1 . D_p . Kp_blk^-1.
-
-    D_p carries the pressure-space analogues of the momentum operators with
-    the Newton matrices omitted; it is applied by multiplication. Kp and Mp
-    are the level's, read from the step system.
-    """
-
-    dp_od: sp.csr_matrix              # nu Kp - Np + Wp (the (1,2) entry)
-    dp_do: sp.csr_matrix              # nu Kp + Np + Wp (the (2,1) entry)
-    mp_solve: callable                # action of Mp^-1 (Chebyshev or direct)
-
-
-def build_bpcd_outer(system: KktSystem, exact_blocks=False) -> BpcdOuterSchur:
-    lvl, pres = system.level_ops, system.pres()
-    base = (system.params.nu * lvl.kp + pres.wp).tocsr()
-    mp_solve = (lvl.mp_lu.solve if exact_blocks
-                else lambda b: chebyshev_solve(lvl.mp_cheb, b))
-    return BpcdOuterSchur(dp_od=(base - pres.np_conv).tocsr(),
-                          dp_do=(base + pres.np_conv).tocsr(),
-                          mp_solve=mp_solve)
-
-
-def bpcd_outer_schur_apply(system: KktSystem, s: BpcdOuterSchur, r1, r2):
-    """Blockwise bpcd outer Schur inverse, with the level's pinned-Kp LU
-    and Mp."""
+def bpcd_outer_schur_apply(stack: "PrecondStack", r1, r2):
+    """Blockwise bpcd outer Schur inverse Mp_blk^-1 . D_p . Kp_blk^-1, with
+    the level's pinned-Kp LU and Mp, the stack's Mp solve and D_p the
+    step's pressure-space pair (`stack.outer`), applied by multiplication."""
+    system, outer = stack.system, stack.outer
     lvl = system.level_ops
     u1 = _pinned_solve(lvl.kp_pinned_lu, r1)
     u2 = _pinned_solve(lvl.kp_pinned_lu, r2)
-    t1 = lvl.mp @ u1 + s.dp_od @ u2
-    t2 = s.dp_do @ u1 - (lvl.mp @ u2) / system.params.beta
-    return s.mp_solve(t1), s.mp_solve(t2)
+    t1 = lvl.mp @ u1 + outer.dp_adj @ u2
+    t2 = outer.dp @ u1 - (lvl.mp @ u2) / system.params.beta
+    return stack.mp_solve(t1), stack.mp_solve(t2)
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +311,9 @@ class PrecondStack:
     kind: str                         # "al" | "bpcd" | "ideal"
     system: KktSystem
     matching: MatchingSchur = None
-    outer: object = None              # BpcdOuterSchur | IdealPrecond; None for "al"
+    outer: object = None              # PressureOperators | IdealPrecond; None for "al"
     mass_solve: callable = None       # action of M^-1 on one velocity block
+    mp_solve: callable = None         # action of Mp^-1 ("bpcd" only)
 
 
 def build_precond(system: KktSystem, kind="al",
@@ -344,7 +322,7 @@ def build_precond(system: KktSystem, kind="al",
 
     `system` is the plain step system (`build_kkt` without `pin`); the stack
     derives the form it solves from it: "al" augments it, "ideal" pins it,
-    "bpcd" solves it as it is and assembles its pressure-space operators.
+    "bpcd" solves it as it is and assembles its pressure-space pair.
     Everything that depends on the level alone comes from `system.level_ops`:
     M, Mp, Kp, their Chebyshev solvers, and the LUs of the pinned Kp and of
     the exact mass solves. The stack holds only what the step builds.
@@ -362,13 +340,15 @@ def build_precond(system: KktSystem, kind="al",
         system = operators.augment(system, system.params.gamma)
 
     lvl = system.level_ops
-    mass_solve = (lvl.m_lu.solve if exact_blocks
-                  else lambda b: chebyshev_solve(lvl.m_cheb, b))
-    outer = (build_bpcd_outer(system, exact_blocks=exact_blocks)
-             if kind == "bpcd" else None)
-    return PrecondStack(kind=kind, system=system,
-                        matching=build_matching(system, exact=exact_blocks),
-                        outer=outer, mass_solve=mass_solve)
+    stack = PrecondStack(kind=kind, system=system, mass_solve=(
+        lvl.m_lu.solve if exact_blocks
+        else lambda b: chebyshev_solve(lvl.m_cheb, b)))
+    if kind == "bpcd":
+        stack.outer = system.pres()
+        stack.mp_solve = (lvl.mp_lu.solve if exact_blocks
+                          else lambda b: chebyshev_solve(lvl.mp_cheb, b))
+    stack.matching = build_matching(system, exact=exact_blocks)
+    return stack
 
 
 def inner_p1_apply(stack: PrecondStack, rhs):
@@ -400,7 +380,7 @@ def outer_p2_apply(stack: PrecondStack, rhs):
     if stack.kind == "al":
         y1, y2 = al_outer_schur_apply(system, r_mu, r_p)
     else:
-        y1, y2 = bpcd_outer_schur_apply(system, stack.outer, r_mu, r_p)
+        y1, y2 = bpcd_outer_schur_apply(stack, r_mu, r_p)
     z_mu, z_p = -y1, -y2
 
     bt = system.b.T

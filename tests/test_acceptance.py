@@ -122,12 +122,11 @@ def test_woodbury_block_identity():
     params = KktParams(nu=0.01, beta=beta)
     system = build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
                        geom.patches, geom.quad, params, pin=True)
+    lvl = system.level_ops
     b = system.b.toarray()
-    w = system.level_ops.mp_diag[1:]
+    w = lvl.mp_diag[1:]
     n_p = b.shape[0]
-    vel = assemble_velocity(geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                            np.zeros(geom.dofmap.n_v_full), nu=1.0)
-    phi_1 = restrict(vel.m_full + 0.5 * vel.k_full, geom.dofmap).toarray()
+    phi_1 = restrict(lvl.m_full + 0.5 * lvl.k_full, geom.dofmap).toarray()
     phi = sla.block_diag(phi_1, phi_1)
     psi = np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]])
     w_inv = np.block([[np.zeros((n_p, n_p)), np.diag(1.0 / w)],

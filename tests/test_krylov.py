@@ -299,3 +299,6 @@ def test_krylov_config_validation():
             KrylovConfig(rtol=bad)
         with pytest.raises(ValueError):
             KrylovConfig(rtol=bad, fixed_iters=5)
+    for steps in (0, -1):
+        with pytest.raises(ValueError):
+            KrylovConfig(fixed_iters=steps)

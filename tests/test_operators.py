@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from nsctl.grid_fem import setup_geometry
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
-                             _scatter, _vector_expand, _wind_cellwise,
+                             _lps_delta, _lps_matrix, _scatter, _streamline,
+                             _vector_expand, _wind_cellwise, _wind_terms,
                              assemble_curvature, assemble_curvature_exact,
                              assemble_divergence, assemble_pressure,
                              assemble_velocity, augment, build_kkt,
@@ -29,6 +30,21 @@ def _vel(geom, wind, nu=1.0, **kw):
 def _pres(geom, wind, nu=1.0, **kw):
     return assemble_pressure(geom.mesh, geom.dofmap, geom.patches, geom.quad,
                              wind, nu, **kw)
+
+
+def _terms(geom, wind, nu=1.0, space="q2", lps_on=True, stab_wind=None):
+    """The scalar convection and stabilization (N, W) of one space, from
+    the `_wind_terms` kernel."""
+    d, q = geom.dofmap, geom.quad
+    lvl = _level_operators(geom.mesh.level, q.order)
+    tables = ((q.q2_vals, lvl.g2, d.cell_q2, d.n_q2) if space == "q2"
+              else (q.q1_vals, lvl.g1, d.cell_q1, d.n_p))
+    return _wind_terms(geom.mesh, d, geom.patches, q, wind, nu, lps_on,
+                       stab_wind, *tables)
+
+
+def _kron2(a):
+    return sp.kron(a, sp.eye(2), format="csr")
 
 
 def _zero_wind(geom):
@@ -69,17 +85,17 @@ def test_mass_component_blocks_integrate_area(geom2):
 
 
 def test_stiffness_symmetric_with_constant_nullvector(geom2):
-    vel = _vel(geom2, _zero_wind(geom2))
-    assert _maxabs(vel.k_full - vel.k_full.T) <= 1e-14
-    ones = np.ones(vel.k_full.shape[0])
-    assert np.abs(vel.k_full @ ones).max() <= 1e-13
+    k = _level_operators(geom2.mesh.level, geom2.quad.order).k_full
+    assert _maxabs(k - k.T) <= 1e-14
+    ones = np.ones(k.shape[0])
+    assert np.abs(k @ ones).max() <= 1e-13
 
 
 def test_convection_vanishes_at_zero_wind(geom2):
     vel = _vel(geom2, _zero_wind(geom2))
     assert _maxabs(vel.n_full) == 0.0
     assert _maxabs(vel.h_full) == 0.0
-    assert _maxabs(vel.w_full) == 0.0
+    assert _maxabs(_terms(geom2, _zero_wind(geom2))[1]) == 0.0
 
 
 def test_wind_gradient_block_vanishes_for_constant_wind(geom2):
@@ -100,36 +116,72 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
     gradw = np.einsum("cnd,qne->cqde", _wind_cellwise(wind, d), g2)
     h_e = np.einsum("q,qi,qj,cqab->ciajb", wdet, nvals, nvals, gradw)
     idx = _vector_expand(d.cell_q2)
-    want = _scatter(idx, idx, h_e.reshape(-1, 18, 18),
-                    (2 * d.n_q2, 2 * d.n_q2))
+    want = _scatter((2 * d.n_q2, 2 * d.n_q2),
+                    (idx, idx, h_e.reshape(-1, 18, 18)))
     got = _vel(geom3, wind).h_full
     assert _maxabs((got - want).tocsr()) <= 1e-13 * _maxabs(want)
 
 
 def test_stabilization_symmetric_psd(geom2):
-    vel = _vel(geom2, _const_wind(geom2, 1.0, 0.5), nu=1e-3)
-    assert _maxabs((vel.w_full - vel.w_full.T).tocsr()) <= 1e-14
-    eigs = np.linalg.eigvalsh(vel.w_full.toarray())
+    _, w = _terms(geom2, _const_wind(geom2, 1.0, 0.5), nu=1e-3)
+    assert _maxabs((w - w.T).tocsr()) <= 1e-14
+    eigs = np.linalg.eigvalsh(w.toarray())
     assert eigs.min() >= -1e-12
     assert eigs.max() > 0.0
 
 
 def test_stabilization_wind_override(geom2):
     stab = _const_wind(geom2, 1.0, 0.5)
-    frozen = _vel(geom2, _zero_wind(geom2), nu=1e-3, stab_wind=stab)
-    direct = _vel(geom2, stab, nu=1e-3)
-    assert _maxabs(frozen.w_full) > 0.0
-    assert _maxabs((frozen.w_full - direct.w_full).tocsr()) == 0.0
-    assert _maxabs(frozen.n_full) == 0.0    # convection still uses `wind`
+    n_frozen, w_frozen = _terms(geom2, _zero_wind(geom2), nu=1e-3,
+                                stab_wind=stab)
+    _, w_direct = _terms(geom2, stab, nu=1e-3)
+    assert _maxabs(w_frozen) > 0.0
+    assert _maxabs((w_frozen - w_direct).tocsr()) == 0.0
+    assert _maxabs(n_frozen) == 0.0         # convection still uses `wind`
 
 
 def test_velocity_combination_identities(geom2):
-    vel = _vel(geom2, lift_boundary(geom2.dofmap), nu=0.01)
-    d = vel.d_full(0.01) - (0.01 * vel.k_full + vel.n_full + vel.w_full)
-    d_adj = vel.d_adj_full(0.01) - (0.01 * vel.k_full - vel.n_full
-                                    + vel.w_full)
+    lift = lift_boundary(geom2.dofmap)
+    vel = _vel(geom2, lift, nu=0.01)
+    k = _level_operators(geom2.mesh.level, geom2.quad.order).k_full
+    n, w = (_kron2(a) for a in _terms(geom2, lift, nu=0.01))
+    d = vel.d_full - (0.01 * k + n + w)
+    d_adj = vel.d_adj_full - (0.01 * k - n + w)
     assert _maxabs(d.tocsr()) == 0.0
     assert _maxabs(d_adj.tocsr()) == 0.0
+
+
+@pytest.mark.parametrize("lps_on", [True, False])
+@pytest.mark.parametrize("separate_stab", [False, True])
+@pytest.mark.parametrize("level", [2, 3])
+def test_operator_pairs_are_formed_by_the_formulas(request, level,
+                                                   separate_stab, lps_on):
+    """Each assembler's pair is bit for bit the sum the step code formed
+    from K (or Kp) and the kernel's N and W (or Np and Wp):
+    D = (nu K + N) + W and D_adj = (nu K - N) + W on the velocity space,
+    (nu Kp + Wp) + Np and (nu Kp + Wp) - Np on the pressure space."""
+    geom = request.getfixturevalue(f"geom{level}")
+    d, nu = geom.dofmap, 1 / 250
+    rng = np.random.default_rng(level)
+    wind = lift_boundary(d)
+    wind[d.interior_vdofs] = 0.5 * rng.standard_normal(d.n_v_int)
+    stab = (wind + 0.1 * rng.standard_normal(d.n_v_full) if separate_stab
+            else None)
+    lvl = _level_operators(level, geom.quad.order)
+    kw = dict(nu=nu, lps_on=lps_on, stab_wind=stab)
+
+    vel = _vel(geom, wind, **kw)
+    n, w = (_kron2(a) for a in _terms(geom, wind, **kw))
+    assert (_maxabs(w) > 0.0) == lps_on
+    assert _bits_equal(vel.d_full, (nu * lvl.k_full + n + w).tocsr())
+    assert _bits_equal(vel.d_adj_full, (nu * lvl.k_full - n + w).tocsr())
+
+    pres = _pres(geom, wind, **kw)
+    n_p, w_p = _terms(geom, wind, space="q1", **kw)
+    assert (_maxabs(w_p) > 0.0) == lps_on
+    base = (nu * lvl.kp + w_p).tocsr()
+    assert _bits_equal(pres.dp, (base + n_p).tocsr())
+    assert _bits_equal(pres.dp_adj, (base - n_p).tocsr())
 
 
 def test_wind_validation(geom2):
@@ -160,13 +212,12 @@ def test_level_operators_shared_and_read_only(geom3):
     lvl = _level_operators(geom3.mesh.level, geom3.quad.order)
     da = assemble_divergence(geom3.mesh, geom3.dofmap, geom3.quad)
     db = assemble_divergence(other.mesh, other.dofmap, other.quad)
-    assert a.m_full is b.m_full and a.k_full is b.k_full
-    assert a.m_full is lvl.m_full
+    assert a.m_full is b.m_full and a.m_full is lvl.m_full
     assert lvl is _level_operators(other.mesh.level, other.quad.order)
     assert da is db is lvl
     assert lvl.bt_winv_b is lvl.bt_winv_b
     assert a.n_full is not b.n_full
-    for mat in (a.m_full, a.k_full, lvl.mp, lvl.kp, da.b, da.b_full,
+    for mat in (a.m_full, lvl.k_full, lvl.mp, lvl.kp, da.b, da.b_full,
                 lvl.bt_winv_b):
         for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
@@ -180,14 +231,18 @@ def test_level_operators_shared_and_read_only(geom3):
 
 def test_scatter_sums_duplicates_into_canonical_csr():
     """`_scatter` relies on scipy's COO -> CSR conversion to sum duplicate
-    entries and sort each row's column indices."""
+    entries, within one part and across parts, and sort each row's column
+    indices."""
     rows = np.array([[2, 0], [0, 2], [1, 2]])
     cols = np.array([[1, 0], [1, 0], [0, 1]])
     blocks = np.arange(1.0, 13.0).reshape(3, 2, 2)
-    a = _scatter(rows, cols, blocks, (3, 2))
+    column = (np.array([[0, 1, 2]]), np.array([[1]]),
+              np.array([[[0.5], [-1.0], [2.0]]]))
+    a = _scatter((3, 2), (rows, cols, blocks), column)
     want = np.zeros((3, 2))
     np.add.at(want, (np.repeat(rows, 2, axis=1).ravel(),
                      np.tile(cols, (1, 2)).ravel()), blocks.ravel())
+    want[:, 1] += [0.5, -1.0, 2.0]
     assert a.format == "csr"
     assert a.has_canonical_format and a.has_sorted_indices
     for i in range(a.shape[0]):
@@ -208,12 +263,73 @@ def test_pressure_mass_and_stiffness(geom2):
     assert np.abs(lvl.kp @ ones).max() <= 1e-13
     assert np.array_equal(lvl.mp_diag, lvl.mp.diagonal())
     assert np.all(lvl.mp_diag > 0.0)
+    # one array: the record's diag(Mp) is the one its Chebyshev solver holds
+    assert lvl.mp_diag is lvl.mp_cheb.diag
 
 
 def test_pressure_wind_blocks_vanish_at_zero_wind(geom2):
+    n_p, w_p = _terms(geom2, _zero_wind(geom2), space="q1")
+    assert _maxabs(n_p) == 0.0
+    assert _maxabs(w_p) == 0.0
     pres = _pres(geom2, _zero_wind(geom2))
-    assert _maxabs(pres.np_conv) == 0.0
-    assert _maxabs(pres.wp) == 0.0
+    kp = _level_operators(geom2.mesh.level, geom2.quad.order).kp
+    for pair in (pres.dp, pres.dp_adj):     # nu Kp alone, with nu = 1
+        assert _maxabs((pair - kp).tocsr()) == 0.0
+
+
+def _lps_reference(patches, conv, wdet, delta, cell_nodes, n_dofs):
+    """The stabilization's own triplet assembly, as `_lps_matrix` had it
+    before it went through `_scatter`: cell blocks, then the rank-one
+    patch corrections, in one COO -> CSR conversion."""
+    active = np.flatnonzero(delta != 0.0)
+    if active.size == 0:
+        return sp.csr_matrix((n_dofs, n_dofs))
+    t_cell = np.einsum("cqm,cqn,q->cmn", conv, conv, wdet)
+    a_cell = np.einsum("cqn,q->cn", conv, wdet)
+    cells_act = patches.patch_cells[active].ravel()
+    w_act = np.repeat(delta[active], 4)
+    blocks = t_cell[cells_act] * w_act[:, None, None]
+    idx = cell_nodes[cells_act]
+    nb = idx.shape[1]
+    rows = [np.repeat(idx, nb, axis=1).ravel()]
+    cols = [np.tile(idx, (1, nb)).ravel()]
+    vals = [blocks.ravel()]
+    nodes_p = cell_nodes[patches.patch_cells[active]].reshape(active.size, -1)
+    a_p = a_cell[patches.patch_cells[active]].reshape(active.size, -1)
+    coef = (delta[active] / patches.measures[active])[:, None, None]
+    outer = -coef * a_p[:, :, None] * a_p[:, None, :]
+    npb = nodes_p.shape[1]
+    rows.append(np.repeat(nodes_p, npb, axis=1).ravel())
+    cols.append(np.tile(nodes_p, (1, npb)).ravel())
+    vals.append(outer.ravel())
+    return sp.coo_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_dofs, n_dofs)).tocsr()
+
+
+@pytest.mark.parametrize("space", ["q2", "q1"])
+def test_lps_matrix_matches_triplet_reference(geom3, space):
+    """W and Wp through `_scatter` are byte for byte the reference triplet
+    assembly, with every patch active, with some, and with none."""
+    d, q = geom3.dofmap, geom3.quad
+    lvl = _level_operators(geom3.mesh.level, q.order)
+    grads, nodes, n = ((lvl.g2, d.cell_q2, d.n_q2) if space == "q2"
+                       else (lvl.g1, d.cell_q1, d.n_p))
+    ramp = _zero_wind(geom3)
+    ramp[0::2] = (d.q2_coords[:, 0] + 1.0) ** 4
+    seen = set()
+    for wind, nu in ((_const_wind(geom3, 1.0, 0.5), 1e-3), (ramp, 0.05),
+                     (_zero_wind(geom3), 1.0)):
+        conv = _streamline(wind, d, q, grads)
+        delta = _lps_delta(geom3.patches, wind.reshape(-1, 2), geom3.mesh, nu)
+        seen.add(int(np.count_nonzero(delta)))
+        got = _lps_matrix(geom3.patches, conv, lvl.wdet, delta, nodes, n)
+        want = _lps_reference(geom3.patches, conv, lvl.wdet, delta, nodes, n)
+        assert got.shape == want.shape
+        for f in ("indptr", "indices", "data"):
+            g, w = getattr(got, f), getattr(want, f)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f
+    assert 0 in seen and geom3.patches.n_patches in seen and len(seen) == 3
 
 
 # --------------------------------------------------------------------------
@@ -394,8 +510,10 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
         assert _bits_equal(getattr(own, name), getattr(given, name)), name
 
     plain = build_kkt(*args, stab_wind=stab, res=res)
-    k, n, h, w = (restrict(m, d) for m in (vel.k_full, vel.n_full,
-                                            vel.h_full, vel.w_full))
+    n_s, w_s = _terms(geom3, state.v, nu=params.nu, stab_wind=stab)
+    k, n, h, w = (restrict(m, d) for m in (
+        _level_operators(3, geom3.quad.order).k_full, _kron2(n_s),
+        vel.h_full, _kron2(w_s)))
     d_int = (params.nu * k + n + w).tocsr()
     assert _bits_equal(plain.a21, (d_int + h).tocsr())
     if approach == "otd":

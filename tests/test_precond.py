@@ -15,12 +15,13 @@ from nsctl.krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
                           gmres)
 from nsctl.newton import NewtonConfig, _newton_step, initial_state
-from nsctl.operators import (CHEB_STEPS, KktParams, StateIterate,
-                             _level_operators, augment, build_kkt,
-                             lift_boundary, mass_eig_interval)
-from nsctl.precond import (BpcdOuterSchur, IdealPrecond, MatchingSchur,
-                           Multigrid, build_matching, build_precond,
-                           inner_p1_apply, matching_apply, outer_p2_apply)
+from nsctl.operators import (CHEB_STEPS, KktParams, PressureOperators,
+                             StateIterate, _level_operators, _wind_terms,
+                             augment, build_kkt, lift_boundary,
+                             mass_eig_interval)
+from nsctl.precond import (IdealPrecond, MatchingSchur, Multigrid,
+                           build_matching, build_precond, inner_p1_apply,
+                           matching_apply, outer_p2_apply)
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
@@ -259,9 +260,8 @@ def test_al_outer_zero_rhs(geom2):
 def test_bpcd_stokes_limit(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=True)
     system = stack.system
-    s = stack.outer
     nu_kp = (system.params.nu * system.level_ops.kp).tocsr()
-    for block in (s.dp_od, s.dp_do):
+    for block in (stack.outer.dp, stack.outer.dp_adj):
         diff = (block - nu_kp).tocsr()
         assert (np.abs(diff.data).max(initial=0.0) if diff.nnz else 0.0) \
             <= 1e-15
@@ -270,8 +270,7 @@ def test_bpcd_stokes_limit(geom2):
 def test_bpcd_outer_zero_rhs(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=False)
     system = stack.system
-    y1, y2 = precond_mod.bpcd_outer_schur_apply(system, stack.outer,
-                                                np.zeros(system.n_p),
+    y1, y2 = precond_mod.bpcd_outer_schur_apply(stack, np.zeros(system.n_p),
                                                 np.zeros(system.n_p))
     assert not y1.any() and not y2.any()
 
@@ -280,21 +279,31 @@ def test_bpcd_outer_zero_rhs(geom2):
 def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
     """The bpcd outer Schur inverse, with Kp's LU, Mp and beta read from the
     step system, equals the blockwise formula bit for bit on a step system
-    at the lid wind."""
+    at a random wind, with D_p formed from the kernel's Np and Wp."""
     d = geom2.dofmap
-    state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
+    v = lift_boundary(d)
+    v[d.interior_vdofs] = rng.standard_normal(d.n_v_int)
+    state = StateIterate(v=v, zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
-    plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad,
-                      KktParams(nu=0.01, beta=1e-2))
+    params = KktParams(nu=1 / 250, beta=1e-2)
+    plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad, params)
     stack = build_precond(plain, "bpcd", exact_blocks=exact)
-    system, s = stack.system, stack.outer
+    system = stack.system
     lvl, beta = system.level_ops, system.params.beta
+    n_p, w_p = _wind_terms(geom2.mesh, d, geom2.patches, geom2.quad, v,
+                           params.nu, True, None, geom2.quad.q1_vals, lvl.g1,
+                           d.cell_q1, d.n_p)
+    assert np.abs(w_p).max() > 0.0
+    base = (params.nu * lvl.kp + w_p).tocsr()
+    dp_od, dp_do = (base - n_p).tocsr(), (base + n_p).tocsr()
+    mp_solve = (lvl.mp_lu.solve if exact
+                else lambda b: chebyshev_solve(lvl.mp_cheb, b))
     r1, r2 = rng.standard_normal(system.n_p), rng.standard_normal(system.n_p)
     u1 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r1)
     u2 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r2)
-    want = (s.mp_solve(lvl.mp @ u1 + s.dp_od @ u2),
-            s.mp_solve(s.dp_do @ u1 - (lvl.mp @ u2) / beta))
-    got = precond_mod.bpcd_outer_schur_apply(system, s, r1, r2)
+    want = (mp_solve(lvl.mp @ u1 + dp_od @ u2),
+            mp_solve(dp_do @ u1 - (lvl.mp @ u2) / beta))
+    got = precond_mod.bpcd_outer_schur_apply(stack, r1, r2)
     assert np.any(want[0]) and np.any(want[1])
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
@@ -459,22 +468,23 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     want = chebyshev_solve(lvl.m_cheb, b)
     assert np.array_equal(stack.mass_solve(b), want)
     assert np.array_equal(bpcd.mass_solve(b), want)
-    assert np.array_equal(bpcd.outer.mp_solve(bp),
+    assert np.array_equal(bpcd.mp_solve(bp),
                           chebyshev_solve(lvl.mp_cheb, bp))
 
 
 def test_stacks_hold_only_per_step_objects(geom2):
     """A matching Schur approximation holds M and the two inverses only,
-    with M the level record's; the bpcd outer Schur holds none of the
-    level's data."""
+    with M the level record's; the bpcd stack's outer part is the step's
+    pressure-space pair and holds none of the level's data."""
     assert [f.name for f in dataclasses.fields(MatchingSchur)] \
         == ["mass", "inv_21", "inv_12"]
-    assert not {"kp_fact", "mp", "beta"} \
-        & {f.name for f in dataclasses.fields(BpcdOuterSchur)}
+    assert [f.name for f in dataclasses.fields(PressureOperators)] \
+        == ["dp", "dp_adj"]
     stack = build_precond(_stokes_system(geom2), "bpcd")
     assert set(vars(stack.matching)) == {"mass", "inv_21", "inv_12"}
     assert stack.matching.mass is stack.system.level_ops.m
-    assert set(vars(stack.outer)) == {"dp_od", "dp_do", "mp_solve"}
+    assert type(stack.outer) is PressureOperators
+    assert set(vars(stack.outer)) == {"dp", "dp_adj"}
 
 
 def test_level_factorizations_built_once(geom2, monkeypatch):
@@ -506,7 +516,7 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
     assert stack.mass_solve == lvl.m_lu.solve
-    assert stack.outer.mp_solve == lvl.mp_lu.solve
+    assert stack.mp_solve == lvl.mp_lu.solve
 
 
 def test_outer_p2_zero_rhs(geom2):
