@@ -18,10 +18,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
+from scipy.io import mmwrite
+
 from .grid_fem import setup_geometry
 from .krylov import KrylovConfig
 from .newton import NewtonConfig, newton_solve
-from .operators import KktParams, export_matrix_market
+from .operators import KktParams
 
 log = logging.getLogger("nsctl.bench")
 
@@ -100,14 +102,9 @@ def _parse_number(tok):
     return float(tok)
 
 
-def _num_list(text):
-    items = [t for t in text.split(",") if t.strip()]
-    return [_parse_number(t) for t in items]
-
-
-def _int_list(text):
-    items = [t for t in text.split(",") if t.strip()]
-    return [int(t, 10) for t in items]
+def _split(text, parse):
+    """Parse each non-blank item of a comma list."""
+    return [parse(t) for t in text.split(",") if t.strip()]
 
 
 def _build_parser():
@@ -151,9 +148,9 @@ def parse_config(argv=None):
     if ns.level is None:
         parser.error("--level is required")
     try:
-        levels = _int_list(ns.level)
-        nus = _num_list(ns.nu)
-        betas = _num_list(ns.beta)
+        levels = _split(ns.level, lambda t: int(t, 10))
+        nus = _split(ns.nu, _parse_number)
+        betas = _split(ns.beta, _parse_number)
         gamma = None if ns.gamma is None else _parse_number(ns.gamma)
     except ValueError as exc:
         parser.error(f"malformed number: {exc}")
@@ -196,8 +193,8 @@ def _make_exporter(spec, export_dir):
         blocks = {"a11": system.a11, "a12": system.a12, "a21": system.a21,
                   "a22": system.a22, "b": system.b}
         for name, mat in blocks.items():
-            export_matrix_market(
-                mat, os.path.join(case_dir, f"{name}_{spec.level}_{k}.mtx"))
+            mmwrite(os.path.join(case_dir, f"{name}_{spec.level}_{k}.mtx"),
+                    mat, field="real", symmetry="general")
 
     return exporter
 

@@ -1,5 +1,5 @@
-"""Sparse kernels: CSR construction, direct LU solves, Chebyshev semi-iteration
-for mass matrices, and restarted GMRES with right preconditioning.
+"""Sparse kernels: direct LU solves, Chebyshev semi-iteration for mass
+matrices, and restarted GMRES with right preconditioning.
 
 GMRES is hand-rolled because the benchmark reports iteration counts: we need a
 fixed-iteration mode (an exact number of inner steps, no tolerance exit),
@@ -9,31 +9,17 @@ update from it, so each step applies the preconditioner once and a
 preconditioner that varies between steps is admitted.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-log = logging.getLogger("nsctl.krylov")
-
 _REORTH_TOL = 1e-8
 
 
 class SingularMatrixError(Exception):
     """Raised when LU factorization meets a structurally or numerically singular matrix."""
-
-
-def from_triplets(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Assemble a CSR matrix from COO triplets; duplicates are summed."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
-                      or cols.min() < 0 or cols.max() >= shape[1]):
-        raise ValueError("triplet index out of bounds for shape %r" % (shape,))
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 class Factorization:
@@ -129,6 +115,8 @@ class KrylovConfig:
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
+        if self.maxiter < 1:
+            raise ValueError("maxiter must be >= 1")
         if not np.isfinite(self.rtol):
             raise ValueError(f"rtol must be finite, got {self.rtol}")
         if self.rtol <= 0.0 and self.fixed_iters is None:
@@ -228,11 +216,8 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
 
     With cfg.fixed_iters set, runs exactly that many Arnoldi steps (no
     tolerance exit) -- the mode used for the inner momentum solver. That mode
-    does not compute `true_residual`, which stays 0. `apply_p` None means
-    no preconditioner.
+    does not compute `true_residual`, which stays 0.
     """
-    if apply_p is None:
-        apply_p = lambda x: x  # noqa: E731
     b = np.asarray(b, dtype=np.float64)
     stats = SolveStats()
 
@@ -271,13 +256,3 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
     if stats.true_residual <= target:
         stats.converged = True
     return x, stats
-
-
-def fgmres(apply_a, apply_p_varying, b, cfg: KrylovConfig):
-    """Flexible GMRES: the preconditioner may change between iterations.
-
-    This is `gmres` itself, which already builds the update from the stored
-    preconditioned basis; the name marks call sites whose preconditioner
-    varies.
-    """
-    return gmres(apply_a, apply_p_varying, b, cfg)

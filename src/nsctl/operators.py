@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .grid_fem import build_dofmap, build_mesh, tabulate
 from .krylov import ChebyshevMassSolver, factorize
@@ -342,11 +341,11 @@ def _level_operators(level, quad_order):
                          b=b_full[:, dofmap.interior_vdofs].tocsr(),
                          b_full=b_full, mp=mp, kp=kp,
                          m_cheb=ChebyshevMassSolver(
-                             matrix=m, interval=mass_eig_interval(quad, "q2"),
-                             steps=CHEB_STEPS),
+                             matrix=m, steps=CHEB_STEPS,
+                             interval=mass_eig_interval(quad, quad.q2_vals)),
                          mp_cheb=ChebyshevMassSolver(
-                             matrix=mp, interval=mass_eig_interval(quad, "q1"),
-                             steps=CHEB_STEPS))
+                             matrix=mp, steps=CHEB_STEPS,
+                             interval=mass_eig_interval(quad, quad.q1_vals)))
     for a in (wdet, g2, g1, nn_w, ops.m_cheb.diag, ops.mp_cheb.diag):
         a.flags.writeable = False
     for a in (m_full, k_full, m, ops.b, b_full, mp, kp):
@@ -505,17 +504,6 @@ def assemble_divergence(mesh, dofmap, quad):
     return _level_operators(mesh.level, quad.order)
 
 
-def assemble_curvature(mesh, dofmap, quad, zeta):
-    """Coupling pair (N(zeta), H(zeta)) on interior dofs.
-
-    These are the blocks the inexact Newton iteration drops; they equal the
-    wind-dependent blocks of assemble_velocity with the wind replaced by the
-    adjoint velocity.
-    """
-    ops = assemble_velocity(mesh, dofmap, None, quad, zeta, nu=1.0, lps_on=False)
-    return restrict(ops.n_full, dofmap), restrict(ops.h_full, dofmap)
-
-
 def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
     """Curvature correction of the (1,1) momentum block for full Newton.
 
@@ -541,8 +529,12 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
         nn2 = dofmap.n_v_full
         c_int = restrict(_scatter((nn2, nn2), (idx_v, idx_v, c_e)), dofmap)
         return (c_int + c_int.T).tocsr()
-    n_z, h_z = assemble_curvature(mesh, dofmap, quad, zeta)
-    return (n_z + h_z).tocsr()
+    # N(zeta) and H(zeta) are the wind blocks of the velocity operators at
+    # the wind zeta
+    ops = assemble_velocity(mesh, dofmap, None, quad, zeta, nu=1.0,
+                            lps_on=False)
+    return (restrict(ops.n_full, dofmap)
+            + restrict(ops.h_full, dofmap)).tocsr()
 
 
 def lift_boundary(dofmap):
@@ -670,19 +662,15 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
 # small utilities
 # --------------------------------------------------------------------------
 
-def export_matrix_market(mat, path):
-    """Write a block in Matrix Market coordinate format."""
-    mmwrite(str(path), sp.coo_matrix(mat), field="real", symmetry="general")
-
-
-def mass_eig_interval(quad, space="q2"):
-    """Eigenvalue interval of the Jacobi-scaled reference-element mass matrix.
+def mass_eig_interval(quad, vals):
+    """Eigenvalue interval of the Jacobi-scaled reference-element mass matrix
+    of the space whose shape values at the quadrature points are `vals`
+    (`quad.q2_vals` or `quad.q1_vals`).
 
     On a uniform mesh the assembled diagonal is the sum of element diagonals,
     so by a Rayleigh-quotient argument these element-level bounds contain the
     spectrum of diag(M)^-1 M (and of any principal submatrix of it).
     """
-    vals = quad.q2_vals if space == "q2" else quad.q1_vals
     m_e = np.einsum("q,qi,qj->ij", quad.weights, vals, vals)
     d = np.sqrt(np.diag(m_e))
     eigs = np.linalg.eigvalsh(m_e / np.outer(d, d))

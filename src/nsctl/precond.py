@@ -25,14 +25,6 @@ from .krylov import (Factorization, KrylovConfig, chebyshev_solve, factorize,
                      gmres)
 from .operators import KktSystem
 
-__all__ = [
-    "MatchingSchur", "PrecondStack",
-    "IdealPrecond", "Multigrid", "build_matching",
-    "build_multigrid", "build_precond",
-    "matching_apply", "inner_p1_apply",
-    "al_outer_schur_apply", "bpcd_outer_schur_apply", "outer_p2_apply",
-]
-
 _IDEAL_GUARD = 20000
 
 

@@ -199,7 +199,8 @@ def test_chebyshev_mass_solve_accuracy():
                             np.zeros(geom.dofmap.n_v_full), nu=1.0)
     m = restrict(vel.m_full, geom.dofmap)
     solver = ChebyshevMassSolver(matrix=m,
-                                 interval=mass_eig_interval(geom.quad, "q2"),
+                                 interval=mass_eig_interval(
+                                     geom.quad, geom.quad.q2_vals),
                                  steps=20)
     rng = np.random.default_rng(7)
     for trial in range(10):

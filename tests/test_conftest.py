@@ -1,9 +1,13 @@
-"""The suite's own fixtures, checked in a separate pytest process."""
+"""The suite's own fixtures and settings, checked in a separate pytest
+process."""
 
+import json
+import tomllib
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 CONFTEST = Path(__file__).with_name("conftest.py")
-SRC = Path(__file__).resolve().parents[1] / "src"
+SRC = ROOT / "src"
 
 
 def test_leaked_thread_check(pytester, monkeypatch):
@@ -35,3 +39,29 @@ def test_leaked_thread_check(pytester, monkeypatch):
     result.stdout.fnmatch_lines(
         ["*ERROR at teardown of test_passes_leaving_a_thread*"])
     result.stdout.no_fnmatch_line("*ERROR at teardown of test_fails_*")
+
+
+def test_failing_hypothesis_test_fails_alone(pytester):
+    """Under the suite's warning filters, a failing Hypothesis test is one
+    failure: reporting its example imports modules that emit deprecation
+    warnings, and those must not abort the session before the other tests
+    run."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        filters = tomllib.load(fh)["tool"]["pytest"]["ini_options"][
+            "filterwarnings"]
+    pytester.makepyprojecttoml(
+        f"[tool.pytest.ini_options]\nfilterwarnings = {json.dumps(filters)}\n")
+    pytester.makepyfile(test_inner="""
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        @given(st.integers(0, 10))
+        def test_fails(n):
+            assert n < 5
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(passed=1, failed=1)
+    assert result.ret == 1

@@ -1,16 +1,12 @@
-"""Sparse kernel, Chebyshev and GMRES/FGMRES contract checks."""
-
-import random
+"""LU, Chebyshev and flexible GMRES contract checks."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
-                          fgmres, from_triplets, gmres)
+                          gmres)
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              assemble_velocity, augment, build_kkt,
                              lift_boundary, mass_eig_interval, restrict)
@@ -24,57 +20,6 @@ def _interior_mass(geom):
     vel = assemble_velocity(geom.mesh, geom.dofmap, geom.patches, geom.quad,
                             _zero_wind(geom), nu=1.0)
     return restrict(vel.m_full, geom.dofmap)
-
-
-# --------------------------------------------------------------------------
-# from_triplets
-# --------------------------------------------------------------------------
-
-def test_triplets_empty():
-    a = from_triplets([], [], [], (3, 3))
-    assert a.shape == (3, 3) and a.nnz == 0
-
-
-def test_triplets_duplicates_summed():
-    a = from_triplets([0, 0], [0, 0], [1.0, 2.0], (2, 2))
-    assert a.nnz == 1
-    assert a[0, 0] == 3.0
-
-
-def test_triplets_identity():
-    a = from_triplets([0, 1], [0, 1], [1.0, 1.0], (2, 2))
-    assert np.array_equal(a.toarray(), np.eye(2))
-
-
-def test_triplets_out_of_bounds():
-    with pytest.raises(ValueError):
-        from_triplets([2], [0], [1.0], (2, 2))
-    with pytest.raises(ValueError):
-        from_triplets([0], [-1], [1.0], (2, 2))
-
-
-@given(trips=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                                st.floats(-1e3, 1e3)), max_size=40),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_triplets_match_dense_accumulation(trips, seed):
-    rows = [t[0] for t in trips]
-    cols = [t[1] for t in trips]
-    vals = [t[2] for t in trips]
-    a = from_triplets(rows, cols, vals, (5, 5))
-    dense = np.zeros((5, 5))
-    for r, c, v in trips:
-        dense[r, c] += v
-    assert np.allclose(a.toarray(), dense, atol=1e-8)
-    # assembly order must not matter
-    perm = list(range(len(trips)))
-    random.Random(seed).shuffle(perm)
-    b = from_triplets([rows[i] for i in perm], [cols[i] for i in perm],
-                      [vals[i] for i in perm], (5, 5))
-    assert np.allclose(a.toarray(), b.toarray(), atol=1e-8)
-    # per-row columns strictly increasing
-    for i in range(5):
-        idx = a.indices[a.indptr[i]:a.indptr[i + 1]]
-        assert np.all(np.diff(idx) > 0)
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +101,8 @@ def test_chebyshev_interval_validation():
 def test_chebyshev_is_linear(geom2, rng):
     lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
     solver = ChebyshevMassSolver(matrix=lvl.mp,
-                                 interval=mass_eig_interval(geom2.quad, "q1"),
+                                 interval=mass_eig_interval(
+                                     geom2.quad, geom2.quad.q1_vals),
                                  steps=20)
     b = rng.standard_normal(lvl.mp.shape[0])
     x1 = chebyshev_solve(solver, b)
@@ -170,7 +116,8 @@ def test_chebyshev_is_linear(geom2, rng):
 def test_chebyshev_velocity_mass_accuracy(geom3, rng):
     m = _interior_mass(geom3)
     solver = ChebyshevMassSolver(matrix=m,
-                                 interval=mass_eig_interval(geom3.quad, "q2"),
+                                 interval=mass_eig_interval(
+                                     geom3.quad, geom3.quad.q2_vals),
                                  steps=20)
     b = rng.standard_normal(m.shape[0])
     x = chebyshev_solve(solver, b)
@@ -178,7 +125,7 @@ def test_chebyshev_velocity_mass_accuracy(geom3, rng):
 
 
 # --------------------------------------------------------------------------
-# GMRES / FGMRES
+# flexible GMRES
 # --------------------------------------------------------------------------
 
 def _well_conditioned(rng, n=60):
@@ -187,7 +134,7 @@ def _well_conditioned(rng, n=60):
 
 def test_gmres_identity_one_iteration(rng):
     b = rng.standard_normal(10)
-    x, stats = gmres(lambda u: u, None, b, KrylovConfig(rtol=1e-12))
+    x, stats = gmres(lambda u: u, lambda u: u, b, KrylovConfig(rtol=1e-12))
     assert stats.iters == 1 and stats.converged
     assert np.allclose(x, b, atol=1e-14)
 
@@ -195,7 +142,8 @@ def test_gmres_identity_one_iteration(rng):
 def test_gmres_fixed_iterations(rng):
     a = _well_conditioned(rng)
     b = rng.standard_normal(a.shape[0])
-    x, stats = gmres(lambda u: a @ u, None, b, KrylovConfig(fixed_iters=5))
+    x, stats = gmres(lambda u: a @ u, lambda u: u, b,
+                     KrylovConfig(fixed_iters=5))
     assert stats.iters == 5
     assert len(stats.residuals) == 5
 
@@ -231,7 +179,7 @@ def test_gmres_applies_operator_once_per_step_and_cycle(rng, cfg):
         calls.append(1)
         return a @ u
 
-    x, stats = gmres(apply_a, None, b, cfg)
+    x, stats = gmres(apply_a, lambda u: u, b, cfg)
     if cfg.fixed_iters is not None:
         assert len(calls) == stats.iters == cfg.fixed_iters
         return
@@ -245,7 +193,7 @@ def test_gmres_converges_and_reports_true_residual(rng):
     a = _well_conditioned(rng)
     b = rng.standard_normal(a.shape[0])
     cfg = KrylovConfig(restart=10, rtol=1e-9, maxiter=100)
-    x, stats = gmres(lambda u: a @ u, None, b, cfg)
+    x, stats = gmres(lambda u: a @ u, lambda u: u, b, cfg)
     assert stats.converged
     true = np.linalg.norm(b - a @ x)
     assert true <= 1e-9 * np.linalg.norm(b)
@@ -266,25 +214,13 @@ def test_gmres_residuals_monotone_within_cycle(rng):
     a = _well_conditioned(rng, n=50)
     b = rng.standard_normal(50)
     cfg = KrylovConfig(restart=50, rtol=1e-10, maxiter=50)   # single cycle
-    _, stats = gmres(lambda u: a @ u, None, b, cfg)
+    _, stats = gmres(lambda u: a @ u, lambda u: u, b, cfg)
     res = np.array(stats.residuals)
     assert np.all(np.diff(res) <= 1e-12 * res[0])
 
 
-def test_fgmres_matches_gmres_for_constant_preconditioner(rng):
-    a = _well_conditioned(rng)
-    p = np.linalg.inv(np.diag(np.diag(a)))
-    b = rng.standard_normal(a.shape[0])
-    cfg = KrylovConfig(restart=10, rtol=1e-9, maxiter=100)
-    x1, s1 = gmres(lambda u: a @ u, lambda u: p @ u, b, cfg)
-    x2, s2 = fgmres(lambda u: a @ u, lambda u: p @ u, b, cfg)
-    assert s1.iters == s2.iters
-    assert s1.converged and s2.converged
-    assert np.allclose(x1, x2, atol=1e-10)
-
-
 def test_fgmres_zero_rhs():
-    x, stats = fgmres(lambda u: u, None, np.zeros(8), KrylovConfig())
+    x, stats = gmres(lambda u: u, lambda u: u, np.zeros(8), KrylovConfig())
     assert stats.iters == 0 and stats.converged
     assert np.array_equal(x, np.zeros(8))
 
@@ -292,6 +228,9 @@ def test_fgmres_zero_rhs():
 def test_krylov_config_validation():
     with pytest.raises(ValueError):
         KrylovConfig(restart=0)
+    for maxiter in (0, -3):
+        with pytest.raises(ValueError):
+            KrylovConfig(maxiter=maxiter)
     with pytest.raises(ValueError):
         KrylovConfig(rtol=-1.0)
     for bad in (np.nan, np.inf):

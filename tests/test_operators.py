@@ -1,19 +1,21 @@
 """Assembly and coupled-system contracts on small grids."""
 
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nsctl.grid_fem import setup_geometry
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              _lps_delta, _lps_matrix, _scatter, _streamline,
                              _vector_expand, _wind_cellwise, _wind_terms,
-                             assemble_curvature, assemble_curvature_exact,
-                             assemble_divergence, assemble_pressure,
-                             assemble_velocity, augment, build_kkt,
-                             eval_residual, export_matrix_market,
-                             lift_boundary, mass_eig_interval, pin_pressure,
-                             restrict)
+                             assemble_curvature_exact, assemble_divergence,
+                             assemble_pressure, assemble_velocity, augment,
+                             build_kkt, eval_residual, lift_boundary,
+                             mass_eig_interval, pin_pressure, restrict)
 
 
 def _maxabs(mat):
@@ -249,6 +251,48 @@ def test_scatter_sums_duplicates_into_canonical_csr():
         assert np.all(np.diff(a.indices[a.indptr[i]:a.indptr[i + 1]]) > 0)
     assert a.nnz == np.count_nonzero(want)
     assert np.array_equal(a.toarray(), want)
+    empty = _scatter((3, 2), (np.zeros((0, 1), dtype=np.int64),
+                              np.zeros((0, 1), dtype=np.int64),
+                              np.zeros((0, 1, 1))))
+    assert empty.format == "csr" and empty.shape == (3, 2)
+    assert empty.nnz == 0
+
+
+def _scatter_entries(entries, cuts):
+    """`_scatter` of (row, col, value) entries as 1x1 element blocks, split
+    into parts at the given cut points."""
+    bounds = [0] + sorted({c % (len(entries) + 1) for c in cuts}) \
+        + [len(entries)]
+    rows = np.array([r for r, _, _ in entries], dtype=np.int64)
+    cols = np.array([c for _, c, _ in entries], dtype=np.int64)
+    vals = np.array([v for _, _, v in entries], dtype=np.float64)
+    parts = [(rows[lo:hi, None], cols[lo:hi, None], vals[lo:hi, None, None])
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _scatter((5, 5), *parts)
+
+
+@given(entries=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                  st.floats(-1e3, 1e3)), max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scatter_matches_dense_accumulation(entries, cuts, seed):
+    """One CSR entry per distinct position, holding the sum of its
+    duplicates, with each row's columns strictly increasing; neither the
+    order of the entries nor their split into parts changes the result
+    beyond roundoff."""
+    a = _scatter_entries(entries, cuts)
+    dense = np.zeros((5, 5))
+    for r, c, v in entries:
+        dense[r, c] += v
+    assert a.format == "csr"
+    assert a.nnz == len({(r, c) for r, c, _ in entries})
+    assert np.allclose(a.toarray(), dense, atol=1e-8)
+    for i in range(5):
+        assert np.all(np.diff(a.indices[a.indptr[i]:a.indptr[i + 1]]) > 0)
+    shuffled = list(entries)
+    random.Random(seed).shuffle(shuffled)
+    b = _scatter_entries(shuffled, [seed])
+    assert np.allclose(a.toarray(), b.toarray(), atol=1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -363,9 +407,8 @@ def test_divergence_interior_columns_sum_to_zero(geom2):
 # --------------------------------------------------------------------------
 
 def test_curvature_zero_adjoint(geom2):
-    n_z, h_z = assemble_curvature(geom2.mesh, geom2.dofmap, geom2.quad,
-                                  _zero_wind(geom2))
-    assert _maxabs(n_z) == 0.0 and _maxabs(h_z) == 0.0
+    ops = _vel(geom2, _zero_wind(geom2), nu=1.0, lps_on=False)
+    assert _maxabs(ops.n_full) == 0.0 and _maxabs(ops.h_full) == 0.0
     for approach in ("dto", "otd"):
         c = assemble_curvature_exact(geom2.mesh, geom2.dofmap, geom2.quad,
                                      _zero_wind(geom2), approach)
@@ -376,10 +419,13 @@ def test_curvature_matches_wind_blocks(geom2, rng):
     zeta = _zero_wind(geom2)
     zeta[geom2.dofmap.interior_vdofs] = rng.standard_normal(
         geom2.dofmap.n_v_int)
-    n_z, h_z = assemble_curvature(geom2.mesh, geom2.dofmap, geom2.quad, zeta)
+    c = assemble_curvature_exact(geom2.mesh, geom2.dofmap, geom2.quad, zeta,
+                                 "otd")
     ops = _vel(geom2, zeta, nu=1.0, lps_on=False)
-    assert _maxabs((n_z - restrict(ops.n_full, geom2.dofmap)).tocsr()) == 0.0
-    assert _maxabs((h_z - restrict(ops.h_full, geom2.dofmap)).tocsr()) == 0.0
+    want = (restrict(ops.n_full, geom2.dofmap)
+            + restrict(ops.h_full, geom2.dofmap)).tocsr()
+    assert _maxabs(want) > 0.0
+    assert _maxabs((c - want).tocsr()) == 0.0
 
 
 def test_curvature_dto_is_symmetric(geom2, rng):
@@ -607,18 +653,10 @@ def test_block_products_match_assembled(geom2, rng, derive, approach):
 # utilities
 # --------------------------------------------------------------------------
 
-def test_matrix_market_export(geom2, tmp_path):
-    vel = _vel(geom2, _zero_wind(geom2))
-    out = tmp_path / "m.mtx"
-    export_matrix_market(vel.m_full, out)
-    header = out.read_text().splitlines()[0]
-    assert header == "%%MatrixMarket matrix coordinate real general"
-
-
 def test_mass_eig_intervals(geom2):
-    lo2, hi2 = mass_eig_interval(geom2.quad, "q2")
+    lo2, hi2 = mass_eig_interval(geom2.quad, geom2.quad.q2_vals)
     assert (lo2, hi2) == pytest.approx((0.25, 1.5625), abs=1e-10)
-    lo1, hi1 = mass_eig_interval(geom2.quad, "q1")
+    lo1, hi1 = mass_eig_interval(geom2.quad, geom2.quad.q1_vals)
     assert (lo1, hi1) == pytest.approx((0.25, 2.25), abs=1e-10)
     # the assembled, Jacobi-scaled mass spectrum sits inside the interval
     vel = _vel(geom2, _zero_wind(geom2))

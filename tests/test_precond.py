@@ -449,10 +449,10 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     for system in (plain, _stokes_system(geom, augmented=True),
                    _stokes_system(geom, pinned=True)):
         assert system.level_ops is lvl
-    for cheb, mat, space in ((lvl.m_cheb, lvl.m, "q2"),
-                             (lvl.mp_cheb, lvl.mp, "q1")):
+    for cheb, mat, vals in ((lvl.m_cheb, lvl.m, geom.quad.q2_vals),
+                            (lvl.mp_cheb, lvl.mp, geom.quad.q1_vals)):
         assert cheb.matrix is mat and cheb.steps == CHEB_STEPS
-        assert cheb.interval == mass_eig_interval(geom.quad, space)
+        assert cheb.interval == mass_eig_interval(geom.quad, vals)
 
     def refuse(self):
         raise AssertionError("a stack built a Chebyshev mass solver")
