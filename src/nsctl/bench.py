@@ -357,9 +357,14 @@ def emit(results, fmt, path=None, pivots=None):
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("NSCTL_LOG", "WARNING").upper(),
-        format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    name = os.environ.get("NSCTL_LOG", "WARNING")
+    # getLevelName maps a registered level name to its number
+    if not isinstance(logging.getLevelName(name.upper()), int):
+        sys.stderr.write(f"nsctl-bench: error: NSCTL_LOG={name!r} is not a log "
+                         "level; use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+        sys.exit(2)
+    logging.basicConfig(level=name.upper(),
+                        format="%(asctime)s %(name)s %(levelname)s %(message)s")
     specs, opts = parse_config(argv)
     results, pivots = run_sweep(specs, jobs=opts.jobs,
                                 export_dir=opts.export_dir)

@@ -22,7 +22,6 @@ class Mesh:
     level: int
     cells_per_dir: int
     h_q1: float                       # cell edge length, 2^(1-l)
-    vertices: np.ndarray              # (n_vert, 2) Q1 vertex coordinates
     cell_vertices: np.ndarray         # (n_cells, 4) vertex ids, local lex by (y, x)
 
     @property
@@ -38,8 +37,7 @@ class DofMap:
     q2_coords: np.ndarray             # (n_q2, 2)
     cell_q2: np.ndarray               # (n_cells, 9) Q2 node ids, local lex by (y, x)
     boundary_nodes: np.ndarray        # sorted Q2 node ids on the boundary
-    interior_nodes: np.ndarray        # sorted complement
-    n_v_int: int                      # interior velocity dofs, 2 * len(interior_nodes)
+    n_v_int: int                      # interior velocity dofs
     n_p: int                          # pressure dofs, (2^l+1)^2
     cell_q1: np.ndarray               # (n_cells, 4) pressure dof ids
     interior_vdofs: np.ndarray        # full -> kept velocity dof ids
@@ -63,8 +61,8 @@ class PatchPartition:
     """Disjoint 2x2 macro-patches covering all cells."""
 
     patch_cells: np.ndarray           # (n_patches, 4) cell ids
-    measures: np.ndarray              # (n_patches,)
-    box_lengths: np.ndarray           # (n_patches, 2) patch extent per direction
+    centroid_nodes: np.ndarray        # (n_patches,) Q2 node at each centre
+    size: float                       # patch edge length, 2 h
 
     @property
     def n_patches(self) -> int:
@@ -75,8 +73,6 @@ class PatchPartition:
 class QuadratureRule:
     """Tensor Gauss rule on [-1,1]^2 with tabulated Q2/Q1 shapes and reference gradients."""
 
-    order: int                        # points per direction
-    points: np.ndarray                # (nq, 2)
     weights: np.ndarray               # (nq,)
     q2_vals: np.ndarray               # (nq, 9)
     q2_grads: np.ndarray              # (nq, 9, 2) d/dxi, d/deta
@@ -90,15 +86,11 @@ def build_mesh(l: int) -> Mesh:
         raise ValueError(f"invalid refinement level {l!r}: need integer l >= 1")
     nc = 2 ** l
     h = 2.0 / nc
-    coords_1d = np.linspace(-1.0, 1.0, nc + 1)
-    xg, yg = np.meshgrid(coords_1d, coords_1d, indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
     ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="xy")
     ci, cj = ci.ravel(), cj.ravel()
     base = cj * (nc + 1) + ci
     cell_vertices = np.column_stack([base, base + 1, base + (nc + 1), base + (nc + 2)])
-    return Mesh(level=l, cells_per_dir=nc, h_q1=h, vertices=vertices,
+    return Mesh(level=l, cells_per_dir=nc, h_q1=h,
                 cell_vertices=cell_vertices.astype(np.int64))
 
 
@@ -130,7 +122,6 @@ def build_dofmap(mesh: Mesh) -> DofMap:
         q2_coords=q2_coords,
         cell_q2=cell_q2.astype(np.int64),
         boundary_nodes=boundary_nodes,
-        interior_nodes=interior_nodes,
         n_v_int=2 * interior_nodes.size,
         n_p=(nc + 1) ** 2,
         cell_q1=mesh.cell_vertices,
@@ -146,13 +137,10 @@ def build_patches(mesh: Mesh) -> PatchPartition:
     pi, pj = pi.ravel(), pj.ravel()
     c00 = (2 * pj) * nc + 2 * pi
     patch_cells = np.column_stack([c00, c00 + 1, c00 + nc, c00 + nc + 1])
-
-    h = mesh.h_q1
-    n_patches = patch_cells.shape[0]
-    measures = np.full(n_patches, 4.0 * h * h)
-    box_lengths = np.full((n_patches, 2), 2.0 * h)
-    return PatchPartition(patch_cells=patch_cells.astype(np.int64), measures=measures,
-                          box_lengths=box_lengths)
+    m = 2 * nc + 1                    # Q2 nodes per direction
+    return PatchPartition(patch_cells=patch_cells.astype(np.int64),
+                          centroid_nodes=(4 * pj + 2) * m + (4 * pi + 2),
+                          size=2.0 * mesh.h_q1)
 
 
 def _gauss_1d(n: int):
@@ -193,8 +181,7 @@ def tabulate(rule_order: int) -> QuadratureRule:
 
     q2_vals, q2_grads = _tensor_tabulate(points, _q2_shapes_1d)
     q1_vals, q1_grads = _tensor_tabulate(points, _q1_shapes_1d)
-    return QuadratureRule(order=rule_order, points=points, weights=weights,
-                          q2_vals=q2_vals, q2_grads=q2_grads,
+    return QuadratureRule(weights=weights, q2_vals=q2_vals, q2_grads=q2_grads,
                           q1_vals=q1_vals, q1_grads=q1_grads)
 
 

@@ -119,28 +119,31 @@ class KrylovConfig:
             raise ValueError("maxiter must be >= 1")
         if not np.isfinite(self.rtol):
             raise ValueError(f"rtol must be finite, got {self.rtol}")
-        if self.rtol <= 0.0 and self.fixed_iters is None:
-            raise ValueError("rtol must be positive")
+        # the zero vector meets any rtol >= 1
+        if self.fixed_iters is None and not 0.0 < self.rtol < 1.0:
+            raise ValueError(f"rtol must be in (0, 1), got {self.rtol}")
         if self.fixed_iters is not None and self.fixed_iters < 1:
             raise ValueError("fixed_iters must be >= 1")
 
 
 @dataclass
 class SolveStats:
-    iters: int = 0
-    residuals: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)    # one per Arnoldi step
     converged: bool = False
     true_residual: float = 0.0
+
+    @property
+    def iters(self):
+        return len(self.residuals)
 
 
 def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
     """One Arnoldi cycle of right-preconditioned flexible GMRES from x0,
-    whose residual b - A x0 is r0; returns (x, met, breakdown)."""
+    whose residual b - A x0 is r0; returns (x, met, breakdown). r0 is
+    nonzero: `gmres` returns before any cycle for b = 0, and restarts only
+    while ||r|| > rtol ||b|| > 0."""
     n = r0.shape[0]
     beta = np.linalg.norm(r0)
-    if beta == 0.0:
-        return x0, True, False
-
     v = np.zeros((steps + 1, n))
     z = np.zeros((steps, n))
     h = np.zeros((steps + 1, steps))
@@ -203,8 +206,6 @@ def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
             met = True
             break
 
-    if j_done == 0:
-        return x0, False, breakdown
     y = np.zeros(j_done)
     for i in range(j_done - 1, -1, -1):
         y[i] = (g[i] - h[i, i + 1:j_done] @ y[i + 1:j_done]) / h[i, i]
@@ -226,14 +227,10 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
         stats.converged = True
         return np.zeros_like(b), stats
 
-    def collect(res):
-        stats.residuals.append(res)
-        stats.iters += 1
-
     fixed = cfg.fixed_iters
     if fixed is not None:
         x, _, _ = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b), fixed,
-                               None, collect)
+                               None, stats.residuals.append)
         stats.converged = True
         return x, stats
 
@@ -241,18 +238,13 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
     x, r = np.zeros_like(b), b
     while stats.iters < cfg.maxiter:
         steps = min(cfg.restart, cfg.maxiter - stats.iters)
-        before = len(stats.residuals)
         x, met, breakdown = _gmres_cycle(apply_a, apply_p, r, x, steps, target,
-                                         collect)
+                                         stats.residuals.append)
         r = b - apply_a(x)
-        if met or np.linalg.norm(r) <= target:
+        stats.true_residual = np.linalg.norm(r)
+        if met or stats.true_residual <= target:
             stats.converged = True
             break
         if breakdown:
             break
-        if len(stats.residuals) == before:   # no progress possible
-            break
-    stats.true_residual = np.linalg.norm(r)
-    if stats.true_residual <= target:
-        stats.converged = True
     return x, stats

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .grid_fem import build_dofmap, build_mesh, tabulate
+from .grid_fem import setup_geometry
 from .krylov import ChebyshevMassSolver, factorize
 
 CHEB_STEPS = 20                       # Chebyshev steps per mass solve
@@ -295,18 +295,16 @@ class LevelOperators:
 
 
 @lru_cache(maxsize=None)
-def _level_operators(level, quad_order):
+def _level_operators(level):
     """M, K, B, Mp, Kp and diag(Mp) of one level, with their element tables
     and the Chebyshev solvers of the two masses on the spectrum bounds of
     the Jacobi-scaled element masses.
 
-    Cached per (level, quadrature order), so every geometry of a level
-    shares them and what the record derives from them; their arrays are
-    read-only.
+    Cached per level, so every geometry of a level shares them and what the
+    record derives from them; their arrays are read-only.
     """
-    mesh = build_mesh(level)
-    dofmap = build_dofmap(mesh)
-    quad = tabulate(quad_order)
+    geom = setup_geometry(level)
+    mesh, dofmap, quad = geom.mesh, geom.dofmap, geom.quad
     # physical-space weights and gradients, the same on every cell
     jac = mesh.h_q1 / 2.0
     wdet = quad.weights * jac * jac
@@ -358,22 +356,17 @@ def _level_operators(level, quad_order):
 # stabilization
 # --------------------------------------------------------------------------
 
-def _lps_delta(patches, wind_nodes, mesh, nu):
+def _lps_delta(patches, wind_nodes, nu):
     """Per-patch stabilization weight from the patch Peclet number.
 
     The wind is sampled at the patch centroid (a Q2 node on this mesh). The
     directional patch length falls back to the patch diagonal for a vanishing
     wind, where the weight is zero anyway.
     """
-    m = 2 * mesh.cells_per_dir + 1
-    npd = mesh.cells_per_dir // 2
-    pid = np.arange(patches.n_patches)
-    pi, pj = pid % npd, pid // npd
-    centroid_node = (4 * pj + 2) * m + (4 * pi + 2)
-    wc = wind_nodes[centroid_node]                  # (n_patches, 2)
+    wc = wind_nodes[patches.centroid_nodes]         # (n_patches, 2)
     speed = np.linalg.norm(wc, axis=1)
 
-    hx, hy = patches.box_lengths[:, 0], patches.box_lengths[:, 1]
+    hx = hy = patches.size
     safe = np.where(speed > 0.0, speed, 1.0)
     h_m = np.where(speed > 1e-12,
                    (np.abs(wc[:, 0]) * hx + np.abs(wc[:, 1]) * hy) / safe,
@@ -406,7 +399,7 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
     # rank-one patch-mean correction: -(delta/|P|) (int w.grad u)(int w.grad v)
     nodes_p = cell_nodes[patches.patch_cells[active]].reshape(active.size, -1)
     a_p = a_cell[patches.patch_cells[active]].reshape(active.size, -1)
-    coef = (delta[active] / patches.measures[active])[:, None, None]
+    coef = (delta[active] / patches.size ** 2)[:, None, None]
     outer = -coef * a_p[:, :, None] * a_p[:, None, :]
     return _scatter((n_dofs, n_dofs),
                     (idx, idx, t_cell[cells_act] * w_act[:, None, None]),
@@ -430,22 +423,21 @@ def _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on, stab_wind,
     given by its shape values and gradients at the quadrature points, its
     cell-to-node map and its dimension `n`.
 
-    W is built from `stab_wind` when given (both the patch weights and the
-    streamline derivative), otherwise from `wind`; without `lps_on` it is
-    empty. Both winds are checked here.
+    W is built from `stab_wind` alone (both the patch weights and the
+    streamline derivative); it is empty without `lps_on` or without a
+    `stab_wind`. Both winds are checked here.
     """
     wind = _checked_wind(wind, dofmap)
     if stab_wind is not None:
         stab_wind = _checked_wind(stab_wind, dofmap, "stab_wind")
-    wdet = _level_operators(mesh.level, quad.order).wdet
-    conv = _streamline(wind, dofmap, quad, grads)
-    n_e = np.einsum("q,qi,cqj->cij", wdet, vals, conv)
+    wdet = _level_operators(mesh.level).wdet
+    n_e = np.einsum("q,qi,cqj->cij", wdet, vals,
+                    _streamline(wind, dofmap, quad, grads))
     conv_mat = _scatter((n, n), (cell_nodes, cell_nodes, n_e))
-    if not lps_on:
+    if not lps_on or stab_wind is None:
         return conv_mat, sp.csr_matrix((n, n))
-    if stab_wind is not None:
-        wind, conv = stab_wind, _streamline(stab_wind, dofmap, quad, grads)
-    delta = _lps_delta(patches, wind.reshape(-1, 2), mesh, nu)
+    conv = _streamline(stab_wind, dofmap, quad, grads)
+    delta = _lps_delta(patches, stab_wind.reshape(-1, 2), nu)
     return conv_mat, _lps_matrix(patches, conv, wdet, delta, cell_nodes, n)
 
 
@@ -454,11 +446,11 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     """Assemble N(wind), H(wind) and the stabilization matrix W, and form
     D = nu K + N + W and D_adj = nu K - N + W with the level's K.
 
-    The stabilization is built from `stab_wind` when given, otherwise from
-    `wind` (see `_wind_terms`). The Newton driver passes the frozen
-    stabilization wind here.
+    The stabilization is built from `stab_wind` alone, and is empty when
+    none is given (see `_wind_terms`). The Newton driver passes the frozen
+    stabilization wind here, and zero before it is frozen.
     """
-    lvl = _level_operators(mesh.level, quad.order)
+    lvl = _level_operators(mesh.level)
     nn = dofmap.n_q2
     n_s, w_s = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
                            stab_wind, quad.q2_vals, lvl.g2, dofmap.cell_q2, nn)
@@ -490,7 +482,7 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     """Assemble Np(wind) and Wp on the Q1 pressure space, as
     `assemble_velocity` assembles N and W on the velocity space, and form
     the pair nu Kp + Np + Wp and nu Kp - Np + Wp with the level's Kp."""
-    lvl = _level_operators(mesh.level, quad.order)
+    lvl = _level_operators(mesh.level)
     np_conv, wp = _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on,
                               stab_wind, quad.q1_vals, lvl.g1, dofmap.cell_q1,
                               dofmap.n_p)
@@ -501,7 +493,7 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
 
 def assemble_divergence(mesh, dofmap, quad):
     """The level's record, holding B = -int psi_i div(phi_j) as b and b_full."""
-    return _level_operators(mesh.level, quad.order)
+    return _level_operators(mesh.level)
 
 
 def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
@@ -516,7 +508,7 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
     """
     zeta = np.asarray(zeta, dtype=np.float64).ravel()
     if approach == "dto":
-        lvl = _level_operators(mesh.level, quad.order)
+        lvl = _level_operators(mesh.level)
         wdet, g2 = lvl.wdet, lvl.g2
         nvals = quad.q2_vals
         n_cells = mesh.n_cells
@@ -562,8 +554,8 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     product. `vel` is the operator set to evaluate with, assembled at
     `params.nu` (`build_kkt` passes the one at its linearization wind);
     without it, the set at `state.v` is assembled here, with `stab_wind` as
-    the stabilization wind (see `assemble_velocity`). The result keeps the
-    set it was evaluated with.
+    the stabilization wind and no stabilization without one (see
+    `assemble_velocity`). The result keeps the set it was evaluated with.
     """
     if vel is None:
         vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
@@ -621,8 +613,9 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     `wind` overrides the linearization wind (the first iteration passes
     zero); the right-hand side is the residual evaluated with the same
     frozen operators, so a zero wind yields the Stokes control problem and
-    the step solves it exactly. `stab_wind` fixes the stabilization wind
-    independently of the linearization wind (see `assemble_velocity`).
+    the step solves it exactly. `stab_wind` is the stabilization wind,
+    independent of the linearization wind; without it the system has no
+    stabilization (see `assemble_velocity`).
     `res`, when given, is that residual, already evaluated at `state` with
     the operator set at these two winds; the system is built from its set
     instead of assembling one and evaluating the residual again.
@@ -636,7 +629,7 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     vel = res.vel
     pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
-    lvl = _level_operators(mesh.level, quad.order)
+    lvl = _level_operators(mesh.level)
 
     a21 = restrict(vel.d_full + vel.h_full, dofmap)
     if params.approach == "otd":

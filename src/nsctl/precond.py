@@ -13,7 +13,7 @@ preconditioners are provided for verification at desk scale.
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -224,17 +224,16 @@ def al_outer_schur_apply(system: KktSystem, r1, r2):
     return y1, y2
 
 
-def bpcd_outer_schur_apply(stack: "PrecondStack", r1, r2):
+def bpcd_outer_schur_apply(system: KktSystem, pres, mp_solve, r1, r2):
     """Blockwise bpcd outer Schur inverse Mp_blk^-1 . D_p . Kp_blk^-1, with
-    the level's pinned-Kp LU and Mp, the stack's Mp solve and D_p the
-    step's pressure-space pair (`stack.outer`), applied by multiplication."""
-    system, outer = stack.system, stack.outer
+    the level's pinned-Kp LU and Mp, the Mp solve `mp_solve` and D_p the
+    step's pressure-space pair `pres`, applied by multiplication."""
     lvl = system.level_ops
     u1 = _pinned_solve(lvl.kp_pinned_lu, r1)
     u2 = _pinned_solve(lvl.kp_pinned_lu, r2)
-    t1 = lvl.mp @ u1 + outer.dp_adj @ u2
-    t2 = outer.dp @ u1 - (lvl.mp @ u2) / system.params.beta
-    return stack.mp_solve(t1), stack.mp_solve(t2)
+    t1 = lvl.mp @ u1 + pres.dp_adj @ u2
+    t2 = pres.dp @ u1 - (lvl.mp @ u2) / system.params.beta
+    return mp_solve(t1), mp_solve(t2)
 
 
 # --------------------------------------------------------------------------
@@ -300,21 +299,20 @@ class PrecondStack:
     Chebyshev mass solve and the matching-strategy Schur approximation.
     `system` is the form of the step system the stack solves."""
 
-    kind: str                         # "al" | "bpcd" | "ideal"
     system: KktSystem
-    matching: MatchingSchur = None
-    outer: object = None              # PressureOperators | IdealPrecond; None for "al"
-    mass_solve: callable = None       # action of M^-1 on one velocity block
-    mp_solve: callable = None         # action of Mp^-1 ("bpcd" only)
+    outer_schur: callable             # (r1, r2) -> (y1, y2), the outer Schur inverse
+    mass_solve: callable              # action of M^-1 on one velocity block
+    matching: MatchingSchur
 
 
 def build_precond(system: KktSystem, kind="al",
-                  exact_blocks=False) -> PrecondStack:
+                  exact_blocks=False) -> PrecondStack | IdealPrecond:
     """Assemble factorizations and solvers for the requested preconditioner.
 
     `system` is the plain step system (`build_kkt` without `pin`); the stack
-    derives the form it solves from it: "al" augments it, "ideal" pins it,
-    "bpcd" solves it as it is and assembles its pressure-space pair.
+    derives the form it solves from it: "al" augments it, "bpcd" solves it as
+    it is and assembles its pressure-space pair, "ideal" is the
+    `IdealPrecond` of the pinned system.
     Everything that depends on the level alone comes from `system.level_ops`:
     M, Mp, Kp, their Chebyshev solvers, and the LUs of the pinned Kp and of
     the exact mass solves. The stack holds only what the step builds.
@@ -324,23 +322,23 @@ def build_precond(system: KktSystem, kind="al",
     if system.pinned:
         raise ValueError("build_precond takes the unpinned step system")
     if kind == "ideal":
-        system = operators.pin_pressure(system)
-        return PrecondStack(kind=kind, system=system,
-                            outer=IdealPrecond(system))
-    if kind == "al":
-        # looked up on the module, so that a wrapper installed there sees it
-        system = operators.augment(system, system.params.gamma)
+        return IdealPrecond(operators.pin_pressure(system))
 
     lvl = system.level_ops
-    stack = PrecondStack(kind=kind, system=system, mass_solve=(
-        lvl.m_lu.solve if exact_blocks
-        else lambda b: chebyshev_solve(lvl.m_cheb, b)))
-    if kind == "bpcd":
-        stack.outer = system.pres()
-        stack.mp_solve = (lvl.mp_lu.solve if exact_blocks
-                          else lambda b: chebyshev_solve(lvl.mp_cheb, b))
-    stack.matching = build_matching(system, exact=exact_blocks)
-    return stack
+    # looked up at each build, so that a wrapper installed on a module sees it
+    if kind == "al":
+        system = operators.augment(system, system.params.gamma)
+        outer_schur = partial(al_outer_schur_apply, system)
+    else:
+        mp_solve = (lvl.mp_lu.solve if exact_blocks
+                    else lambda b: chebyshev_solve(lvl.mp_cheb, b))
+        outer_schur = partial(bpcd_outer_schur_apply, system, system.pres(),
+                              mp_solve)
+    return PrecondStack(
+        system=system, outer_schur=outer_schur,
+        mass_solve=(lvl.m_lu.solve if exact_blocks
+                    else lambda b: chebyshev_solve(lvl.m_cheb, b)),
+        matching=build_matching(system, exact=exact_blocks))
 
 
 def inner_p1_apply(stack: PrecondStack, rhs):
@@ -353,30 +351,25 @@ def inner_p1_apply(stack: PrecondStack, rhs):
     return np.concatenate([z1, z2])
 
 
-def outer_p2_apply(stack: PrecondStack, rhs):
+def outer_p2_apply(stack: PrecondStack | IdealPrecond, rhs):
     """Upper block-triangular outer preconditioner: (negative) Schur solve on
-    the pressure blocks, momentum correction, then the fixed inner GMRES.
+    the pressure blocks, momentum correction, then the fixed inner GMRES;
+    an ideal stack applies its exact upper triangle instead.
 
     The inner Krylov solve makes this operator vary between calls, so the
     outer iteration must be flexible.
     """
-    if stack.kind == "ideal":
-        return stack.outer.apply(rhs, side="p2")
+    if isinstance(stack, IdealPrecond):
+        return stack.apply(rhs, side="p2")
 
     system = stack.system
     nm = 2 * system.n_v
     npp = system.n_p
-    r_m = rhs[:nm]
-    r_mu, r_p = rhs[nm:nm + npp], rhs[nm + npp:]
-
-    if stack.kind == "al":
-        y1, y2 = al_outer_schur_apply(system, r_mu, r_p)
-    else:
-        y1, y2 = bpcd_outer_schur_apply(stack, r_mu, r_p)
+    y1, y2 = stack.outer_schur(rhs[nm:nm + npp], rhs[nm + npp:])
     z_mu, z_p = -y1, -y2
 
     bt = system.b.T
-    t_m = r_m - np.concatenate([bt @ z_mu, bt @ z_p])
+    t_m = rhs[:nm] - np.concatenate([bt @ z_mu, bt @ z_p])
     cfg = KrylovConfig(fixed_iters=INNER_ITERS)
     z_m, _ = gmres(system.momentum_matvec,
                    lambda x: inner_p1_apply(stack, x), t_m, cfg)

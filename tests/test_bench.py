@@ -77,6 +77,7 @@ def test_parse_explicit_gamma():
     ["--level", "2", "--nu", "nan"],             # non-finite parameters
     ["--level", "2", "--gamma", "nan"],
     ["--level", "2", "--tol-linear", "nan"],
+    ["--level", "2", "--tol-linear", "1"],       # met by the zero vector
 ])
 def test_parse_rejections(argv):
     with pytest.raises(SystemExit):
@@ -276,6 +277,21 @@ def test_main_json_out(tmp_path, capsys):
     assert back[0].converged and back[0].error is None
     # pivot tables echo to stdout when writing to a file
     assert "### avg_fgmres" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["verbose", "10", ""])
+def test_main_rejects_unknown_log_level(monkeypatch, capsys, value):
+    """An NSCTL_LOG that names no log level ends the CLI as a bad flag
+    does: one line on stderr naming the variable and the levels, status 2,
+    before any argument is parsed."""
+    monkeypatch.setenv("NSCTL_LOG", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["--level", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "NSCTL_LOG" in err[0] and repr(value) in err[0]
+    assert all(lvl in err[0] for lvl in ("DEBUG", "INFO", "WARNING"))
 
 
 def test_main_export_matrices(tmp_path):

@@ -1,6 +1,6 @@
 """Every module-level function and class in src/nsctl has a caller: it is
 referenced in src/nsctl or perfbench/ somewhere other than its own
-definition."""
+definition. Every annotated field of a class in src/nsctl is read there."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,10 @@ ALLOWED = {
     ("bench", "load_results"): "the documented public reader of the JSON "
                                "output that `bench` writes",
 }
+
+# (class, field) kept although nothing in the program reads it, with the
+# reason
+ALLOWED_FIELDS = {}
 
 
 def _references(node):
@@ -33,12 +37,17 @@ def _references(node):
     return out
 
 
-def test_every_definition_is_referenced():
+def _program():
+    """(path, parsed module) of every module in src/nsctl and perfbench/."""
     paths = sorted(SRC.glob("*.py")) \
         + sorted((ROOT / "perfbench").glob("*.py"))
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in paths]
+
+
+def test_every_definition_is_referenced():
     statements = []                    # (path, top-level statement)
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _program():
         statements += [(path, stmt) for stmt in tree.body]
     refs = [(stmt, _references(stmt)) for _, stmt in statements]
     defs = [(path.stem, stmt) for path, stmt in statements
@@ -51,3 +60,34 @@ def test_every_definition_is_referenced():
     assert sorted(set(unused) - set(ALLOWED)) == []
     # an allowlisted name that gains a caller leaves the list
     assert sorted(set(ALLOWED) - set(unused)) == []
+
+
+def _reads(tree):
+    """Names that a module reads as attributes: loaded attributes, and
+    identifier strings (such as the metric names that `getattr` takes).
+    Bare names are not reads: locals share the field names."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def test_every_field_is_read():
+    """An annotated class field that nothing reads (annotations, writes and
+    constructor keywords are not reads) is dead storage. Reads in the
+    class's own methods count."""
+    program = _program()
+    reads = set().union(*(_reads(tree) for _, tree in program))
+    fields = [(cls.name, stmt.target.id) for path, tree in program
+              if path.parent == SRC
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)]
+    assert fields
+    unread = {f for f in fields if f[1] not in reads}
+    assert sorted(unread - set(ALLOWED_FIELDS)) == []
+    assert sorted(set(ALLOWED_FIELDS) - unread) == []

@@ -5,11 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsctl.grid_fem import (_q1_shapes_1d, _q2_shapes_1d, _tensor_tabulate,
-                            build_dofmap, build_mesh, build_patches,
-                            cell_stars, q2_prolongation, tabulate)
+from nsctl.grid_fem import (_gauss_1d, _q1_shapes_1d, _q2_shapes_1d,
+                            _tensor_tabulate, build_dofmap, build_mesh,
+                            build_patches, cell_stars, q2_prolongation,
+                            tabulate)
 
 DOF_COUNTS = {3: 1062, 4: 4422, 5: 18054, 6: 72966, 7: 293382}
+
+
+def _q1_coords(dofmap):
+    """Coordinates of the Q1 vertices: the Q2 nodes of even index in both
+    directions, in the pressure numbering."""
+    m = int(round(np.sqrt(dofmap.n_q2)))
+    return dofmap.q2_coords.reshape(m, m, 2)[::2, ::2].reshape(-1, 2)
+
+
+def _interior_nodes(dofmap):
+    return dofmap.interior_vdofs[0::2] // 2
 
 
 @pytest.mark.parametrize("l,cells,nq2,nq1", [
@@ -23,13 +35,17 @@ def test_mesh_counts(l, cells, nq2, nq1):
     assert mesh.n_cells == cells
     assert dofmap.n_q2 == nq2
     assert dofmap.n_p == nq1
-    assert mesh.vertices.shape[0] == nq1
+    assert _q1_coords(dofmap).shape[0] == nq1
+    assert np.array_equal(np.unique(dofmap.cell_q1), np.arange(nq1))
 
 
 def test_cells_are_identical_squares():
     mesh = build_mesh(2)
+    dofmap = build_dofmap(mesh)
     assert mesh.h_q1 == 0.5
-    v = mesh.vertices[mesh.cell_vertices]        # (n_cells, 4, 2)
+    v = _q1_coords(dofmap)[dofmap.cell_q1]       # (n_cells, 4, 2)
+    # the pressure dofs of a cell are the corner nodes of its Q2 block
+    assert np.array_equal(v, dofmap.q2_coords[dofmap.cell_q2[:, [0, 2, 6, 8]]])
     assert np.all(v[:, 1, 0] - v[:, 0, 0] == mesh.h_q1)
     assert np.all(v[:, 2, 1] - v[:, 0, 1] == mesh.h_q1)
     assert np.all(v[:, 1, 1] == v[:, 0, 1])
@@ -38,7 +54,7 @@ def test_cells_are_identical_squares():
 
 def test_vertex_grid_spacing():
     mesh = build_mesh(3)
-    xs = np.unique(mesh.vertices[:, 0])
+    xs = np.unique(_q1_coords(build_dofmap(mesh))[:, 0])
     assert xs[0] == -1.0 and xs[-1] == 1.0
     assert np.allclose(np.diff(xs), mesh.h_q1)
 
@@ -63,7 +79,7 @@ def test_dof_closed_forms():
         assert d.boundary_vdofs.size == 2 * 4 * m
         assert d.interior_vdofs.size == d.n_v_int
         # boundary and interior nodes partition the Q2 grid
-        both = np.concatenate([d.boundary_nodes, d.interior_nodes])
+        both = np.concatenate([d.boundary_nodes, _interior_nodes(d)])
         assert np.array_equal(np.sort(both), np.arange(d.n_q2))
 
 
@@ -71,7 +87,7 @@ def test_boundary_nodes_lie_on_boundary():
     d = build_dofmap(build_mesh(2))
     coords = d.q2_coords[d.boundary_nodes]
     assert np.all(np.max(np.abs(coords), axis=1) == 1.0)
-    inner = d.q2_coords[d.interior_nodes]
+    inner = d.q2_coords[_interior_nodes(d)]
     assert np.all(np.max(np.abs(inner), axis=1) < 1.0)
 
 
@@ -89,11 +105,15 @@ def test_patches_disjoint_cover():
     assert np.array_equal(cells, np.arange(mesh.n_cells))
 
 
-def test_patch_measures_and_boxes():
+def test_patch_size_and_centroids():
     mesh = build_mesh(3)
     patches = build_patches(mesh)
-    assert np.allclose(patches.measures, 4.0 * (0.25) ** 2)  # 0.25 each
-    assert np.allclose(patches.box_lengths, 2.0 * mesh.h_q1)
+    assert patches.size == 2.0 * mesh.h_q1 == 0.5
+    # the centroid node is the mean of the four cell centres (Q2 node 4)
+    d = build_dofmap(mesh)
+    centres = d.q2_coords[d.cell_q2[patches.patch_cells, 4]]    # (n, 4, 2)
+    assert np.array_equal(d.q2_coords[patches.centroid_nodes],
+                          centres.mean(axis=1))
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -139,9 +159,11 @@ def test_quadrature_rejects_low_order():
 
 def test_q1_shapes_at_center():
     rule = tabulate(3)                 # odd order: (0, 0) is a quad point
-    center = np.flatnonzero(np.abs(rule.points).max(axis=1) < 1e-14)
-    assert center.size == 1
-    assert np.allclose(rule.q1_vals[center[0]], 0.25, atol=1e-15)
+    x1, _ = _gauss_1d(3)
+    mid = np.flatnonzero(np.abs(x1) < 1e-14)
+    assert mid.size == 1
+    # points are lex by (y, x): the centre is row mid, column mid
+    assert np.allclose(rule.q1_vals[mid[0] * 3 + mid[0]], 0.25, atol=1e-15)
 
 
 def test_partition_of_unity_at_quad_points():

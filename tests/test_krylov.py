@@ -44,7 +44,7 @@ def test_factorize_rejects_nonsquare():
 
 
 def test_factorize_singular_neumann(geom2):
-    lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
+    lvl = _level_operators(geom2.mesh.level)
     with pytest.raises(SingularMatrixError):
         factorize(lvl.kp)
 
@@ -99,7 +99,7 @@ def test_chebyshev_interval_validation():
 
 
 def test_chebyshev_is_linear(geom2, rng):
-    lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
+    lvl = _level_operators(geom2.mesh.level)
     solver = ChebyshevMassSolver(matrix=lvl.mp,
                                  interval=mass_eig_interval(
                                      geom2.quad, geom2.quad.q1_vals),
@@ -225,14 +225,28 @@ def test_fgmres_zero_rhs():
     assert np.array_equal(x, np.zeros(8))
 
 
+def test_gmres_stops_on_a_first_step_breakdown(rng):
+    """An operator that annihilates the first direction gives no step: the
+    solve ends after one cycle, unconverged, at x = 0."""
+    b = rng.standard_normal(8)
+    x, stats = gmres(lambda u: 0.0 * u, lambda u: u, b, KrylovConfig())
+    assert stats.iters == 0 and not stats.converged
+    assert np.array_equal(x, np.zeros(8))
+    assert stats.true_residual == np.linalg.norm(b)
+
+
 def test_krylov_config_validation():
     with pytest.raises(ValueError):
         KrylovConfig(restart=0)
     for maxiter in (0, -3):
         with pytest.raises(ValueError):
             KrylovConfig(maxiter=maxiter)
-    with pytest.raises(ValueError):
-        KrylovConfig(rtol=-1.0)
+    # rtol lies in (0, 1): the zero vector meets any rtol >= 1
+    for bad in (-1.0, 0.0, 1.0, 3.0):
+        with pytest.raises(ValueError):
+            KrylovConfig(rtol=bad)
+        # the fixed-step mode has no tolerance exit
+        assert KrylovConfig(rtol=bad, fixed_iters=5).fixed_iters == 5
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             KrylovConfig(rtol=bad)

@@ -38,7 +38,7 @@ def _terms(geom, wind, nu=1.0, space="q2", lps_on=True, stab_wind=None):
     """The scalar convection and stabilization (N, W) of one space, from
     the `_wind_terms` kernel."""
     d, q = geom.dofmap, geom.quad
-    lvl = _level_operators(geom.mesh.level, q.order)
+    lvl = _level_operators(geom.mesh.level)
     tables = ((q.q2_vals, lvl.g2, d.cell_q2, d.n_q2) if space == "q2"
               else (q.q1_vals, lvl.g1, d.cell_q1, d.n_p))
     return _wind_terms(geom.mesh, d, geom.patches, q, wind, nu, lps_on,
@@ -87,7 +87,7 @@ def test_mass_component_blocks_integrate_area(geom2):
 
 
 def test_stiffness_symmetric_with_constant_nullvector(geom2):
-    k = _level_operators(geom2.mesh.level, geom2.quad.order).k_full
+    k = _level_operators(geom2.mesh.level).k_full
     assert _maxabs(k - k.T) <= 1e-14
     ones = np.ones(k.shape[0])
     assert np.abs(k @ ones).max() <= 1e-13
@@ -97,7 +97,8 @@ def test_convection_vanishes_at_zero_wind(geom2):
     vel = _vel(geom2, _zero_wind(geom2))
     assert _maxabs(vel.n_full) == 0.0
     assert _maxabs(vel.h_full) == 0.0
-    assert _maxabs(_terms(geom2, _zero_wind(geom2))[1]) == 0.0
+    zero = _zero_wind(geom2)
+    assert _maxabs(_terms(geom2, zero, stab_wind=zero)[1]) == 0.0
 
 
 def test_wind_gradient_block_vanishes_for_constant_wind(geom2):
@@ -112,7 +113,7 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
     sum_q wdet N_i N_j dw_a/dx_b, written as one einsum, for a random wind."""
     d = geom3.dofmap
     wind = rng.standard_normal(d.n_v_full)
-    lvl = _level_operators(geom3.mesh.level, geom3.quad.order)
+    lvl = _level_operators(geom3.mesh.level)
     wdet, g2 = lvl.wdet, lvl.g2
     nvals = geom3.quad.q2_vals
     gradw = np.einsum("cnd,qne->cqde", _wind_cellwise(wind, d), g2)
@@ -125,7 +126,8 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
 
 
 def test_stabilization_symmetric_psd(geom2):
-    _, w = _terms(geom2, _const_wind(geom2, 1.0, 0.5), nu=1e-3)
+    wind = _const_wind(geom2, 1.0, 0.5)
+    _, w = _terms(geom2, wind, nu=1e-3, stab_wind=wind)
     assert _maxabs((w - w.T).tocsr()) <= 1e-14
     eigs = np.linalg.eigvalsh(w.toarray())
     assert eigs.min() >= -1e-12
@@ -136,7 +138,7 @@ def test_stabilization_wind_override(geom2):
     stab = _const_wind(geom2, 1.0, 0.5)
     n_frozen, w_frozen = _terms(geom2, _zero_wind(geom2), nu=1e-3,
                                 stab_wind=stab)
-    _, w_direct = _terms(geom2, stab, nu=1e-3)
+    _, w_direct = _terms(geom2, stab, nu=1e-3, stab_wind=stab)
     assert _maxabs(w_frozen) > 0.0
     assert _maxabs((w_frozen - w_direct).tocsr()) == 0.0
     assert _maxabs(n_frozen) == 0.0         # convection still uses `wind`
@@ -144,9 +146,11 @@ def test_stabilization_wind_override(geom2):
 
 def test_velocity_combination_identities(geom2):
     lift = lift_boundary(geom2.dofmap)
-    vel = _vel(geom2, lift, nu=0.01)
-    k = _level_operators(geom2.mesh.level, geom2.quad.order).k_full
-    n, w = (_kron2(a) for a in _terms(geom2, lift, nu=0.01))
+    stab = _const_wind(geom2, 1.0, 0.5)
+    vel = _vel(geom2, lift, nu=0.01, stab_wind=stab)
+    k = _level_operators(geom2.mesh.level).k_full
+    n, w = (_kron2(a) for a in _terms(geom2, lift, nu=0.01, stab_wind=stab))
+    assert _maxabs(w) > 0.0
     d = vel.d_full - (0.01 * k + n + w)
     d_adj = vel.d_adj_full - (0.01 * k - n + w)
     assert _maxabs(d.tocsr()) == 0.0
@@ -168,8 +172,8 @@ def test_operator_pairs_are_formed_by_the_formulas(request, level,
     wind = lift_boundary(d)
     wind[d.interior_vdofs] = 0.5 * rng.standard_normal(d.n_v_int)
     stab = (wind + 0.1 * rng.standard_normal(d.n_v_full) if separate_stab
-            else None)
-    lvl = _level_operators(level, geom.quad.order)
+            else wind)
+    lvl = _level_operators(level)
     kw = dict(nu=nu, lps_on=lps_on, stab_wind=stab)
 
     vel = _vel(geom, wind, **kw)
@@ -184,6 +188,22 @@ def test_operator_pairs_are_formed_by_the_formulas(request, level,
     base = (nu * lvl.kp + w_p).tocsr()
     assert _bits_equal(pres.dp, (base + n_p).tocsr())
     assert _bits_equal(pres.dp_adj, (base - n_p).tocsr())
+
+
+def test_no_stabilization_without_its_wind(geom2):
+    """With `lps_on` and no stabilization wind, neither space gets a W:
+    each assembler's pair is bit for bit the one with the stabilization
+    off, although the linearization wind would give a nonzero one."""
+    wind = _const_wind(geom2, 1.0, 0.5)
+    for assemble, names in ((_vel, ("d_full", "d_adj_full")),
+                            (_pres, ("dp", "dp_adj"))):
+        on = assemble(geom2, wind, nu=1e-3)
+        off = assemble(geom2, wind, nu=1e-3, lps_on=False)
+        stab = assemble(geom2, wind, nu=1e-3, stab_wind=wind)
+        for name in names:
+            assert _bits_equal(getattr(on, name), getattr(off, name)), name
+            assert _maxabs((getattr(stab, name) - getattr(off, name))
+                           .tocsr()) > 0.0, name
 
 
 def test_wind_validation(geom2):
@@ -211,11 +231,11 @@ def test_level_operators_shared_and_read_only(geom3):
     other = setup_geometry(3)
     a = _vel(geom3, _zero_wind(geom3))
     b = _vel(other, _const_wind(other, 1.0, 0.5), nu=1e-3)
-    lvl = _level_operators(geom3.mesh.level, geom3.quad.order)
+    lvl = _level_operators(geom3.mesh.level)
     da = assemble_divergence(geom3.mesh, geom3.dofmap, geom3.quad)
     db = assemble_divergence(other.mesh, other.dofmap, other.quad)
     assert a.m_full is b.m_full and a.m_full is lvl.m_full
-    assert lvl is _level_operators(other.mesh.level, other.quad.order)
+    assert lvl is _level_operators(other.mesh.level)
     assert da is db is lvl
     assert lvl.bt_winv_b is lvl.bt_winv_b
     assert a.n_full is not b.n_full
@@ -300,7 +320,7 @@ def test_scatter_matches_dense_accumulation(entries, cuts, seed):
 # --------------------------------------------------------------------------
 
 def test_pressure_mass_and_stiffness(geom2):
-    lvl = _level_operators(geom2.mesh.level, geom2.quad.order)
+    lvl = _level_operators(geom2.mesh.level)
     assert lvl.mp.sum() == pytest.approx(4.0, abs=1e-12)
     assert _maxabs(lvl.kp - lvl.kp.T) <= 1e-14
     ones = np.ones(lvl.kp.shape[0])
@@ -312,11 +332,12 @@ def test_pressure_mass_and_stiffness(geom2):
 
 
 def test_pressure_wind_blocks_vanish_at_zero_wind(geom2):
-    n_p, w_p = _terms(geom2, _zero_wind(geom2), space="q1")
+    zero = _zero_wind(geom2)
+    n_p, w_p = _terms(geom2, zero, space="q1", stab_wind=zero)
     assert _maxabs(n_p) == 0.0
     assert _maxabs(w_p) == 0.0
     pres = _pres(geom2, _zero_wind(geom2))
-    kp = _level_operators(geom2.mesh.level, geom2.quad.order).kp
+    kp = _level_operators(geom2.mesh.level).kp
     for pair in (pres.dp, pres.dp_adj):     # nu Kp alone, with nu = 1
         assert _maxabs((pair - kp).tocsr()) == 0.0
 
@@ -340,7 +361,7 @@ def _lps_reference(patches, conv, wdet, delta, cell_nodes, n_dofs):
     vals = [blocks.ravel()]
     nodes_p = cell_nodes[patches.patch_cells[active]].reshape(active.size, -1)
     a_p = a_cell[patches.patch_cells[active]].reshape(active.size, -1)
-    coef = (delta[active] / patches.measures[active])[:, None, None]
+    coef = (delta[active] / patches.size ** 2)[:, None, None]
     outer = -coef * a_p[:, :, None] * a_p[:, None, :]
     npb = nodes_p.shape[1]
     rows.append(np.repeat(nodes_p, npb, axis=1).ravel())
@@ -356,7 +377,7 @@ def test_lps_matrix_matches_triplet_reference(geom3, space):
     """W and Wp through `_scatter` are byte for byte the reference triplet
     assembly, with every patch active, with some, and with none."""
     d, q = geom3.dofmap, geom3.quad
-    lvl = _level_operators(geom3.mesh.level, q.order)
+    lvl = _level_operators(geom3.mesh.level)
     grads, nodes, n = ((lvl.g2, d.cell_q2, d.n_q2) if space == "q2"
                        else (lvl.g1, d.cell_q1, d.n_p))
     ramp = _zero_wind(geom3)
@@ -365,7 +386,7 @@ def test_lps_matrix_matches_triplet_reference(geom3, space):
     for wind, nu in ((_const_wind(geom3, 1.0, 0.5), 1e-3), (ramp, 0.05),
                      (_zero_wind(geom3), 1.0)):
         conv = _streamline(wind, d, q, grads)
-        delta = _lps_delta(geom3.patches, wind.reshape(-1, 2), geom3.mesh, nu)
+        delta = _lps_delta(geom3.patches, wind.reshape(-1, 2), nu)
         seen.add(int(np.count_nonzero(delta)))
         got = _lps_matrix(geom3.patches, conv, lvl.wdet, delta, nodes, n)
         want = _lps_reference(geom3.patches, conv, lvl.wdet, delta, nodes, n)
@@ -558,7 +579,7 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
     plain = build_kkt(*args, stab_wind=stab, res=res)
     n_s, w_s = _terms(geom3, state.v, nu=params.nu, stab_wind=stab)
     k, n, h, w = (restrict(m, d) for m in (
-        _level_operators(3, geom3.quad.order).k_full, _kron2(n_s),
+        _level_operators(3).k_full, _kron2(n_s),
         vel.h_full, _kron2(w_s)))
     d_int = (params.nu * k + n + w).tocsr()
     assert _bits_equal(plain.a21, (d_int + h).tocsr())

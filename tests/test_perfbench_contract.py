@@ -79,7 +79,7 @@ def test_reference_solution_and_mass_norm(tmp_path):
     assert rel <= checks.REF_TOL
 
     checker = checks.Checker(tmp_path)
-    m = _level_operators(2, geom.quad.order).m_full
+    m = _level_operators(2).m_full
     assert checker.mass_norm(2, ref.v) == np.sqrt(ref.v @ (m @ ref.v))
     state, trace = newton_solve(NewtonConfig(), params, geom)
     assert trace.converged

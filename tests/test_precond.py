@@ -20,8 +20,8 @@ from nsctl.operators import (CHEB_STEPS, KktParams, PressureOperators,
                              augment, build_kkt, lift_boundary,
                              mass_eig_interval)
 from nsctl.precond import (IdealPrecond, MatchingSchur, Multigrid,
-                           build_matching, build_precond, inner_p1_apply,
-                           matching_apply, outer_p2_apply)
+                           PrecondStack, build_matching, build_precond,
+                           inner_p1_apply, matching_apply, outer_p2_apply)
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
@@ -259,9 +259,10 @@ def test_al_outer_zero_rhs(geom2):
 
 def test_bpcd_stokes_limit(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=True)
-    system = stack.system
+    system, pres, _ = stack.outer_schur.args
+    assert system is stack.system
     nu_kp = (system.params.nu * system.level_ops.kp).tocsr()
-    for block in (stack.outer.dp, stack.outer.dp_adj):
+    for block in (pres.dp, pres.dp_adj):
         diff = (block - nu_kp).tocsr()
         assert (np.abs(diff.data).max(initial=0.0) if diff.nnz else 0.0) \
             <= 1e-15
@@ -270,28 +271,29 @@ def test_bpcd_stokes_limit(geom2):
 def test_bpcd_outer_zero_rhs(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=False)
     system = stack.system
-    y1, y2 = precond_mod.bpcd_outer_schur_apply(stack, np.zeros(system.n_p),
-                                                np.zeros(system.n_p))
+    y1, y2 = stack.outer_schur(np.zeros(system.n_p), np.zeros(system.n_p))
     assert not y1.any() and not y2.any()
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
-    """The bpcd outer Schur inverse, with Kp's LU, Mp and beta read from the
-    step system, equals the blockwise formula bit for bit on a step system
-    at a random wind, with D_p formed from the kernel's Np and Wp."""
+    """The bpcd stack's outer Schur inverse, with Kp's LU, Mp and beta read
+    from the step system and the level's Mp solve, equals the blockwise
+    formula bit for bit on a step system at a random wind, with D_p formed
+    from the kernel's Np and Wp."""
     d = geom2.dofmap
     v = lift_boundary(d)
     v[d.interior_vdofs] = rng.standard_normal(d.n_v_int)
     state = StateIterate(v=v, zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
     params = KktParams(nu=1 / 250, beta=1e-2)
-    plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad, params)
+    plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad, params,
+                      stab_wind=v)
     stack = build_precond(plain, "bpcd", exact_blocks=exact)
     system = stack.system
     lvl, beta = system.level_ops, system.params.beta
     n_p, w_p = _wind_terms(geom2.mesh, d, geom2.patches, geom2.quad, v,
-                           params.nu, True, None, geom2.quad.q1_vals, lvl.g1,
+                           params.nu, True, v, geom2.quad.q1_vals, lvl.g1,
                            d.cell_q1, d.n_p)
     assert np.abs(w_p).max() > 0.0
     base = (params.nu * lvl.kp + w_p).tocsr()
@@ -303,7 +305,8 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
     u2 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r2)
     want = (mp_solve(lvl.mp @ u1 + dp_od @ u2),
             mp_solve(dp_do @ u1 - (lvl.mp @ u2) / beta))
-    got = precond_mod.bpcd_outer_schur_apply(stack, r1, r2)
+    got = stack.outer_schur(r1, r2)
+    assert stack.outer_schur.func is precond_mod.bpcd_outer_schur_apply
     assert np.any(want[0]) and np.any(want[1])
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
@@ -444,7 +447,7 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     and bpcd stacks constructs no Chebyshev solver, and their mass solves
     are the record's solvers bit for bit."""
     geom = request.getfixturevalue(f"geom{level}")
-    lvl = _level_operators(level, geom.quad.order)
+    lvl = _level_operators(level)
     plain = _stokes_system(geom)
     for system in (plain, _stokes_system(geom, augmented=True),
                    _stokes_system(geom, pinned=True)):
@@ -468,14 +471,18 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     want = chebyshev_solve(lvl.m_cheb, b)
     assert np.array_equal(stack.mass_solve(b), want)
     assert np.array_equal(bpcd.mass_solve(b), want)
-    assert np.array_equal(bpcd.mp_solve(bp),
-                          chebyshev_solve(lvl.mp_cheb, bp))
+    mp_solve = bpcd.outer_schur.args[2]
+    assert np.array_equal(mp_solve(bp), chebyshev_solve(lvl.mp_cheb, bp))
 
 
 def test_stacks_hold_only_per_step_objects(geom2):
-    """A matching Schur approximation holds M and the two inverses only,
-    with M the level record's; the bpcd stack's outer part is the step's
-    pressure-space pair and holds none of the level's data."""
+    """A stack holds its system, its outer Schur inverse, its mass solve and
+    its matching Schur approximation; the latter holds M and the two
+    inverses only, with M the level record's. The bpcd outer inverse binds
+    the step's pressure-space pair, which holds none of the level's data,
+    and the AL one binds the augmented system alone."""
+    assert [f.name for f in dataclasses.fields(PrecondStack)] \
+        == ["system", "outer_schur", "mass_solve", "matching"]
     assert [f.name for f in dataclasses.fields(MatchingSchur)] \
         == ["mass", "inv_21", "inv_12"]
     assert [f.name for f in dataclasses.fields(PressureOperators)] \
@@ -483,15 +490,20 @@ def test_stacks_hold_only_per_step_objects(geom2):
     stack = build_precond(_stokes_system(geom2), "bpcd")
     assert set(vars(stack.matching)) == {"mass", "inv_21", "inv_12"}
     assert stack.matching.mass is stack.system.level_ops.m
-    assert type(stack.outer) is PressureOperators
-    assert set(vars(stack.outer)) == {"dp", "dp_adj"}
+    pres = stack.outer_schur.args[1]
+    assert type(pres) is PressureOperators
+    assert set(vars(pres)) == {"dp", "dp_adj"}
+    al = build_precond(_stokes_system(geom2), "al")
+    assert al.outer_schur.func is precond_mod.al_outer_schur_apply
+    assert len(al.outer_schur.args) == 1
+    assert al.outer_schur.args[0] is al.system
 
 
 def test_level_factorizations_built_once(geom2, monkeypatch):
     """The LUs of M, Mp and the pinned Kp are the level record's: stacks on
     two systems of one level factorize each at most once, and the
     multigrid stacks factorize neither mass matrix."""
-    lvl = _level_operators(2, geom2.quad.order)
+    lvl = _level_operators(2)
     seen = []
     real = precond_mod.factorize
 
@@ -516,11 +528,13 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
     assert stack.mass_solve == lvl.m_lu.solve
-    assert stack.mp_solve == lvl.mp_lu.solve
+    assert stack.outer_schur.args[2] == lvl.mp_lu.solve
 
 
 def test_outer_p2_zero_rhs(geom2):
-    for kind in ("al", "bpcd"):
+    for kind in ("al", "bpcd", "ideal"):
         stack = build_precond(_stokes_system(geom2), kind)
+        assert isinstance(stack, IdealPrecond if kind == "ideal"
+                          else PrecondStack)
         z = outer_p2_apply(stack, np.zeros(stack.system.dim))
         assert not z.any()
