@@ -41,7 +41,7 @@ class CaseSpec:
     level: int
     nu: float
     beta: float
-    gamma: float = None               # defaults to 10 / sqrt(beta)
+    gamma: float = None               # al only; defaults to 10 / sqrt(beta)
     precond: str = "al"               # "al" | "bpcd" | "ideal"
     approach: str = "otd"             # "otd" | "dto"
     full_newton: bool = False
@@ -53,10 +53,13 @@ class CaseSpec:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
+        if self.gamma is not None and self.precond != "al":
+            raise ValueError(f"the {self.precond} stack reads no gamma")
         self.params = KktParams(nu=self.nu, beta=self.beta, gamma=self.gamma,
                                 approach=self.approach, lps_on=self.lps,
                                 full_newton=self.full_newton)
-        self.gamma = self.params.gamma
+        if self.precond == "al":
+            self.gamma = self.params.gamma
         self.config = NewtonConfig(
             tol=self.tol_newton, precond=self.precond,
             linear=KrylovConfig(rtol=self.tol_linear),
@@ -117,7 +120,7 @@ def _build_parser():
     p.add_argument("--beta", default="1e-2",
                    help="regularization value(s), comma separated (default 1e-2)")
     p.add_argument("--gamma", default=None,
-                   help="augmentation parameter (default 10/sqrt(beta))")
+                   help="al augmentation parameter (default 10/sqrt(beta))")
     p.add_argument("--precond", default="al", choices=["al", "bpcd", "ideal"])
     p.add_argument("--approach", default="otd", choices=["otd", "dto"])
     p.add_argument("--lps", default="on", choices=["on", "off"],
@@ -126,7 +129,7 @@ def _build_parser():
                    help="keep the adjoint curvature blocks")
     p.add_argument("--exact-blocks", action="store_true",
                    help="LU solves instead of Chebyshev and multigrid "
-                        "inside the stack")
+                        "inside the al and bpcd stacks")
     p.add_argument("--tol-linear", type=float, default=1e-6)
     p.add_argument("--tol-newton", type=float, default=1e-5)
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -286,7 +289,8 @@ def _csv_text(results):
     for r in results:
         s = r.spec
         writer.writerow([s.level, r.dof, repr(s.nu), repr(s.beta),
-                         repr(s.gamma), s.precond, s.approach,
+                         "" if s.gamma is None else repr(s.gamma),
+                         s.precond, s.approach,
                          r.newton_iters, r.avg_fgmres,
                          str(r.converged).lower(), f"{r.runtime_s:.3f}"])
     return buf.getvalue()
@@ -301,7 +305,7 @@ def _json_text(results):
 def load_results(path):
     """Read back a JSON emit; inverse of emit(..., format='json'). The
     `seed` that cases carried in earlier versions of the format is
-    ignored."""
+    ignored, and so is the `gamma` they echoed on bpcd and ideal rows."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != JSON_SCHEMA:
@@ -309,8 +313,10 @@ def load_results(path):
     out = []
     for d in payload["results"]:
         d = dict(d)
+        legacy = {"seed"} if d["spec"].get("precond") == "al" \
+            else {"seed", "gamma"}
         d["spec"] = CaseSpec(**{k: v for k, v in d["spec"].items()
-                                if k != "seed"})
+                                if k not in legacy})
         out.append(CaseResult(**d))
     return out
 

@@ -1,11 +1,12 @@
 """Uniform quadrilateral meshes of (-1,1)^2 with Q2/Q1 (Taylor-Hood) node maps,
 tensor-Gauss quadrature tables, 2x2 macro-patches for local projection
-stabilization, and the Q2 prolongation and smoother stars of the multigrid
-on the nested meshes.
+stabilization, and the interior velocity prolongation and smoother stars of
+the multigrid on the nested meshes.
 
 Conventions: nodes are numbered lexicographically by (y, x); velocity
-components are interleaved (dof = 2*node + component); all cells are identical
-axis-aligned squares, so one reference-element table serves every cell.
+components are interleaved (dof = 2*node + component, see `vector_dofs`);
+all cells are identical axis-aligned squares, so one reference-element table
+serves every cell.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,21 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def vector_dofs(nodes):
+    """Interleaved velocity dof ids of Q2 node ids: the last axis of
+    `nodes` doubles, node n giving dofs 2n and 2n+1 in turn."""
+    return np.stack([2 * nodes, 2 * nodes + 1], axis=-1) \
+        .reshape(nodes.shape[:-1] + (-1,))
+
+
+def read_only(*arrays):
+    """Clear the writeable flag of each array, and of the three arrays of
+    each CSR matrix, that a per-level cache shares."""
+    for a in arrays:
+        for arr in ((a.data, a.indices, a.indptr) if sp.issparse(a) else (a,)):
+            arr.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -36,6 +52,7 @@ class DofMap:
     n_q2: int                         # Q2 node count, (2^(l+1)+1)^2
     q2_coords: np.ndarray             # (n_q2, 2)
     cell_q2: np.ndarray               # (n_cells, 9) Q2 node ids, local lex by (y, x)
+    cell_v: np.ndarray                # (n_cells, 18) interleaved cell_q2
     boundary_nodes: np.ndarray        # sorted Q2 node ids on the boundary
     n_v_int: int                      # interior velocity dofs
     n_p: int                          # pressure dofs, (2^l+1)^2
@@ -48,7 +65,7 @@ class DofMap:
 
     @property
     def boundary_vdofs(self) -> np.ndarray:
-        return np.stack([2 * self.boundary_nodes, 2 * self.boundary_nodes + 1], axis=1).ravel()
+        return vector_dofs(self.boundary_nodes)
 
     @property
     def coupled_dim(self) -> int:
@@ -114,18 +131,18 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     on_boundary = (ix == 0) | (ix == m - 1) | (jy == 0) | (jy == m - 1)
     boundary_nodes = np.flatnonzero(on_boundary)
     interior_nodes = np.flatnonzero(~on_boundary)
-
-    interior_vdofs = np.stack([2 * interior_nodes, 2 * interior_nodes + 1], axis=1).ravel()
+    cell_q2 = cell_q2.astype(np.int64)
 
     return DofMap(
         n_q2=n_q2,
         q2_coords=q2_coords,
-        cell_q2=cell_q2.astype(np.int64),
+        cell_q2=cell_q2,
+        cell_v=vector_dofs(cell_q2),
         boundary_nodes=boundary_nodes,
         n_v_int=2 * interior_nodes.size,
         n_p=(nc + 1) ** 2,
         cell_q1=mesh.cell_vertices,
-        interior_vdofs=interior_vdofs,
+        interior_vdofs=vector_dofs(interior_nodes),
     )
 
 
@@ -185,13 +202,16 @@ def tabulate(rule_order: int) -> QuadratureRule:
                           q1_vals=q1_vals, q1_grads=q1_grads)
 
 
+@lru_cache(maxsize=None)
 def q2_prolongation(level: int) -> sp.csr_matrix:
-    """Interpolate Q2 nodal values from level-1 onto level (scalar nodes).
+    """Interpolate interior interleaved velocity dofs from level-1 onto level.
 
     The uniform meshes are nested, so evaluating the coarse Q2 field at the
-    fine nodes is exact: the operator reproduces every coarse Q2 field. Fine
-    nodes 4c..4c+3 of a direction sit at reference coordinates -1, -1/2, 0,
-    1/2 of coarse cell c, whose coarse nodes are 2c..2c+2.
+    fine nodes is exact: the operator reproduces every coarse Q2 field that
+    vanishes on the boundary, each component on its own. Fine nodes
+    4c..4c+3 of a direction sit at reference coordinates -1, -1/2, 0, 1/2
+    of coarse cell c, whose coarse nodes are 2c..2c+2. The result is cached
+    per level, so its arrays are read-only.
     """
     if not isinstance(level, (int, np.integer)) or level < 2:
         raise ValueError(f"invalid fine level {level!r}: need integer l >= 2")
@@ -206,7 +226,13 @@ def q2_prolongation(level: int) -> sp.csr_matrix:
     vals = np.append(vals.ravel(), 1.0)
     p1 = sp.csr_matrix((vals, (rows, cols)), shape=(4 * nc + 1, 2 * nc + 1))
     p1.eliminate_zeros()
-    return sp.kron(p1, p1, format="csr")      # node = y index * m + x index
+    p = sp.kron(sp.kron(p1, p1, format="csr"),    # node = y index * m + x index
+                sp.eye(2), format="csr")
+    fine = build_dofmap(build_mesh(level)).interior_vdofs
+    coarse = build_dofmap(build_mesh(level - 1)).interior_vdofs
+    p = p[fine][:, coarse].tocsr()
+    read_only(p)
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +261,8 @@ def cell_stars(level: int):
         sy, sx = k[2], k[3]
         ix = lo[ci[sel]][:, None, None] + np.arange(sx)[None, None, :]
         jy = lo[cj[sel]][:, None, None] + np.arange(sy)[None, :, None]
-        nodes = ((jy - 1) * mi + (ix - 1)).reshape(sel.size, sx * sy)
-        group = (np.stack([2 * nodes, 2 * nodes + 1], axis=-1)
-                 .reshape(sel.size, 2 * sx * sy))
-        group.flags.writeable = False
+        group = vector_dofs(((jy - 1) * mi + (ix - 1)).reshape(sel.size, -1))
+        read_only(group)
         groups.append(group)
     return tuple(groups)
 

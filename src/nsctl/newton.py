@@ -44,6 +44,8 @@ class NewtonConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.precond not in ("al", "bpcd", "ideal"):
             raise ValueError(f"unknown preconditioner kind {self.precond!r}")
+        if self.exact_blocks and self.precond == "ideal":
+            raise ValueError("the ideal stack takes no exact_blocks")
 
 
 @dataclass

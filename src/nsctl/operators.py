@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .grid_fem import setup_geometry
+from .grid_fem import read_only, setup_geometry
 from .krylov import ChebyshevMassSolver, factorize
 
 CHEB_STEPS = 20                       # Chebyshev steps per mass solve
@@ -209,12 +209,6 @@ def _scatter(shape, *parts):
                          shape=shape).tocsr()
 
 
-def _vector_expand(idx_scalar):
-    """Scalar node ids -> interleaved vector dof ids (2 per node)."""
-    out = np.stack([2 * idx_scalar, 2 * idx_scalar + 1], axis=-1)
-    return out.reshape(idx_scalar.shape[0], -1)
-
-
 def restrict(a_full, dofmap):
     """Interior-restrict a full vector-dof operator."""
     keep = dofmap.interior_vdofs
@@ -271,19 +265,27 @@ class LevelOperators:
     def bt_winv_b(self):
         """B^T W^-1 B with W = diag(Mp), the AL term per unit gamma."""
         c = (self.b.T @ (sp.diags(1.0 / self.mp_diag) @ self.b)).tocsr()
-        for arr in (c.data, c.indices, c.indptr):
-            arr.flags.writeable = False
+        read_only(c)
         return c
 
     @cached_property
     def kp_pinned_lu(self):
         """LU of Kp with row and column 0 replaced by the unit vector, which
         makes the Neumann operator invertible and leaves the remaining
-        equations untouched; the outer Schur solves use it."""
+        equations untouched; `kp_solve` applies it."""
         n = self.kp.shape[0]
         d = sp.diags(np.r_[0.0, np.ones(n - 1)])
         e00 = sp.coo_matrix(([1.0], ([0], [0])), shape=(n, n))
         return factorize((d @ self.kp @ d + e00).tocsr())
+
+    def kp_solve(self, r):
+        """Kp^-1 r on the mean-free space: the pinned LU, with the mean
+        taken out of r (then its pinned entry zeroed) and of the result."""
+        rt = np.asarray(r, dtype=np.float64)
+        rt = rt - rt.mean()
+        rt[0] = 0.0
+        z = self.kp_pinned_lu.solve(rt)
+        return z - z.mean()
 
     @cached_property
     def m_lu(self):                   # the exact velocity mass solve
@@ -325,8 +327,7 @@ def _level_operators(level):
                               idx_s, idx_s, (nn, nn)), sp.eye(2), format="csr")
     # B[i, (j,a)] = -int psi_i dN_j/dx_a
     b_e = -np.einsum("q,qi,qja->ija", wdet, v1, g2).reshape(4, 18)
-    b_full = cellwise(b_e, idx_p, _vector_expand(idx_s),
-                      (npp, dofmap.n_v_full))
+    b_full = cellwise(b_e, idx_p, dofmap.cell_v, (npp, dofmap.n_v_full))
     mp = cellwise(np.einsum("q,qi,qj->ij", wdet, v1, v1), idx_p, idx_p,
                   (npp, npp))
     kp = cellwise(np.einsum("q,qid,qjd->ij", wdet, g1, g1), idx_p, idx_p,
@@ -344,11 +345,8 @@ def _level_operators(level):
                          mp_cheb=ChebyshevMassSolver(
                              matrix=mp, steps=CHEB_STEPS,
                              interval=mass_eig_interval(quad, quad.q1_vals)))
-    for a in (wdet, g2, g1, nn_w, ops.m_cheb.diag, ops.mp_cheb.diag):
-        a.flags.writeable = False
-    for a in (m_full, k_full, m, ops.b, b_full, mp, kp):
-        for arr in (a.data, a.indices, a.indptr):
-            arr.flags.writeable = False
+    read_only(wdet, g2, g1, nn_w, ops.m_cheb.diag, ops.mp_cheb.diag,
+              m_full, k_full, m, ops.b, b_full, mp, kp)
     return ops
 
 
@@ -468,8 +466,7 @@ def assemble_velocity(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
     h_e = gradw_rows.reshape(-1, nq) @ lvl.nn_w
     h_e = h_e.reshape(n_cells, 2, 2, 9, 9).transpose(0, 3, 1, 4, 2)
     h_e = h_e.reshape(n_cells, 18, 18)
-    idx_v = _vector_expand(dofmap.cell_q2)
-    h_full = _scatter((2 * nn, 2 * nn), (idx_v, idx_v, h_e))
+    h_full = _scatter((2 * nn, 2 * nn), (dofmap.cell_v, dofmap.cell_v, h_e))
 
     return VelocityOperators(
         m_full=lvl.m_full, n_full=n_full, h_full=h_full,
@@ -491,7 +488,7 @@ def assemble_pressure(mesh, dofmap, patches, quad, wind, nu, lps_on=True,
                              dp_adj=(base - np_conv).tocsr())
 
 
-def assemble_divergence(mesh, dofmap, quad):
+def assemble_divergence(mesh):
     """The level's record, holding B = -int psi_i div(phi_j) as b and b_full."""
     return _level_operators(mesh.level)
 
@@ -517,8 +514,7 @@ def assemble_curvature_exact(mesh, dofmap, quad, zeta, approach):
         # C[(i,a),(j,b)] = int N_j dN_i/dx_b zeta_a
         c_e = np.einsum("q,qj,qib,cqa->ciajb", wdet, nvals, g2, z_q)
         c_e = c_e.reshape(n_cells, 18, 18)
-        idx_v = _vector_expand(dofmap.cell_q2)
-        nn2 = dofmap.n_v_full
+        nn2, idx_v = dofmap.n_v_full, dofmap.cell_v
         c_int = restrict(_scatter((nn2, nn2), (idx_v, idx_v, c_e)), dofmap)
         return (c_int + c_int.T).tocsr()
     # N(zeta) and H(zeta) are the wind blocks of the velocity operators at
@@ -561,7 +557,7 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
         vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
                                 params.nu, lps_on=params.lps_on,
                                 stab_wind=stab_wind)
-    div = assemble_divergence(mesh, dofmap, quad)
+    div = assemble_divergence(mesh)
     keep = dofmap.interior_vdofs
     omega = vel.h_full.T @ state.zeta
     a12_full = vel.d_adj_full if params.approach == "otd" else vel.d_full.T

@@ -13,30 +13,19 @@ preconditioners are provided for verification at desk scale.
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import operators
-from .grid_fem import build_dofmap, build_mesh, cell_stars, q2_prolongation
+from .grid_fem import cell_stars, q2_prolongation
 from .krylov import (Factorization, KrylovConfig, chebyshev_solve, factorize,
                      gmres)
 from .operators import KktSystem
 
 _IDEAL_GUARD = 20000
-
-
-def _demean(x):
-    return x - x.mean()
-
-
-def _pinned_solve(fact, r):
-    """Solve a pinned Neumann operator with zero-mean projection on both sides."""
-    rt = _demean(np.asarray(r, dtype=np.float64))
-    rt[0] = 0.0
-    return _demean(fact.solve(rt))
 
 
 # --------------------------------------------------------------------------
@@ -47,21 +36,6 @@ MG_COARSEST = 1                       # level whose Galerkin operator is LU-fact
 MG_SWEEPS = 2                         # pre-smoothing sweeps per level
 INNER_ITERS = 5                       # inner GMRES steps per outer apply
 REFINE_STEPS = 2                      # refinement steps per ideal block solve
-
-
-@lru_cache(maxsize=None)
-def _velocity_prolongation(level):
-    """Q2 interpolation of interior interleaved velocity dofs, level-1 -> level.
-
-    Cached per level, so its arrays are read-only.
-    """
-    p = sp.kron(q2_prolongation(level), sp.eye(2), format="csr")
-    fine = build_dofmap(build_mesh(level)).interior_vdofs
-    coarse = build_dofmap(build_mesh(level - 1)).interior_vdofs
-    p = p[fine][:, coarse].tocsr()
-    for a in (p.data, p.indices, p.indptr):
-        a.flags.writeable = False
-    return p
 
 
 @dataclass
@@ -126,7 +100,7 @@ def build_multigrid(a, level) -> Multigrid:
     """Galerkin hierarchy for the level-`level` interior velocity operator `a`."""
     ops, prolongations, smoothers = [a.tocsr()], [], []
     for l in range(level, MG_COARSEST, -1):
-        p = _velocity_prolongation(l)
+        p = q2_prolongation(l)
         smoothers.append(_star_smoothers(ops[-1], l))
         prolongations.append(p)
         ops.append((p.T @ ops[-1] @ p).tocsr())
@@ -215,10 +189,9 @@ def matching_apply(ms: MatchingSchur, rhs):
 def al_outer_schur_apply(system: KktSystem, r1, r2):
     """Blockwise outer Schur inverse for the augmented system:
     [y1; y2] = [Kp^-1 r1 + g W^-1 r2; g W^-1 r1 - (1/beta) Kp^-1 r2], with
-    the level's pinned-Kp LU and W = diag(Mp); it needs no set-up."""
+    the level's Kp solve and W = diag(Mp); it needs no set-up."""
     lvl, gamma = system.level_ops, system.params.gamma
-    k1 = _pinned_solve(lvl.kp_pinned_lu, r1)
-    k2 = _pinned_solve(lvl.kp_pinned_lu, r2)
+    k1, k2 = lvl.kp_solve(r1), lvl.kp_solve(r2)
     y1 = k1 + gamma * (r2 / lvl.mp_diag)
     y2 = gamma * (r1 / lvl.mp_diag) - k2 / system.params.beta
     return y1, y2
@@ -226,11 +199,10 @@ def al_outer_schur_apply(system: KktSystem, r1, r2):
 
 def bpcd_outer_schur_apply(system: KktSystem, pres, mp_solve, r1, r2):
     """Blockwise bpcd outer Schur inverse Mp_blk^-1 . D_p . Kp_blk^-1, with
-    the level's pinned-Kp LU and Mp, the Mp solve `mp_solve` and D_p the
+    the level's Kp solve and Mp, the Mp solve `mp_solve` and D_p the
     step's pressure-space pair `pres`, applied by multiplication."""
     lvl = system.level_ops
-    u1 = _pinned_solve(lvl.kp_pinned_lu, r1)
-    u2 = _pinned_solve(lvl.kp_pinned_lu, r2)
+    u1, u2 = lvl.kp_solve(r1), lvl.kp_solve(r2)
     t1 = lvl.mp @ u1 + pres.dp_adj @ u2
     t2 = pres.dp @ u1 - (lvl.mp @ u2) / system.params.beta
     return mp_solve(t1), mp_solve(t2)
@@ -239,6 +211,15 @@ def bpcd_outer_schur_apply(system: KktSystem, pres, mp_solve, r1, r2):
 # --------------------------------------------------------------------------
 # ideal preconditioners (verification only)
 # --------------------------------------------------------------------------
+
+def _refined(solve, a, r):
+    """`solve(r)` polished by REFINE_STEPS steps of iterative refinement
+    against the matrix `a` that `solve` inverts."""
+    z = solve(r)
+    for _ in range(REFINE_STEPS):
+        z = z + solve(r - a @ z)
+    return z
+
 
 class IdealPrecond:
     """Exact block-triangular preconditioner with direct momentum and dense
@@ -251,28 +232,17 @@ class IdealPrecond:
         if not system.pinned:
             raise ValueError("ideal preconditioner needs a pinned system")
         self.system = system
-        self._f_mat = system.momentum()
-        self.f_fact = factorize(self._f_mat)
+        f_mat = system.momentum()
+        f_fact = factorize(f_mat)
         b = system.b
         self.b_blk = sp.bmat([[b, None], [None, b]], format="csr")
-        x = self.f_fact.solve(self.b_blk.T.toarray())
-        self._sd = self.b_blk @ x
-        self._schur_lu = sla.lu_factor(self._sd)
-
-    def f_solve(self, r):
-        """Momentum solve, polished by iterative refinement so the defective
-        unit eigenvalue of the preconditioned matrix survives in floating
-        point (its perturbation enters under a square root)."""
-        z = self.f_fact.solve(r)
-        for _ in range(REFINE_STEPS):
-            z = z + self.f_fact.solve(r - self._f_mat @ z)
-        return z
-
-    def schur_solve(self, r):
-        z = sla.lu_solve(self._schur_lu, r)
-        for _ in range(REFINE_STEPS):
-            z = z + sla.lu_solve(self._schur_lu, r - self._sd @ z)
-        return z
+        sd = self.b_blk @ f_fact.solve(self.b_blk.T.toarray())
+        # both solves are refined, so that the defective unit eigenvalue of
+        # the preconditioned matrix survives in floating point (its
+        # perturbation enters under a square root)
+        self.f_solve = partial(_refined, f_fact.solve, f_mat)
+        self.schur_solve = partial(
+            _refined, partial(sla.lu_solve, sla.lu_factor(sd)), sd)
 
     def apply(self, rhs, side="p2"):
         if side not in ("p1", "p2"):
@@ -363,13 +333,12 @@ def outer_p2_apply(stack: PrecondStack | IdealPrecond, rhs):
         return stack.apply(rhs, side="p2")
 
     system = stack.system
-    nm = 2 * system.n_v
-    npp = system.n_p
-    y1, y2 = stack.outer_schur(rhs[nm:nm + npp], rhs[nm + npp:])
+    r_v, r_z, r_mu, r_p = system.split(rhs)
+    y1, y2 = stack.outer_schur(r_mu, r_p)
     z_mu, z_p = -y1, -y2
 
     bt = system.b.T
-    t_m = rhs[:nm] - np.concatenate([bt @ z_mu, bt @ z_p])
+    t_m = np.concatenate([r_v - bt @ z_mu, r_z - bt @ z_p])
     cfg = KrylovConfig(fixed_iters=INNER_ITERS)
     z_m, _ = gmres(system.momentum_matvec,
                    lambda x: inner_p1_apply(stack, x), t_m, cfg)

@@ -78,10 +78,14 @@ def test_parse_explicit_gamma():
     ["--level", "2", "--gamma", "nan"],
     ["--level", "2", "--tol-linear", "nan"],
     ["--level", "2", "--tol-linear", "1"],       # met by the zero vector
+    ["--level", "2", "--precond", "bpcd", "--gamma", "7"],   # gamma is al's
+    ["--level", "2", "--precond", "ideal", "--gamma", "7"],
+    ["--level", "2", "--precond", "ideal", "--exact-blocks"],  # no blocks
 ])
 def test_parse_rejections(argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         parse_config(argv)
+    assert exc.value.code == 2
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_run_case_solves_with_the_spec_parameters(monkeypatch):
     run_case(spec)
     assert seen == [(spec.config, spec.params)]
     assert seen[0][0] is spec.config and seen[0][1] is spec.params
-    assert spec.params.gamma == spec.gamma
+    assert spec.gamma is None          # only the al stack reads gamma
     assert (spec.config.precond, spec.config.tol, spec.config.linear.rtol,
             spec.config.exact_blocks) == ("bpcd", 1e-6, 1e-8, True)
     assert (spec.params.approach, spec.params.lps_on) == ("dto", False)
@@ -221,6 +225,15 @@ def test_csv_emit_shape():
     assert cells[9] == "true"
 
 
+def test_csv_emit_leaves_unread_gamma_empty():
+    """A bpcd row has no gamma: its CSV cell is empty, its JSON value null."""
+    result = _result(precond="bpcd")
+    cells = emit([result], "csv", path=None).splitlines()[1].split(",")
+    assert cells[4] == "" and cells[5] == "bpcd"
+    spec = json.loads(emit([result], "json", path=None))["results"][0]["spec"]
+    assert spec["gamma"] is None
+
+
 def test_md_emit_shape():
     text = emit([_result()], "md", path=None)
     lines = text.splitlines()
@@ -255,6 +268,21 @@ def test_load_results_ignores_legacy_seed(tmp_path):
     back = load_results(str(out))
     assert back[0].spec == _result().spec
     assert not hasattr(back[0].spec, "seed")
+
+
+def test_load_results_drops_legacy_unread_gamma(tmp_path):
+    """Files written while bpcd and ideal cases still echoed a gamma load,
+    without it; an al case keeps its gamma."""
+    out = tmp_path / "old.json"
+    results = [_result(precond="bpcd"), _result(precond="ideal"), _result()]
+    emit(results, "json", path=str(out))
+    payload = json.loads(out.read_text())
+    for row in payload["results"][:2]:
+        row["spec"]["gamma"] = 100.0
+    out.write_text(json.dumps(payload))
+    back = load_results(str(out))
+    assert [r.spec for r in back] == [r.spec for r in results]
+    assert [r.spec.gamma for r in back] == [None, None, 100.0]
 
 
 def test_load_results_rejects_unknown_schema(tmp_path):

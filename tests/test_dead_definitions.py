@@ -1,6 +1,7 @@
 """Every module-level function and class in src/nsctl has a caller: it is
 referenced in src/nsctl or perfbench/ somewhere other than its own
-definition. Every annotated field of a class in src/nsctl is read there."""
+definition. Every annotated field of a class in src/nsctl is read there,
+and every parameter of a function in src/nsctl is read in its body."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,10 @@ ALLOWED = {
 # (class, field) kept although nothing in the program reads it, with the
 # reason
 ALLOWED_FIELDS = {}
+
+# (module, function, parameter) kept although the body never reads it, with
+# the reason
+ALLOWED_PARAMS = {}
 
 
 def _references(node):
@@ -91,3 +96,29 @@ def test_every_field_is_read():
     unread = {f for f in fields if f[1] not in reads}
     assert sorted(unread - set(ALLOWED_FIELDS)) == []
     assert sorted(set(ALLOWED_FIELDS) - unread) == []
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads (`self` and `cls` aside)
+    is an argument every caller passes for nothing. Reads in nested
+    functions and lambdas count."""
+    params, unread = [], set()
+    for path, tree in _program():
+        if path.parent != SRC:
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                     + [v for v in (a.vararg, a.kwarg) if v is not None]
+                     if x.arg not in ("self", "cls")]
+            loads = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Load)}
+            params += [(path.stem, fn.name, n) for n in names]
+            unread |= {(path.stem, fn.name, n) for n in names
+                       if n not in loads}
+    assert params
+    assert sorted(unread - set(ALLOWED_PARAMS)) == []
+    assert sorted(set(ALLOWED_PARAMS) - unread) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nsctl.grid_fem import (_gauss_1d, _q1_shapes_1d, _q2_shapes_1d,
                             _tensor_tabulate, build_dofmap, build_mesh,
                             build_patches, cell_stars, q2_prolongation,
-                            tabulate)
+                            tabulate, vector_dofs)
 
 DOF_COUNTS = {3: 1062, 4: 4422, 5: 18054, 6: 72966, 7: 293382}
 
@@ -83,6 +83,24 @@ def test_dof_closed_forms():
         assert np.array_equal(np.sort(both), np.arange(d.n_q2))
 
 
+def test_velocity_dofs_interleave_the_nodes():
+    """cell_v is cell_q2 with node n expanded to dofs 2n, 2n+1 in turn, and
+    the boundary and interior dof lists are their nodes' interleaves, as
+    the stacked expressions they replace wrote them."""
+    d = build_dofmap(build_mesh(2))
+    assert d.cell_v.shape == (d.cell_q2.shape[0], 18)
+    assert np.array_equal(d.cell_v[:, 0::2], 2 * d.cell_q2)
+    assert np.array_equal(d.cell_v[:, 1::2], 2 * d.cell_q2 + 1)
+    nodes = d.boundary_nodes
+    assert np.array_equal(d.boundary_vdofs,
+                          np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel())
+    nodes = _interior_nodes(d)
+    assert np.array_equal(d.interior_vdofs,
+                          np.stack([2 * nodes, 2 * nodes + 1], axis=1).ravel())
+    assert np.array_equal(vector_dofs(np.array([[3], [5]])),
+                          [[6, 7], [10, 11]])
+
+
 def test_boundary_nodes_lie_on_boundary():
     d = build_dofmap(build_mesh(2))
     coords = d.q2_coords[d.boundary_nodes]
@@ -117,19 +135,24 @@ def test_patch_size_and_centroids():
 
 
 @pytest.mark.parametrize("level", [2, 3])
-def test_q2_prolongation_reproduces_quadratics(level):
+def test_q2_prolongation_reproduces_interior_quadratics(level):
+    """Each velocity component of a coarse Q2 field that vanishes on the
+    boundary (a multiple of the bubble (1-x^2)(1-y^2)) is interpolated
+    exactly onto the interior fine dofs."""
     fine = build_dofmap(build_mesh(level))
     coarse = build_dofmap(build_mesh(level - 1))
 
-    def field(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        return 1.0 + 2.0 * x - y + 3.0 * x * x - x * y + 0.5 * y * y \
-            + x * x * y * y
+    def field(dofmap):
+        x, y = dofmap.q2_coords[:, 0], dofmap.q2_coords[:, 1]
+        bubble = (1.0 - x * x) * (1.0 - y * y)
+        v = np.column_stack([bubble, -2.0 * bubble]).ravel()
+        return v[dofmap.interior_vdofs]
 
     p = q2_prolongation(level)
-    assert p.shape == (fine.n_q2, coarse.n_q2)
-    err = np.abs(p @ field(coarse.q2_coords) - field(fine.q2_coords)).max()
-    assert err <= 1e-13
+    assert p.shape == (fine.n_v_int, coarse.n_v_int)
+    assert np.abs(p @ field(coarse) - field(fine)).max() <= 1e-13
+    assert p is q2_prolongation(level)          # cached, so read-only
+    assert not any(a.flags.writeable for a in (p.data, p.indices, p.indptr))
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])

@@ -57,6 +57,8 @@ def test_config_validation():
         NewtonConfig(max_iters=0)
     with pytest.raises(ValueError):
         NewtonConfig(precond="ilu")
+    with pytest.raises(ValueError):       # the ideal stack reads no blocks flag
+        NewtonConfig(precond="ideal", exact_blocks=True)
     cfg = NewtonConfig()
     assert isinstance(cfg.linear, KrylovConfig)
     assert (cfg.linear.restart, cfg.linear.maxiter) == (10, 200)

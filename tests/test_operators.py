@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nsctl.grid_fem import setup_geometry
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              _lps_delta, _lps_matrix, _scatter, _streamline,
-                             _vector_expand, _wind_cellwise, _wind_terms,
+                             _wind_cellwise, _wind_terms,
                              assemble_curvature_exact, assemble_divergence,
                              assemble_pressure, assemble_velocity, augment,
                              build_kkt, eval_residual, lift_boundary,
@@ -118,7 +118,7 @@ def test_wind_gradient_block_matches_einsum_form(geom3, rng):
     nvals = geom3.quad.q2_vals
     gradw = np.einsum("cnd,qne->cqde", _wind_cellwise(wind, d), g2)
     h_e = np.einsum("q,qi,qj,cqab->ciajb", wdet, nvals, nvals, gradw)
-    idx = _vector_expand(d.cell_q2)
+    idx = d.cell_v
     want = _scatter((2 * d.n_q2, 2 * d.n_q2),
                     (idx, idx, h_e.reshape(-1, 18, 18)))
     got = _vel(geom3, wind).h_full
@@ -232,8 +232,8 @@ def test_level_operators_shared_and_read_only(geom3):
     a = _vel(geom3, _zero_wind(geom3))
     b = _vel(other, _const_wind(other, 1.0, 0.5), nu=1e-3)
     lvl = _level_operators(geom3.mesh.level)
-    da = assemble_divergence(geom3.mesh, geom3.dofmap, geom3.quad)
-    db = assemble_divergence(other.mesh, other.dofmap, other.quad)
+    da = assemble_divergence(geom3.mesh)
+    db = assemble_divergence(other.mesh)
     assert a.m_full is b.m_full and a.m_full is lvl.m_full
     assert lvl is _level_operators(other.mesh.level)
     assert da is db is lvl
@@ -402,13 +402,13 @@ def test_lps_matrix_matches_triplet_reference(geom3, space):
 # --------------------------------------------------------------------------
 
 def test_divergence_shape(geom3):
-    div = assemble_divergence(geom3.mesh, geom3.dofmap, geom3.quad)
+    div = assemble_divergence(geom3.mesh)
     assert div.b.shape == (81, 450)
     assert div.b_full.shape == (81, geom3.dofmap.n_v_full)
 
 
 def test_divergence_annihilates_solenoidal_fields(geom2):
-    div = assemble_divergence(geom2.mesh, geom2.dofmap, geom2.quad)
+    div = assemble_divergence(geom2.mesh)
     const = _const_wind(geom2, 2.0, -3.0)
     assert np.abs(div.b_full @ const).max() <= 1e-13
     shear = np.empty(geom2.dofmap.n_v_full)
@@ -419,7 +419,7 @@ def test_divergence_annihilates_solenoidal_fields(geom2):
 
 
 def test_divergence_interior_columns_sum_to_zero(geom2):
-    div = assemble_divergence(geom2.mesh, geom2.dofmap, geom2.quad)
+    div = assemble_divergence(geom2.mesh)
     assert np.abs(div.b.T @ np.ones(div.b.shape[0])).max() <= 1e-13
 
 

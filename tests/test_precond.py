@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 import nsctl.operators as operators_mod
 import nsctl.precond as precond_mod
-from nsctl.grid_fem import cell_stars, setup_geometry
+from nsctl.grid_fem import cell_stars, q2_prolongation, setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
                           SingularMatrixError, chebyshev_solve, factorize,
                           gmres)
@@ -121,11 +121,11 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
         geom3, matching_factors):
     system = _stokes_system(geom3, beta=1e-3, augmented=True)
     mat, _ = matching_factors(system)
-    precond_mod._velocity_prolongation.cache_clear()
+    q2_prolongation.cache_clear()
     cell_stars.cache_clear()
     cold = precond_mod.build_multigrid(mat, 3)
     warm = precond_mod.build_multigrid(mat, 3)
-    assert precond_mod._velocity_prolongation.cache_info().hits == 2
+    assert q2_prolongation.cache_info().hits == 2
     assert cell_stars.cache_info().hits == 2
     for a, b in zip(cold.ops + cold.prolongations,
                     warm.ops + warm.prolongations, strict=True):
@@ -135,7 +135,10 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
             assert np.array_equal(sa.dofs, sb.dofs)
             assert _csr_equal(sa.rows, sb.rows)
             assert np.array_equal(sa.inv, sb.inv)
+    # the hierarchy applies the geometry layer's prolongations themselves;
     # the cached arrays are shared between hierarchies, so they are read-only
+    for p, l in zip(warm.prolongations, (3, 2), strict=True):
+        assert p is q2_prolongation(l)
     p = warm.prolongations[0]
     assert not any(x.flags.writeable for x in (p.data, p.indices, p.indptr))
     assert not any(g.flags.writeable for g in cell_stars(3))
@@ -162,7 +165,7 @@ def test_concurrent_matching_build_equals_sequential(step2_system, exact,
     factors built one after the other in this thread, also when both
     threads fill the cold per-level geometry caches at once (a short switch
     interval makes the threads interleave often)."""
-    precond_mod._velocity_prolongation.cache_clear()
+    q2_prolongation.cache_clear()
     cell_stars.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -226,6 +229,23 @@ def _zero_mean_pinned_rhs(rng, n):
     r[0] = 0.0
     r[1:] -= r[1:].mean()
     return r
+
+
+def test_kp_solve_is_the_projected_pinned_solve(rng):
+    """The level record's Kp solve takes the mean out of the right-hand
+    side, zeroes its pinned entry, solves with the pinned LU and takes the
+    mean out of the result, bit for bit in that order; the right-hand side
+    is left as it was."""
+    lvl = _level_operators(2)
+    r = rng.standard_normal(lvl.kp.shape[0]) + 1.0
+    keep = r.copy()
+    rt = r - r.mean()
+    rt[0] = 0.0
+    z = lvl.kp_pinned_lu.solve(rt)
+    got = lvl.kp_solve(r)
+    assert np.array_equal(got, z - z.mean())
+    assert np.array_equal(r, keep)
+    assert abs(got.mean()) <= 1e-15 * np.abs(got).max()
 
 
 def test_al_outer_cross_pairing(geom2, rng):
@@ -301,8 +321,7 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
     mp_solve = (lvl.mp_lu.solve if exact
                 else lambda b: chebyshev_solve(lvl.mp_cheb, b))
     r1, r2 = rng.standard_normal(system.n_p), rng.standard_normal(system.n_p)
-    u1 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r1)
-    u2 = precond_mod._pinned_solve(lvl.kp_pinned_lu, r2)
+    u1, u2 = lvl.kp_solve(r1), lvl.kp_solve(r2)
     want = (mp_solve(lvl.mp @ u1 + dp_od @ u2),
             mp_solve(dp_do @ u1 - (lvl.mp @ u2) / beta))
     got = stack.outer_schur(r1, r2)
