@@ -16,12 +16,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from scipy.io import mmwrite
 
 from .grid_fem import setup_geometry
-from .krylov import KrylovConfig
 from .newton import NewtonConfig, newton_solve
 from .operators import KktParams
 
@@ -61,32 +60,26 @@ class CaseSpec:
         if self.precond == "al":
             self.gamma = self.params.gamma
         self.config = NewtonConfig(
-            tol=self.tol_newton, precond=self.precond,
-            linear=KrylovConfig(rtol=self.tol_linear),
+            tol=self.tol_newton, precond=self.precond, rtol=self.tol_linear,
             exact_blocks=self.exact_blocks)
 
 
 @dataclass
 class CaseResult:
+    """One solved case; a case that raised keeps the defaults and its
+    `error`."""
+
     spec: CaseSpec
-    dof: int
-    newton_iters: int
-    avg_fgmres: int
-    fgmres_per_step: list
-    residuals: list
-    step_seconds: list
-    linear_converged: list
-    converged: bool
-    runtime_s: float
+    dof: int = 0
+    newton_iters: int = 0
+    avg_fgmres: int = 0
+    fgmres_per_step: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
+    step_seconds: list = field(default_factory=list)
+    linear_converged: list = field(default_factory=list)
+    converged: bool = False
+    runtime_s: float = 0.0
     error: str = None
-
-
-@dataclass
-class BenchOptions:
-    out: str = None
-    format: str = "csv"
-    jobs: int = 1
-    export_dir: str = None
 
 
 # --------------------------------------------------------------------------
@@ -95,31 +88,44 @@ class BenchOptions:
 
 def _parse_number(tok):
     """Float literal, or a fraction like 1/250 as the tables label them."""
-    tok = tok.strip()
-    if "/" in tok:
-        num, den = tok.split("/", 1)
-        try:
+    try:
+        if "/" in tok:
+            num, den = tok.split("/", 1)
             return float(num) / float(den)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {tok!r}") from None
-    return float(tok)
+        return float(tok)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"malformed number {tok!r}") from None
 
 
-def _split(text, parse):
-    """Parse each non-blank item of a comma list."""
-    return [parse(t) for t in text.split(",") if t.strip()]
+def _comma_list(parse):
+    """argparse type of a comma list: `parse` of each non-blank item, and
+    at least one item."""
+    def comma_list(text):
+        items = [parse(t) for t in text.split(",") if t.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return items
+    return comma_list
+
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="nsctl-bench",
         description="Cavity flow-control benchmark: Newton/FGMRES iteration counts.")
-    p.add_argument("--level", help="mesh level(s), comma separated (required)")
-    p.add_argument("--nu", default="1/100",
+    p.add_argument("--level", required=True, type=_comma_list(int),
+                   help="mesh level(s), comma separated")
+    p.add_argument("--nu", default="1/100", type=_comma_list(_parse_number),
                    help="viscosity value(s); accepts 0.01 or 1/100 (default 1/100)")
-    p.add_argument("--beta", default="1e-2",
+    p.add_argument("--beta", default="1e-2", type=_comma_list(_parse_number),
                    help="regularization value(s), comma separated (default 1e-2)")
-    p.add_argument("--gamma", default=None,
+    p.add_argument("--gamma", default=None, type=_parse_number,
                    help="al augmentation parameter (default 10/sqrt(beta))")
     p.add_argument("--precond", default="al", choices=["al", "bpcd", "ideal"])
     p.add_argument("--approach", default="otd", choices=["otd", "dto"])
@@ -133,49 +139,39 @@ def _build_parser():
     p.add_argument("--tol-linear", type=float, default=1e-6)
     p.add_argument("--tol-newton", type=float, default=1e-5)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default="csv", choices=["csv", "json", "md"])
+    p.add_argument("--format", default="csv", choices=list(_WRITERS))
     p.add_argument("--export-matrices", default=None, metavar="DIR",
+                   dest="export_dir",
                    help="write per-step KKT blocks in Matrix Market format")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel cases (default 1, deterministic)")
     return p
 
 
 def parse_config(argv=None):
-    """Parse CLI arguments into (list of CaseSpec, BenchOptions).
+    """Parse CLI arguments into (list of CaseSpec, the argparse namespace).
 
-    Comma lists sweep the cross product in (level, nu, beta) order.
+    Comma lists sweep the cross product in (level, nu, beta) order. An
+    `--out` that names a directory, or a file in a missing one, is rejected
+    here: the sweep runs before the output is opened.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.level is None:
-        parser.error("--level is required")
+    if ns.out is not None and (os.path.isdir(ns.out) or not os.path.isdir(
+            os.path.dirname(ns.out) or ".")):
+        parser.error(f"--out {ns.out!r} is not a file in an existing directory")
     try:
-        levels = _split(ns.level, lambda t: int(t, 10))
-        nus = _split(ns.nu, _parse_number)
-        betas = _split(ns.beta, _parse_number)
-        gamma = None if ns.gamma is None else _parse_number(ns.gamma)
-    except ValueError as exc:
-        parser.error(f"malformed number: {exc}")
-    if not levels or not nus or not betas:
-        parser.error("empty sweep: every swept flag needs at least one value")
-    if ns.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
-    try:
-        specs = [CaseSpec(level=l, nu=nu, beta=beta, gamma=gamma,
+        specs = [CaseSpec(level=l, nu=nu, beta=beta, gamma=ns.gamma,
                           precond=ns.precond, approach=ns.approach,
                           full_newton=ns.full_newton,
                           lps=(ns.lps == "on"),
                           exact_blocks=ns.exact_blocks,
                           tol_linear=ns.tol_linear,
                           tol_newton=ns.tol_newton)
-                 for l in levels for nu in nus for beta in betas]
+                 for l in ns.level for nu in ns.nu for beta in ns.beta]
     except ValueError as exc:
         parser.error(str(exc))
-    opts = BenchOptions(out=ns.out, format=ns.format, jobs=ns.jobs,
-                        export_dir=ns.export_matrices)
-    return specs, opts
+    return specs, ns
 
 
 # --------------------------------------------------------------------------
@@ -225,10 +221,7 @@ def _run_case_guarded(args):
         return run_case(spec, export_dir)
     except Exception as exc:  # keep the sweep alive; report per row
         log.exception("case %s failed", _case_tag(spec))
-        return CaseResult(spec=spec, dof=0, newton_iters=0, avg_fgmres=0,
-                          fgmres_per_step=[], residuals=[], step_seconds=[],
-                          linear_converged=[], converged=False, runtime_s=0.0,
-                          error=f"{type(exc).__name__}: {exc}")
+        return CaseResult(spec=spec, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(specs, jobs=1, export_dir=None):
@@ -330,9 +323,9 @@ def _md_table(table):
     return "\n".join(lines)
 
 
-def _md_text(results, pivots):
+def _md_text(results):
     parts = ["# Cavity control benchmark", ""]
-    for table in pivots:
+    for table in pivot_tables(results):
         parts.append(_md_table(table))
         parts.append("")
     parts.append("## Cases")
@@ -343,17 +336,14 @@ def _md_text(results, pivots):
     return "\n".join(parts) + "\n"
 
 
-def emit(results, fmt, path=None, pivots=None):
+_WRITERS = {"csv": _csv_text, "json": _json_text, "md": _md_text}
+
+
+def emit(results, fmt, path=None):
     """Write results in the requested format to path (or stdout)."""
-    if fmt == "csv":
-        text = _csv_text(results)
-    elif fmt == "json":
-        text = _json_text(results)
-    elif fmt == "md":
-        text = _md_text(results, pivots if pivots is not None
-                        else pivot_tables(results))
-    else:
+    if fmt not in _WRITERS:
         raise ValueError(f"unknown format {fmt!r}")
+    text = _WRITERS[fmt](results)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -374,7 +364,7 @@ def main(argv=None):
     specs, opts = parse_config(argv)
     results, pivots = run_sweep(specs, jobs=opts.jobs,
                                 export_dir=opts.export_dir)
-    emit(results, opts.format, opts.out, pivots=pivots)
+    emit(results, opts.format, opts.out)
     if opts.out is not None:
         for table in pivots:
             sys.stdout.write(_md_table(table) + "\n\n")

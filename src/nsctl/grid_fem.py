@@ -81,10 +81,6 @@ class PatchPartition:
     centroid_nodes: np.ndarray        # (n_patches,) Q2 node at each centre
     size: float                       # patch edge length, 2 h
 
-    @property
-    def n_patches(self) -> int:
-        return self.patch_cells.shape[0]
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

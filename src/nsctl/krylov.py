@@ -16,6 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _REORTH_TOL = 1e-8
+RESTART = 10                          # Arnoldi steps per cycle of a tolerance solve
+MAXITER = 200                         # Arnoldi steps in all, over every cycle
 
 
 class SingularMatrixError(Exception):
@@ -106,27 +108,6 @@ def chebyshev_solve(solver: ChebyshevMassSolver, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class KrylovConfig:
-    restart: int = 10
-    rtol: float = 1e-6
-    maxiter: int = 200
-    fixed_iters: int = None            # exactly this many steps, no tolerance exit
-
-    def __post_init__(self):
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be >= 1")
-        if not np.isfinite(self.rtol):
-            raise ValueError(f"rtol must be finite, got {self.rtol}")
-        # the zero vector meets any rtol >= 1
-        if self.fixed_iters is None and not 0.0 < self.rtol < 1.0:
-            raise ValueError(f"rtol must be in (0, 1), got {self.rtol}")
-        if self.fixed_iters is not None and self.fixed_iters < 1:
-            raise ValueError("fixed_iters must be >= 1")
-
-
-@dataclass
 class SolveStats:
     residuals: list = field(default_factory=list)    # one per Arnoldi step
     converged: bool = False
@@ -212,12 +193,14 @@ def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
     return x0 + z[:j_done].T @ y, met, breakdown
 
 
-def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
+def gmres(apply_a, apply_p, b, rtol=None, fixed_iters=None):
     """Right-preconditioned restarted GMRES, one preconditioner apply per step.
 
-    With cfg.fixed_iters set, runs exactly that many Arnoldi steps (no
-    tolerance exit) -- the mode used for the inner momentum solver. That mode
-    does not compute `true_residual`, which stays 0.
+    Each call passes exactly one of `rtol` and `fixed_iters`. With `rtol`,
+    cycles of RESTART steps run until ||b - A x|| <= rtol ||b||, for at most
+    MAXITER steps in all. With `fixed_iters`, exactly that many Arnoldi steps
+    run (no tolerance exit) -- the mode used for the inner momentum solver.
+    That mode does not compute `true_residual`, which stays 0.
     """
     b = np.asarray(b, dtype=np.float64)
     stats = SolveStats()
@@ -227,17 +210,16 @@ def gmres(apply_a, apply_p, b, cfg: KrylovConfig):
         stats.converged = True
         return np.zeros_like(b), stats
 
-    fixed = cfg.fixed_iters
-    if fixed is not None:
-        x, _, _ = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b), fixed,
-                               None, stats.residuals.append)
+    if fixed_iters is not None:
+        x, _, _ = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b),
+                               fixed_iters, None, stats.residuals.append)
         stats.converged = True
         return x, stats
 
-    target = cfg.rtol * norm_b
+    target = rtol * norm_b
     x, r = np.zeros_like(b), b
-    while stats.iters < cfg.maxiter:
-        steps = min(cfg.restart, cfg.maxiter - stats.iters)
+    while stats.iters < MAXITER:
+        steps = min(RESTART, MAXITER - stats.iters)
         x, met, breakdown = _gmres_cycle(apply_a, apply_p, r, x, steps, target,
                                          stats.residuals.append)
         r = b - apply_a(x)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid_fem import Geometry
 # bound as `fgmres`, the name that the benchmark's tracing wraps
-from .krylov import KrylovConfig, gmres as fgmres
+from .krylov import gmres as fgmres
 from .operators import (KktParams, StateIterate, build_kkt, eval_residual,
                         lift_boundary)
 from .precond import build_precond, outer_p2_apply
@@ -27,21 +27,21 @@ from .precond import build_precond, outer_p2_apply
 log = logging.getLogger("nsctl.newton")
 
 RESIDUAL_FLOOR = 1e-12
+MAX_STEPS = 10
 
 
 @dataclass
 class NewtonConfig:
     tol: float = 1e-5                 # relative nonlinear residual reduction
-    max_iters: int = 10
     precond: str = "al"               # "al" | "bpcd" | "ideal"
-    linear: KrylovConfig = field(default_factory=KrylovConfig)
+    rtol: float = 1e-6                # relative residual of each FGMRES solve
     exact_blocks: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        # the zero vector meets any rtol >= 1; NaN fails the test too
+        for name, x in (("tol", self.tol), ("rtol", self.rtol)):
+            if not 0.0 < x < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {x}")
         if self.precond not in ("al", "bpcd", "ideal"):
             raise ValueError(f"unknown preconditioner kind {self.precond!r}")
         if self.exact_blocks and self.precond == "ideal":
@@ -111,7 +111,7 @@ def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
         kind=cfg.precond, exact_blocks=cfg.exact_blocks)
     system = stack.system
     x, stats = fgmres(system.matvec, lambda r: outer_p2_apply(stack, r),
-                      system.rhs(), cfg.linear)
+                      system.rhs(), rtol=cfg.rtol)
     return _apply_update(state, system, x, geom.dofmap), stats, system
 
 
@@ -121,7 +121,7 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
 
     Stops when the nonlinear residual drops below tol relative to the
     residual of the lifted zero state, at the first non-finite residual, or
-    after max_iters steps (in the last two cases the trace is marked not
+    after MAX_STEPS steps (in the last two cases the trace is marked not
     converged, averages taken over completed steps). `on_system(k, sys)` is
     called with each step system in the form its stack solved, e.g. for
     matrix export; the system and the residual it was built from are
@@ -142,7 +142,7 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
         return state, trace
 
     res = None                       # the Stokes step evaluates its own
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, MAX_STEPS + 1):
         t0 = time.perf_counter()
         wind = zero if k == 1 else state.v
         state, stats, system = _newton_step(state, cfg, params, geom, wind,

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .grid_fem import read_only, setup_geometry
+from .grid_fem import read_only, setup_geometry, vector_dofs
 from .krylov import ChebyshevMassSolver, factorize
 
 CHEB_STEPS = 20                       # Chebyshev steps per mass solve
@@ -532,7 +532,7 @@ def lift_boundary(dofmap):
     out = np.zeros(dofmap.n_v_full)
     coords = dofmap.q2_coords[dofmap.boundary_nodes]
     on_lid = (coords[:, 1] == 1.0) & (np.abs(coords[:, 0]) < 1.0)
-    out[2 * dofmap.boundary_nodes[on_lid]] = 1.0
+    out[vector_dofs(dofmap.boundary_nodes[on_lid])[::2]] = 1.0   # x-velocity
     return out
 
 

@@ -21,8 +21,7 @@ import scipy.sparse as sp
 
 from . import operators
 from .grid_fem import cell_stars, q2_prolongation
-from .krylov import (Factorization, KrylovConfig, chebyshev_solve, factorize,
-                     gmres)
+from .krylov import Factorization, chebyshev_solve, factorize, gmres
 from .operators import KktSystem
 
 _IDEAL_GUARD = 20000
@@ -247,8 +246,8 @@ class IdealPrecond:
     def apply(self, rhs, side="p2"):
         if side not in ("p1", "p2"):
             raise ValueError(f"side must be p1 or p2, got {side!r}")
-        nm = 2 * self.system.n_v
-        r_m, r_p = rhs[:nm], rhs[nm:]
+        r_v, r_z, r_mu, r_p = self.system.split(rhs)
+        r_m, r_p = np.concatenate([r_v, r_z]), np.concatenate([r_mu, r_p])
         if side == "p1":
             z_m = self.f_solve(r_m)
             z_p = -self.schur_solve(r_p - self.b_blk @ z_m)
@@ -339,7 +338,7 @@ def outer_p2_apply(stack: PrecondStack | IdealPrecond, rhs):
 
     bt = system.b.T
     t_m = np.concatenate([r_v - bt @ z_mu, r_z - bt @ z_p])
-    cfg = KrylovConfig(fixed_iters=INNER_ITERS)
     z_m, _ = gmres(system.momentum_matvec,
-                   lambda x: inner_p1_apply(stack, x), t_m, cfg)
+                   lambda x: inner_p1_apply(stack, x), t_m,
+                   fixed_iters=INNER_ITERS)
     return np.concatenate([z_m, z_mu, z_p])

@@ -14,8 +14,8 @@ import scipy.linalg as sla
 
 from nsctl.bench import CaseSpec, run_case
 from nsctl.grid_fem import build_dofmap, build_mesh, setup_geometry
-from nsctl.krylov import (ChebyshevMassSolver, KrylovConfig, chebyshev_solve,
-                          gmres)
+import nsctl.krylov as krylov_mod
+from nsctl.krylov import ChebyshevMassSolver, chebyshev_solve, gmres
 from nsctl.newton import initial_state
 from nsctl.operators import (KktParams, StateIterate, assemble_velocity,
                              augment, build_kkt, eval_residual,
@@ -64,7 +64,9 @@ def test_dof_counts_exact():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_ideal_preconditioner_two_step_convergence():
+def test_ideal_preconditioner_two_step_convergence(monkeypatch):
+    monkeypatch.setattr(krylov_mod, "RESTART", 5)
+    monkeypatch.setattr(krylov_mod, "MAXITER", 5)
     geom = setup_geometry(2)
     params = KktParams(nu=0.01, beta=1e-2)
     system = build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
@@ -75,8 +77,7 @@ def test_ideal_preconditioner_two_step_convergence():
     norm_rhs = np.linalg.norm(rhs)
     for side in ("p1", "p2"):
         _, stats = gmres(lambda u: mat @ u,
-                         lambda r: pre.apply(r, side=side), rhs,
-                         KrylovConfig(restart=5, rtol=1e-10, maxiter=5))
+                         lambda r: pre.apply(r, side=side), rhs, rtol=1e-10)
         assert stats.iters <= 2, f"{side}: {stats.iters} iterations"
         assert stats.true_residual <= 1e-10 * norm_rhs
     dense = mat.toarray()

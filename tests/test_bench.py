@@ -122,7 +122,7 @@ def test_run_case_solves_with_the_spec_parameters(monkeypatch):
     assert seen == [(spec.config, spec.params)]
     assert seen[0][0] is spec.config and seen[0][1] is spec.params
     assert spec.gamma is None          # only the al stack reads gamma
-    assert (spec.config.precond, spec.config.tol, spec.config.linear.rtol,
+    assert (spec.config.precond, spec.config.tol, spec.config.rtol,
             spec.config.exact_blocks) == ("bpcd", 1e-6, 1e-8, True)
     assert (spec.params.approach, spec.params.lps_on) == ("dto", False)
 
@@ -305,6 +305,25 @@ def test_main_json_out(tmp_path, capsys):
     assert back[0].converged and back[0].error is None
     # pivot tables echo to stdout when writing to a file
     assert "### avg_fgmres" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/run.csv"])
+def test_main_rejects_unwritable_out_before_the_sweep(tmp_path, monkeypatch,
+                                                      out):
+    """An --out that names a directory, or a file in a missing one, is a
+    parser error (status 2), raised before any case runs: the output is
+    opened only after the whole sweep."""
+    (tmp_path / "dir").mkdir()
+    argv = ["--level", "2", "--out", str(tmp_path / out)]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(bench_mod, "run_sweep", no_sweep)
+    for entry in (parse_config, main):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("value", ["verbose", "10", ""])

@@ -1,6 +1,7 @@
 """Every module-level function and class in src/nsctl has a caller: it is
 referenced in src/nsctl or perfbench/ somewhere other than its own
-definition. Every annotated field of a class in src/nsctl is read there,
+definition. Every annotated field, method and property of a class in
+src/nsctl is read there, every dataclass field default is overridden there,
 and every parameter of a function in src/nsctl is read in its body."""
 
 import ast
@@ -22,6 +23,14 @@ ALLOWED_FIELDS = {}
 # (module, function, parameter) kept although the body never reads it, with
 # the reason
 ALLOWED_PARAMS = {}
+
+# (class, field) whose default no caller overrides, kept as a setting, with
+# the reason
+ALLOWED_SETTINGS = {}
+
+# (class, method or property) kept although nothing reads it, with the
+# reason
+ALLOWED_METHODS = {}
 
 
 def _references(node):
@@ -48,6 +57,12 @@ def _program():
         + sorted((ROOT / "perfbench").glob("*.py"))
     return [(path, ast.parse(path.read_text(), filename=str(path)))
             for path in paths]
+
+
+def _classes(program):
+    """Every class node defined in src/nsctl."""
+    return [cls for path, tree in program if path.parent == SRC
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
 
 
 def test_every_definition_is_referenced():
@@ -87,9 +102,7 @@ def test_every_field_is_read():
     class's own methods count."""
     program = _program()
     reads = set().union(*(_reads(tree) for _, tree in program))
-    fields = [(cls.name, stmt.target.id) for path, tree in program
-              if path.parent == SRC
-              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+    fields = [(cls.name, stmt.target.id) for cls in _classes(program)
               for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
               and isinstance(stmt.target, ast.Name)]
     assert fields
@@ -122,3 +135,55 @@ def test_every_parameter_is_read():
     assert params
     assert sorted(unread - set(ALLOWED_PARAMS)) == []
     assert sorted(set(ALLOWED_PARAMS) - unread) == []
+
+
+def test_every_method_is_read():
+    """A method or property (dunders aside) that nothing reads as an
+    attribute is dead code. Reads in the class's own methods count."""
+    program = _program()
+    reads = set().union(*(_reads(tree) for _, tree in program))
+    methods = [(cls.name, fn.name) for cls in _classes(program)
+               for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    assert methods
+    unread = {m for m in methods if m[1] not in reads}
+    assert sorted(unread - set(ALLOWED_METHODS)) == []
+    assert sorted(set(ALLOWED_METHODS) - unread) == []
+
+
+def _plain_default(value):
+    """Whether a dataclass field's right-hand side is a default that a
+    caller could override: a value, or `field(default=...)`, but not
+    `field(default_factory=...)` or `field(init=False)`."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id == "field":
+        return any(kw.arg == "default" for kw in value.keywords)
+    return True
+
+
+def test_every_setting_is_set():
+    """A dataclass field default that no caller overrides, by a keyword
+    argument or an attribute store, is a setting with one value in use:
+    a constant, not a field."""
+    program = _program()
+    sets = set()
+    for _, tree in program:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                sets |= {kw.arg for kw in sub.keywords}
+            elif isinstance(sub, ast.Attribute) \
+                    and isinstance(sub.ctx, ast.Store):
+                sets.add(sub.attr)
+    settings = [(cls.name, stmt.target.id) for cls in _classes(program)
+                if any("dataclass" in _references(d)
+                       for d in cls.decorator_list)
+                for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and _plain_default(stmt.value)]
+    assert settings
+    unset = {f for f in settings if f[1] not in sets}
+    assert sorted(unset - set(ALLOWED_SETTINGS)) == []
+    assert sorted(set(ALLOWED_SETTINGS) - unset) == []

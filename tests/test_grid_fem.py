@@ -112,7 +112,7 @@ def test_boundary_nodes_lie_on_boundary():
 @pytest.mark.parametrize("l,n_patches", [(1, 1), (2, 4), (3, 16)])
 def test_patch_counts(l, n_patches):
     patches = build_patches(build_mesh(l))
-    assert patches.n_patches == n_patches
+    assert patches.patch_cells.shape[0] == n_patches
     assert patches.patch_cells.shape[1] == 4
 
 

@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+import nsctl.krylov as krylov_mod
 import nsctl.newton as newton_mod
 import nsctl.operators as operators_mod
-from nsctl.krylov import KrylovConfig
 from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
                           initial_state, newton_solve)
 from nsctl.newton import _newton_step
@@ -53,15 +53,16 @@ def test_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(tol=1.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iters=0)
+    # rtol lies in (0, 1): the zero vector meets any rtol >= 1
+    for bad in (-1.0, 0.0, 1.0, 3.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            NewtonConfig(rtol=bad)
     with pytest.raises(ValueError):
         NewtonConfig(precond="ilu")
     with pytest.raises(ValueError):       # the ideal stack reads no blocks flag
         NewtonConfig(precond="ideal", exact_blocks=True)
-    cfg = NewtonConfig()
-    assert isinstance(cfg.linear, KrylovConfig)
-    assert (cfg.linear.restart, cfg.linear.maxiter) == (10, 200)
+    assert (krylov_mod.RESTART, krylov_mod.MAXITER) == (10, 200)
+    assert newton_mod.MAX_STEPS == 10
 
 
 def test_zero_data_state_is_a_fixed_point(geom2):
@@ -234,11 +235,12 @@ def test_step_system_released_before_next_step(geom2, monkeypatch):
     assert all(r() is None for r in refs)
 
 
-def test_unconverged_linear_solve_warns(geom2, caplog):
-    cfg = NewtonConfig(max_iters=2,
-                       linear=KrylovConfig(restart=10, rtol=1e-6, maxiter=1))
+def test_unconverged_linear_solve_warns(geom2, caplog, monkeypatch):
+    monkeypatch.setattr(newton_mod, "MAX_STEPS", 2)
+    monkeypatch.setattr(krylov_mod, "MAXITER", 1)
     with caplog.at_level(logging.WARNING, logger="nsctl.newton"):
-        _, trace = newton_solve(cfg, KktParams(nu=0.01, beta=1e-2), geom2)
+        _, trace = newton_solve(NewtonConfig(rtol=1e-6),
+                                KktParams(nu=0.01, beta=1e-2), geom2)
     assert trace.fgmres_iters == [1, 1]
     assert trace.linear_converged == [False, False]
     warned = [r.getMessage() for r in caplog.records

@@ -394,7 +394,8 @@ def test_lps_matrix_matches_triplet_reference(geom3, space):
         for f in ("indptr", "indices", "data"):
             g, w = getattr(got, f), getattr(want, f)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), f
-    assert 0 in seen and geom3.patches.n_patches in seen and len(seen) == 3
+    n_patches = geom3.patches.patch_cells.shape[0]
+    assert 0 in seen and n_patches in seen and len(seen) == 3
 
 
 # --------------------------------------------------------------------------

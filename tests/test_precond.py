@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nsctl.krylov as krylov_mod
 import nsctl.operators as operators_mod
 import nsctl.precond as precond_mod
 from nsctl.grid_fem import cell_stars, q2_prolongation, setup_geometry
-from nsctl.krylov import (ChebyshevMassSolver, Factorization, KrylovConfig,
+from nsctl.krylov import (ChebyshevMassSolver, Factorization,
                           SingularMatrixError, chebyshev_solve, factorize,
                           gmres)
 from nsctl.newton import NewtonConfig, _newton_step, initial_state
@@ -349,21 +350,21 @@ def test_inner_p1_zero_and_linearity(geom2, rng):
 
 
 @pytest.mark.parametrize("augmented", [True, False])
-def test_inner_momentum_solve_quality(geom2, augmented):
+def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
     kind = "al" if augmented else "bpcd"
     stack = build_precond(_stokes_system(geom2), kind, exact_blocks=True)
     system = stack.system
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
 
-    cfg = KrylovConfig(fixed_iters=5)
     x5, _ = gmres(lambda x: mom @ x,
-                  lambda x: inner_p1_apply(stack, x), rhs, cfg)
+                  lambda x: inner_p1_apply(stack, x), rhs, fixed_iters=5)
     assert np.linalg.norm(rhs - mom @ x5) <= 1e-2 * np.linalg.norm(rhs)
 
-    cfg = KrylovConfig(restart=30, rtol=1e-10, maxiter=30)
+    monkeypatch.setattr(krylov_mod, "RESTART", 30)
+    monkeypatch.setattr(krylov_mod, "MAXITER", 30)
     _, stats = gmres(lambda x: mom @ x,
-                     lambda x: inner_p1_apply(stack, x), rhs, cfg)
+                     lambda x: inner_p1_apply(stack, x), rhs, rtol=1e-10)
     assert stats.converged
     assert stats.iters <= 15
 
@@ -383,7 +384,7 @@ def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
         images.append(inner_p1_apply(stack, v))
         return images[-1]
 
-    x, _ = gmres(lambda u: mom @ u, apply_p, rhs, KrylovConfig(fixed_iters=5))
+    x, _ = gmres(lambda u: mom @ u, apply_p, rhs, fixed_iters=5)
     az = np.column_stack([mom @ z for z in images])
     y = np.linalg.lstsq(az, rhs, rcond=None)[0]
     old = inner_p1_apply(stack, np.column_stack(basis) @ y)
