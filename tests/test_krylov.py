@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import nsctl.krylov as krylov_mod
 from nsctl.krylov import (ChebyshevMassSolver, SingularMatrixError,
                           chebyshev_solve, factorize, gmres)
+from nsctl.newton import NewtonConfig
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              assemble_velocity, augment, build_kkt,
                              lift_boundary, mass_eig_interval, restrict)
@@ -236,3 +237,17 @@ def test_gmres_stops_on_a_first_step_breakdown(rng):
     assert np.array_equal(x, np.zeros(8))
     assert stats.true_residual == np.linalg.norm(b)
 
+
+
+def test_krylov_config_validation(rng):
+    """The outer solve's settings: RESTART and MAXITER are constants, and
+    its rtol is NewtonConfig.rtol, checked there. The fixed-step mode has no
+    tolerance exit, so it reads no rtol."""
+    assert (krylov_mod.RESTART, krylov_mod.MAXITER) == (10, 200)
+    # rtol lies in (0, 1): the zero vector meets any rtol >= 1
+    for bad in (-1.0, 0.0, 1.0, 3.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            NewtonConfig(rtol=bad)
+    b = rng.standard_normal(6)
+    _, stats = gmres(lambda u: 2.0 * u, lambda u: u, b, fixed_iters=5)
+    assert stats.iters == 1 and stats.converged

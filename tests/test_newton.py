@@ -53,15 +53,10 @@ def test_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(tol=1.0)
-    # rtol lies in (0, 1): the zero vector meets any rtol >= 1
-    for bad in (-1.0, 0.0, 1.0, 3.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            NewtonConfig(rtol=bad)
     with pytest.raises(ValueError):
         NewtonConfig(precond="ilu")
     with pytest.raises(ValueError):       # the ideal stack reads no blocks flag
         NewtonConfig(precond="ideal", exact_blocks=True)
-    assert (krylov_mod.RESTART, krylov_mod.MAXITER) == (10, 200)
     assert newton_mod.MAX_STEPS == 10
 
 
