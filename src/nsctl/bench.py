@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 from scipy.io import mmwrite
 
-from .grid_fem import setup_geometry
-from .newton import NewtonConfig, newton_solve
+from .grid_fem import check_level, setup_geometry
+from .newton import newton_solve
 from .operators import KktParams
 
 log = logging.getLogger("nsctl.bench")
@@ -33,8 +33,8 @@ CSV_COLUMNS = ["level", "dof", "nu", "beta", "gamma", "precond", "approach",
 
 @dataclass
 class CaseSpec:
-    """One benchmark case. Construction validates it: the level here, the
-    rest by building `params` (KktParams) and `config` (NewtonConfig), which
+    """One benchmark case. Construction validates it: the level by
+    `check_level`, the rest by building `params` (KktParams), which
     `run_case` solves with."""
 
     level: int
@@ -50,18 +50,13 @@ class CaseSpec:
     tol_newton: float = 1e-5
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if self.gamma is not None and self.precond != "al":
-            raise ValueError(f"the {self.precond} stack reads no gamma")
-        self.params = KktParams(nu=self.nu, beta=self.beta, gamma=self.gamma,
-                                approach=self.approach, lps_on=self.lps,
-                                full_newton=self.full_newton)
-        if self.precond == "al":
-            self.gamma = self.params.gamma
-        self.config = NewtonConfig(
-            tol=self.tol_newton, precond=self.precond, rtol=self.tol_linear,
-            exact_blocks=self.exact_blocks)
+        check_level(self.level)
+        self.params = KktParams(
+            nu=self.nu, beta=self.beta, gamma=self.gamma, lps_on=self.lps,
+            approach=self.approach, full_newton=self.full_newton,
+            precond=self.precond, exact_blocks=self.exact_blocks,
+            tol_newton=self.tol_newton, tol_linear=self.tol_linear)
+        self.gamma = self.params.gamma
 
 
 @dataclass
@@ -202,7 +197,7 @@ def run_case(spec: CaseSpec, export_dir=None) -> CaseResult:
     """Execute one benchmark case."""
     t0 = time.perf_counter()
     geom = setup_geometry(spec.level)
-    _, trace = newton_solve(spec.config, spec.params, geom,
+    _, trace = newton_solve(spec.params, geom,
                             on_system=_make_exporter(spec, export_dir))
     return CaseResult(
         spec=spec, dof=geom.dofmap.coupled_dim,

@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+QUAD_ORDER = 5                        # Gauss points per direction
+
 
 def vector_dofs(nodes):
     """Interleaved velocity dof ids of Q2 node ids: the last axis of
@@ -93,10 +95,15 @@ class QuadratureRule:
     q1_grads: np.ndarray              # (nq, 4, 2)
 
 
-def build_mesh(l: int) -> Mesh:
-    """Build the level-l uniform mesh: 4^l square cells of edge 2^(1-l)."""
+def check_level(l):
+    """Reject a refinement level that is not an integer >= 1."""
     if not isinstance(l, (int, np.integer)) or l < 1:
         raise ValueError(f"invalid refinement level {l!r}: need integer l >= 1")
+
+
+def build_mesh(l: int) -> Mesh:
+    """Build the level-l uniform mesh: 4^l square cells of edge 2^(1-l)."""
+    check_level(l)
     nc = 2 ** l
     h = 2.0 / nc
     ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="xy")
@@ -156,10 +163,6 @@ def build_patches(mesh: Mesh) -> PatchPartition:
                           size=2.0 * mesh.h_q1)
 
 
-def _gauss_1d(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _q1_shapes_1d(x: np.ndarray):
     vals = np.stack([(1.0 - x) / 2.0, (1.0 + x) / 2.0], axis=-1)
     grads = np.stack([np.full_like(x, -0.5), np.full_like(x, 0.5)], axis=-1)
@@ -183,11 +186,9 @@ def _tensor_tabulate(pts: np.ndarray, shapes_1d):
     return vals, np.stack([dxi, deta], axis=-1)
 
 
-def tabulate(rule_order: int) -> QuadratureRule:
-    """Tabulate an order x order tensor Gauss rule with Q2/Q1 shape tables."""
-    if not isinstance(rule_order, (int, np.integer)) or rule_order < 3:
-        raise ValueError(f"unsupported quadrature order {rule_order!r}: need integer >= 3")
-    x1, w1 = _gauss_1d(rule_order)
+def tabulate() -> QuadratureRule:
+    """The QUAD_ORDER x QUAD_ORDER tensor Gauss rule with Q2/Q1 tables."""
+    x1, w1 = np.polynomial.legendre.leggauss(QUAD_ORDER)
     xg, yg = np.meshgrid(x1, x1, indexing="xy")
     points = np.column_stack([xg.ravel(), yg.ravel()])
     weights = np.outer(w1, w1).ravel()
@@ -245,9 +246,10 @@ def cell_stars(level: int):
     read-only.
     """
     nc = 2 ** level
-    mi = 2 * nc - 1                   # interior Q2 nodes per direction
+    m = 2 * nc + 1                    # Q2 nodes per direction
+    interior = build_dofmap(build_mesh(level)).interior_vdofs[::2] // 2
     lo = np.maximum(1, 2 * np.arange(nc) - 1)              # first star node
-    size = np.minimum(mi, 2 * np.arange(nc) + 3) - lo + 1
+    size = np.minimum(m - 2, 2 * np.arange(nc) + 3) - lo + 1
     ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="xy")
     ci, cj = ci.ravel(), cj.ravel()
     key = np.stack([cj % 3, ci % 3, size[cj], size[ci]], axis=1)
@@ -257,7 +259,8 @@ def cell_stars(level: int):
         sy, sx = k[2], k[3]
         ix = lo[ci[sel]][:, None, None] + np.arange(sx)[None, None, :]
         jy = lo[cj[sel]][:, None, None] + np.arange(sy)[None, :, None]
-        group = vector_dofs(((jy - 1) * mi + (ix - 1)).reshape(sel.size, -1))
+        group = vector_dofs(np.searchsorted(
+            interior, (jy * m + ix).reshape(sel.size, -1)))
         read_only(group)
         groups.append(group)
     return tuple(groups)
@@ -274,8 +277,8 @@ class Geometry:
 
 
 def setup_geometry(level: int) -> Geometry:
-    """Build mesh, dof maps, macro patches and the 5 x 5 Gauss rule for one
+    """Build mesh, dof maps, macro patches and the Gauss rule for one
     level."""
     mesh = build_mesh(level)
     return Geometry(mesh=mesh, dofmap=build_dofmap(mesh),
-                    patches=build_patches(mesh), quad=tabulate(5))
+                    patches=build_patches(mesh), quad=tabulate())

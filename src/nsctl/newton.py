@@ -31,24 +31,6 @@ MAX_STEPS = 10
 
 
 @dataclass
-class NewtonConfig:
-    tol: float = 1e-5                 # relative nonlinear residual reduction
-    precond: str = "al"               # "al" | "bpcd" | "ideal"
-    rtol: float = 1e-6                # relative residual of each FGMRES solve
-    exact_blocks: bool = False
-
-    def __post_init__(self):
-        # the zero vector meets any rtol >= 1; NaN fails the test too
-        for name, x in (("tol", self.tol), ("rtol", self.rtol)):
-            if not 0.0 < x < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {x}")
-        if self.precond not in ("al", "bpcd", "ideal"):
-            raise ValueError(f"unknown preconditioner kind {self.precond!r}")
-        if self.exact_blocks and self.precond == "ideal":
-            raise ValueError("the ideal stack takes no exact_blocks")
-
-
-@dataclass
 class NewtonTrace:
     """Per-step bookkeeping; residuals[0] is the reference residual of the
     lifted zero state, so entry k is the residual after Newton step k."""
@@ -79,11 +61,11 @@ def initial_state(dofmap) -> StateIterate:
                         mu=np.zeros(dofmap.n_p), p=np.zeros(dofmap.n_p), k=0)
 
 
-def convergence_check(trace: NewtonTrace, cfg: NewtonConfig) -> bool:
-    """Relative criterion against the reference residual, with an absolute
-    floor guarding zero-data cases."""
+def convergence_check(trace: NewtonTrace, tol) -> bool:
+    """Relative criterion `tol` against the reference residual, with an
+    absolute floor guarding zero-data cases."""
     ref = trace.residuals[0]
-    return trace.residuals[-1] <= max(cfg.tol * ref, RESIDUAL_FLOOR)
+    return trace.residuals[-1] <= max(tol * ref, RESIDUAL_FLOOR)
 
 
 def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
@@ -100,33 +82,32 @@ def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
     return StateIterate(v=v, zeta=zeta, mu=mu, p=p, k=state.k + 1)
 
 
-def _newton_step(state, cfg: NewtonConfig, params: KktParams, geom: Geometry,
-                 wind, stab_wind=None, res=None):
+def _newton_step(state, params: KktParams, geom: Geometry, wind,
+                 stab_wind=None, res=None):
     """One Newton step; returns (state, stats, system) with `system` the form
     of the step system the configured stack solved. `res` is the residual
     at `state` when it was evaluated at these winds (see `build_kkt`)."""
     stack = build_precond(
         build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                  params, wind=wind, stab_wind=stab_wind, res=res),
-        kind=cfg.precond, exact_blocks=cfg.exact_blocks)
+                  params, wind=wind, stab_wind=stab_wind, res=res))
     system = stack.system
     x, stats = fgmres(system.matvec, lambda r: outer_p2_apply(stack, r),
-                      system.rhs(), rtol=cfg.rtol)
+                      system.rhs(), rtol=params.tol_linear)
     return _apply_update(state, system, x, geom.dofmap), stats, system
 
 
-def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
-                 on_system=None):
+def newton_solve(params: KktParams, geom: Geometry, on_system=None):
     """Run the inexact Newton iteration; returns (state, trace).
 
-    Stops when the nonlinear residual drops below tol relative to the
-    residual of the lifted zero state, at the first non-finite residual, or
-    after MAX_STEPS steps (in the last two cases the trace is marked not
-    converged, averages taken over completed steps). `on_system(k, sys)` is
-    called with each step system in the form its stack solved, e.g. for
-    matrix export; the system and the residual it was built from are
-    released when it returns, before the next iterate's operators are
-    assembled, so only one step's matrices and factors are alive at a time.
+    Stops when the nonlinear residual drops below `params.tol_newton`
+    relative to the residual of the lifted zero state, at the first
+    non-finite residual, or after MAX_STEPS steps (in the last two cases
+    the trace is marked not converged, averages taken over completed
+    steps). `on_system(k, sys)` is called with each step system in the
+    form its stack solved, e.g. for matrix export; the system and the
+    residual it was built from are released when it returns, before the
+    next iterate's operators are assembled, so only one step's matrices
+    and factors are alive at a time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
@@ -137,7 +118,7 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     if not np.isfinite(res.norm):
         log.warning("newton: non-finite initial residual, stopping")
         return state, trace
-    if convergence_check(trace, cfg):
+    if convergence_check(trace, params.tol_newton):
         trace.converged = True
         return state, trace
 
@@ -145,7 +126,7 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
     for k in range(1, MAX_STEPS + 1):
         t0 = time.perf_counter()
         wind = zero if k == 1 else state.v
-        state, stats, system = _newton_step(state, cfg, params, geom, wind,
+        state, stats, system = _newton_step(state, params, geom, wind,
                                             stab_wind=stab, res=res)
         if k == 1:
             stab = state.v.copy()    # freeze the stabilization wind here
@@ -168,7 +149,7 @@ def newton_solve(cfg: NewtonConfig, params: KktParams, geom: Geometry,
         if not np.isfinite(res.norm):
             log.warning("newton step %d: non-finite residual, stopping", k)
             break
-        if convergence_check(trace, cfg):
+        if convergence_check(trace, params.tol_newton):
             trace.converged = True
             break
     return state, trace

@@ -84,21 +84,39 @@ def _require_positive(name, value):
 
 @dataclass
 class KktParams:
+    """All parameters of one case; construction checks every one."""
+
     nu: float
     beta: float
-    gamma: float = None               # defaults to 10 / sqrt(beta)
+    gamma: float = None               # al only; defaults to 10 / sqrt(beta)
     approach: str = "otd"             # "otd" | "dto"
     lps_on: bool = True
     full_newton: bool = False
+    precond: str = "al"               # "al" | "bpcd" | "ideal"
+    exact_blocks: bool = False        # LU for the al and bpcd inner solves
+    tol_newton: float = 1e-5          # relative nonlinear residual reduction
+    tol_linear: float = 1e-6          # relative residual of each FGMRES solve
 
     def __post_init__(self):
         _require_positive("nu", self.nu)
         _require_positive("beta", self.beta)
-        if self.gamma is None:
-            self.gamma = float(10.0 / np.sqrt(self.beta))
-        _require_positive("gamma", self.gamma)
         if self.approach not in ("otd", "dto"):
             raise ValueError(f"unknown approach {self.approach!r}")
+        if self.precond not in ("al", "bpcd", "ideal"):
+            raise ValueError(f"unknown preconditioner kind {self.precond!r}")
+        # the zero vector meets any tolerance >= 1; NaN fails the test too
+        for name, x in (("tol_newton", self.tol_newton),
+                        ("tol_linear", self.tol_linear)):
+            if not 0.0 < x < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {x}")
+        if self.exact_blocks and self.precond == "ideal":
+            raise ValueError("the ideal stack takes no exact_blocks")
+        if self.precond == "al" and self.gamma is None:
+            self.gamma = float(10.0 / np.sqrt(self.beta))
+        elif self.precond != "al" and self.gamma is not None:
+            raise ValueError(f"the {self.precond} stack reads no gamma")
+        if self.gamma is not None:
+            _require_positive("gamma", self.gamma)
 
 
 @dataclass
@@ -573,18 +591,19 @@ def eval_residual(state, mesh, dofmap, patches, quad, params,
     return res
 
 
-def augment(system, gamma):
+def augment(system):
     """Equivalent augmented system of the plain step system.
 
-    Both off-diagonal momentum blocks gain gamma B^T W^-1 B with W the
-    level's diag(Mp), B^T W^-1 B taken from the level record; the momentum
-    right-hand sides gain the matching row combination of the constraint
-    rows, which pairs each momentum row with the *other* unknown's
-    divergence residual. A pinned system is refused.
+    Both off-diagonal momentum blocks gain gamma B^T W^-1 B with gamma the
+    system's `params.gamma`, W the level's diag(Mp) and B^T W^-1 B taken
+    from the level record; the momentum right-hand sides gain the matching
+    row combination of the constraint rows, which pairs each momentum row
+    with the *other* unknown's divergence residual. A pinned system is
+    refused.
     """
     if system.pinned:
         raise ValueError("augment takes the unpinned step system")
-    lvl = system.level_ops
+    lvl, gamma = system.level_ops, system.params.gamma
     c = gamma * lvl.bt_winv_b
     w_diag = lvl.mp_diag
     return dataclasses.replace(

@@ -135,8 +135,8 @@ def _build_and_hold(held, build, a):
     return weakref.proxy(held[0])
 
 
-def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
-    """Matching factors, LU-factorized (`exact`) or applied by multigrid.
+def build_matching(system: KktSystem) -> MatchingSchur:
+    """Matching factors, LU-factorized with `exact_blocks`, else multigrid.
 
     The two inverses are independent, so `inv_12` is built in a worker
     thread while this thread builds `inv_21`; SuperLU and the numpy/scipy
@@ -152,11 +152,8 @@ def build_matching(system: KktSystem, exact=True) -> MatchingSchur:
     lam = (m / np.sqrt(system.params.beta)).tocsr()
     mat_21 = (system.a21 + lam).tocsr()
     mat_12 = (system.a12 + lam).tocsr()
-    if exact:
-        build = factorize
-    else:
-        level = system.level_ops.level
-        build = lambda a: build_multigrid(a, level)  # noqa: E731
+    build = (factorize if system.params.exact_blocks
+             else partial(build_multigrid, level=system.level_ops.level))
     held, pool = [], ThreadPoolExecutor(max_workers=1)
     future_12 = pool.submit(_build_and_hold, held, build, mat_12)
 
@@ -274,9 +271,8 @@ class PrecondStack:
     matching: MatchingSchur
 
 
-def build_precond(system: KktSystem, kind="al",
-                  exact_blocks=False) -> PrecondStack | IdealPrecond:
-    """Assemble factorizations and solvers for the requested preconditioner.
+def build_precond(system: KktSystem) -> PrecondStack | IdealPrecond:
+    """Assemble factorizations and solvers for the stack `params.precond`.
 
     `system` is the plain step system (`build_kkt` without `pin`); the stack
     derives the form it solves from it: "al" augments it, "bpcd" solves it as
@@ -285,29 +281,27 @@ def build_precond(system: KktSystem, kind="al",
     Everything that depends on the level alone comes from `system.level_ops`:
     M, Mp, Kp, their Chebyshev solvers, and the LUs of the pinned Kp and of
     the exact mass solves. The stack holds only what the step builds.
-    `exact_blocks` replaces the Chebyshev and multigrid solves by LU."""
-    if kind not in ("al", "bpcd", "ideal"):
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
+    `params.exact_blocks` replaces the Chebyshev and multigrid solves by LU."""
     if system.pinned:
         raise ValueError("build_precond takes the unpinned step system")
-    if kind == "ideal":
+    lvl, params = system.level_ops, system.params
+    if params.precond == "ideal":
         return IdealPrecond(operators.pin_pressure(system))
 
-    lvl = system.level_ops
     # looked up at each build, so that a wrapper installed on a module sees it
-    if kind == "al":
-        system = operators.augment(system, system.params.gamma)
+    if params.precond == "al":
+        system = operators.augment(system)
         outer_schur = partial(al_outer_schur_apply, system)
     else:
-        mp_solve = (lvl.mp_lu.solve if exact_blocks
+        mp_solve = (lvl.mp_lu.solve if params.exact_blocks
                     else lambda b: chebyshev_solve(lvl.mp_cheb, b))
         outer_schur = partial(bpcd_outer_schur_apply, system, system.pres(),
                               mp_solve)
     return PrecondStack(
         system=system, outer_schur=outer_schur,
-        mass_solve=(lvl.m_lu.solve if exact_blocks
+        mass_solve=(lvl.m_lu.solve if params.exact_blocks
                     else lambda b: chebyshev_solve(lvl.m_cheb, b)),
-        matching=build_matching(system, exact=exact_blocks))
+        matching=build_matching(system))
 
 
 def inner_p1_apply(stack: PrecondStack, rhs):

@@ -94,11 +94,11 @@ def test_matching_spectral_bounds(matching_factors):
         geom = setup_geometry(level)
         zero = np.zeros(geom.dofmap.n_v_full)
         for beta in (1e-1, 1e-3, 1e-5):
-            params = KktParams(nu=0.01, beta=beta, approach="dto")
+            params = KktParams(nu=0.01, beta=beta, approach="dto",
+                               exact_blocks=True)
             system = augment(
                 build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
-                          geom.patches, geom.quad, params, wind=zero),
-                params.gamma)
+                          geom.patches, geom.quad, params, wind=zero))
             ms = build_matching(system)
             m = system.level_ops.m.toarray()
             m_inv = np.linalg.inv(m)
@@ -143,12 +143,13 @@ def test_augmentation_invariance():
     """The plain step system, augmented and then pinned, has the solution
     of the plain pinned system for every gamma."""
     geom = setup_geometry(2)
-    params = KktParams(nu=0.01, beta=1e-2)
-    system = build_kkt(initial_state(geom.dofmap), geom.mesh, geom.dofmap,
-                       geom.patches, geom.quad, params)
-    solutions = []
-    for gamma in (0.0, 10.0, 1000.0):
-        sys_g = pin_pressure(augment(system, gamma))
+    args = (initial_state(geom.dofmap), geom.mesh, geom.dofmap, geom.patches,
+            geom.quad)
+    plain = build_kkt(*args, KktParams(nu=0.01, beta=1e-2), pin=True)
+    solutions = [sla.solve(plain.matrix().toarray(), plain.rhs())]
+    for gamma in (10.0, 1000.0):
+        params = KktParams(nu=0.01, beta=1e-2, gamma=gamma)
+        sys_g = pin_pressure(augment(build_kkt(*args, params)))
         solutions.append(sla.solve(sys_g.matrix().toarray(), sys_g.rhs()))
     ref = np.linalg.norm(solutions[0])
     for gamma, x in zip((10.0, 1000.0), solutions[1:]):

@@ -88,6 +88,23 @@ def test_parse_rejections(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-linear", "1"),
+                                         ("--tol-newton", "0")])
+def test_parse_rejection_names_the_setting(capsys, flag, value):
+    """A rejected tolerance is reported under the name of its setting."""
+    with pytest.raises(SystemExit):
+        parse_config(["--level", "2", flag, value])
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "3"])
+def test_spec_level_rule(bad):
+    """A case takes the mesh's level rule: an integer >= 1."""
+    with pytest.raises(ValueError, match="invalid refinement level"):
+        CaseSpec(level=bad, nu=0.01, beta=1e-2)
+
+
 # --------------------------------------------------------------------------
 # execution
 # --------------------------------------------------------------------------
@@ -106,12 +123,12 @@ def test_run_case_small():
 
 
 def test_run_case_solves_with_the_spec_parameters(monkeypatch):
-    """The spec validates by building its KktParams and NewtonConfig, and
-    run_case solves with exactly those."""
+    """The spec validates by building its KktParams, and run_case solves
+    with exactly that record."""
     seen = []
 
-    def fake_solve(cfg, params, geom, on_system=None):
-        seen.append((cfg, params))
+    def fake_solve(params, geom, on_system=None):
+        seen.append(params)
         return None, NewtonTrace(residuals=[1.0])
 
     monkeypatch.setattr(bench_mod, "newton_solve", fake_solve)
@@ -119,11 +136,11 @@ def test_run_case_solves_with_the_spec_parameters(monkeypatch):
                     approach="dto", lps=False, exact_blocks=True,
                     tol_linear=1e-8, tol_newton=1e-6)
     run_case(spec)
-    assert seen == [(spec.config, spec.params)]
-    assert seen[0][0] is spec.config and seen[0][1] is spec.params
+    assert len(seen) == 1 and seen[0] is spec.params
     assert spec.gamma is None          # only the al stack reads gamma
-    assert (spec.config.precond, spec.config.tol, spec.config.rtol,
-            spec.config.exact_blocks) == ("bpcd", 1e-6, 1e-8, True)
+    assert (spec.params.precond, spec.params.tol_newton,
+            spec.params.tol_linear, spec.params.exact_blocks) \
+        == ("bpcd", 1e-6, 1e-8, True)
     assert (spec.params.approach, spec.params.lps_on) == ("dto", False)
 
 

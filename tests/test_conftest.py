@@ -27,7 +27,7 @@ def test_leaked_thread_check(pytester, monkeypatch):
             system = build_kkt(initial_state(geom2.dofmap), geom2.mesh,
                                geom2.dofmap, geom2.patches, geom2.quad,
                                KktParams(nu=0.01, beta=1e-2))
-            stack = build_precond(system, "al")
+            stack = build_precond(system)
             assert stack is None
 
         def test_passes_leaving_a_thread():

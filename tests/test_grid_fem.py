@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nsctl.grid_fem import (_gauss_1d, _q1_shapes_1d, _q2_shapes_1d,
+from nsctl.grid_fem import (QUAD_ORDER, _q1_shapes_1d, _q2_shapes_1d,
                             _tensor_tabulate, build_dofmap, build_mesh,
                             build_patches, cell_stars, q2_prolongation,
                             tabulate, vector_dofs)
@@ -170,27 +170,23 @@ def test_cell_stars_cover_interior_dofs(level):
 
 
 def test_quadrature_weights_sum():
-    for order in (3, 4, 5):
-        rule = tabulate(order)
-        assert rule.weights.sum() == pytest.approx(4.0, abs=1e-14)
-
-
-def test_quadrature_rejects_low_order():
-    with pytest.raises(ValueError):
-        tabulate(2)
+    rule = tabulate()
+    assert QUAD_ORDER == 5 and rule.weights.size == 25
+    assert rule.weights.sum() == pytest.approx(4.0, abs=1e-14)
 
 
 def test_q1_shapes_at_center():
-    rule = tabulate(3)                 # odd order: (0, 0) is a quad point
-    x1, _ = _gauss_1d(3)
+    rule = tabulate()                  # odd order: (0, 0) is a quad point
+    x1, _ = np.polynomial.legendre.leggauss(QUAD_ORDER)
     mid = np.flatnonzero(np.abs(x1) < 1e-14)
     assert mid.size == 1
     # points are lex by (y, x): the centre is row mid, column mid
-    assert np.allclose(rule.q1_vals[mid[0] * 3 + mid[0]], 0.25, atol=1e-15)
+    assert np.allclose(rule.q1_vals[mid[0] * QUAD_ORDER + mid[0]], 0.25,
+                       atol=1e-15)
 
 
 def test_partition_of_unity_at_quad_points():
-    rule = tabulate(5)
+    rule = tabulate()
     assert np.allclose(rule.q2_vals.sum(axis=1), 1.0, atol=1e-13)
     assert np.allclose(rule.q1_vals.sum(axis=1), 1.0, atol=1e-13)
     # gradients of a partition of unity sum to zero

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 import nsctl.krylov as krylov_mod
 from nsctl.krylov import (ChebyshevMassSolver, SingularMatrixError,
                           chebyshev_solve, factorize, gmres)
-from nsctl.newton import NewtonConfig
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              assemble_velocity, augment, build_kkt,
                              lift_boundary, mass_eig_interval, restrict)
@@ -65,7 +64,7 @@ def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
     params = KktParams(nu=0.01, beta=beta)
     system = augment(build_kkt(state, geom3.mesh, d, geom3.patches,
-                               geom3.quad, params), params.gamma)
+                               geom3.quad, params))
     shift = system.level_ops.m / np.sqrt(beta)
     for a in ((system.a21 + shift).tocsr(), (system.a12 + shift).tocsr()):
         b = rng.standard_normal(a.shape[0])
@@ -241,13 +240,13 @@ def test_gmres_stops_on_a_first_step_breakdown(rng):
 
 def test_krylov_config_validation(rng):
     """The outer solve's settings: RESTART and MAXITER are constants, and
-    its rtol is NewtonConfig.rtol, checked there. The fixed-step mode has no
-    tolerance exit, so it reads no rtol."""
+    its rtol is KktParams.tol_linear, checked there. The fixed-step mode has
+    no tolerance exit, so it reads no rtol."""
     assert (krylov_mod.RESTART, krylov_mod.MAXITER) == (10, 200)
-    # rtol lies in (0, 1): the zero vector meets any rtol >= 1
+    # tol_linear lies in (0, 1): the zero vector meets any rtol >= 1
     for bad in (-1.0, 0.0, 1.0, 3.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            NewtonConfig(rtol=bad)
+            KktParams(nu=0.01, beta=1e-2, tol_linear=bad)
     b = rng.standard_normal(6)
     _, stats = gmres(lambda u: 2.0 * u, lambda u: u, b, fixed_iters=5)
     assert stats.iters == 1 and stats.converged

@@ -9,8 +9,8 @@ import pytest
 import nsctl.krylov as krylov_mod
 import nsctl.newton as newton_mod
 import nsctl.operators as operators_mod
-from nsctl.newton import (NewtonConfig, NewtonTrace, convergence_check,
-                          initial_state, newton_solve)
+from nsctl.newton import (NewtonTrace, convergence_check, initial_state,
+                          newton_solve)
 from nsctl.newton import _newton_step
 from nsctl.operators import KktParams, KktSystem, StateIterate, build_kkt
 
@@ -18,26 +18,25 @@ from nsctl.operators import KktParams, KktSystem, StateIterate, build_kkt
 @pytest.fixture(scope="module")
 def l3_run(geom3):
     params = KktParams(nu=0.01, beta=1e-2)
-    cfg = NewtonConfig()
     seen = []
-    state, trace = newton_solve(cfg, params, geom3,
+    state, trace = newton_solve(params, geom3,
                                 on_system=lambda k, s: seen.append((k, s.dim)))
     return state, trace, seen
 
 
 def test_convergence_check_truth_table():
-    cfg = NewtonConfig(tol=1e-5)
+    tol = 1e-5
     ok = NewtonTrace(residuals=[1.0, 9e-6])
-    assert convergence_check(ok, cfg)
+    assert convergence_check(ok, tol)
     not_yet = NewtonTrace(residuals=[1.0, 2e-5])
-    assert not convergence_check(not_yet, cfg)
+    assert not convergence_check(not_yet, tol)
     start = NewtonTrace(residuals=[1.0])
-    assert not convergence_check(start, cfg)
+    assert not convergence_check(start, tol)
     # absolute floor guards zero and near-zero data
     zero = NewtonTrace(residuals=[0.0])
-    assert convergence_check(zero, cfg)
+    assert convergence_check(zero, tol)
     tiny = NewtonTrace(residuals=[5e-13, 4e-13])
-    assert convergence_check(tiny, cfg)
+    assert convergence_check(tiny, tol)
 
 
 def test_trace_average_rounding():
@@ -49,14 +48,15 @@ def test_trace_average_rounding():
 
 
 def test_config_validation():
+    base = dict(nu=0.01, beta=1e-2)
     with pytest.raises(ValueError):
-        NewtonConfig(tol=0.0)
+        KktParams(tol_newton=0.0, **base)
     with pytest.raises(ValueError):
-        NewtonConfig(tol=1.0)
+        KktParams(tol_newton=1.0, **base)
     with pytest.raises(ValueError):
-        NewtonConfig(precond="ilu")
+        KktParams(precond="ilu", **base)
     with pytest.raises(ValueError):       # the ideal stack reads no blocks flag
-        NewtonConfig(precond="ideal", exact_blocks=True)
+        KktParams(precond="ideal", exact_blocks=True, **base)
     assert newton_mod.MAX_STEPS == 10
 
 
@@ -65,9 +65,8 @@ def test_zero_data_state_is_a_fixed_point(geom2):
     state = StateIterate(v=np.zeros(d.n_v_full), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p))
     params = KktParams(nu=0.01, beta=1e-2)
-    cfg = NewtonConfig()
     new_state, stats, _ = _newton_step(
-        state, cfg, params, geom2, wind=np.zeros(geom2.dofmap.n_v_full))
+        state, params, geom2, wind=np.zeros(geom2.dofmap.n_v_full))
     assert stats.iters == 0 and stats.converged
     assert np.array_equal(new_state.v, state.v)
     assert not new_state.zeta.any()
@@ -89,7 +88,7 @@ def test_approaches_coincide_at_zero_wind(geom2):
 
 def test_solution_respects_boundary_data(geom2):
     params = KktParams(nu=0.01, beta=1e-2)
-    state, trace = newton_solve(NewtonConfig(), params, geom2)
+    state, trace = newton_solve(params, geom2)
     assert trace.converged
     lift = initial_state(geom2.dofmap).v
     bnd = geom2.dofmap.boundary_vdofs
@@ -122,10 +121,9 @@ def test_l3_residuals_decrease_after_first_step(l3_run):
 
 
 def test_full_newton_converges_no_slower(geom3):
-    base = dict(nu=0.01, beta=1e-2, approach="dto")
-    cfg = NewtonConfig(exact_blocks=True)
-    _, inexact = newton_solve(cfg, KktParams(**base), geom3)
-    _, full = newton_solve(cfg, KktParams(full_newton=True, **base), geom3)
+    base = dict(nu=0.01, beta=1e-2, approach="dto", exact_blocks=True)
+    _, inexact = newton_solve(KktParams(**base), geom3)
+    _, full = newton_solve(KktParams(full_newton=True, **base), geom3)
     assert full.converged
     assert full.newton_iters <= inexact.newton_iters + 1
 
@@ -143,8 +141,8 @@ def test_velocity_operators_assembled_once_per_wind(geom3, monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(operators_mod, "assemble_velocity", counting)
-    _, trace = newton_solve(NewtonConfig(exact_blocks=exact),
-                            KktParams(nu=0.004, beta=1e-3), geom3)
+    _, trace = newton_solve(KktParams(nu=0.004, beta=1e-3,
+                                      exact_blocks=exact), geom3)
     assert trace.converged and trace.newton_iters >= 3
     assert len(calls) == trace.newton_iters + 2
 
@@ -161,8 +159,7 @@ def test_residual_evaluated_once_per_iterate(geom2, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(mod, "eval_residual", counting)
-    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
-                            geom2)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
     assert trace.converged and trace.newton_iters >= 3
     assert len(calls) == trace.newton_iters + 2
 
@@ -182,8 +179,8 @@ def test_pressure_operators_assembled_only_for_bpcd(geom2, monkeypatch, kind,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(operators_mod, "assemble_pressure", counting)
-    _, trace = newton_solve(NewtonConfig(precond=kind, exact_blocks=exact),
-                            KktParams(nu=0.01, beta=1e-2), geom2)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2, precond=kind,
+                                      exact_blocks=exact), geom2)
     assert trace.converged and trace.newton_iters >= 3
     assert len(calls) == (trace.newton_iters if kind == "bpcd" else 0)
 
@@ -203,8 +200,7 @@ def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
         return res
 
     monkeypatch.setattr(newton_mod, "eval_residual", nan_at_bad_step)
-    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
-                            geom2)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
     assert trace.newton_iters == bad_step
     assert not trace.converged
     assert np.isnan(trace.residuals[-1])
@@ -222,8 +218,7 @@ def test_step_system_released_before_next_step(geom2, monkeypatch):
         return real(system, *args, **kwargs)
 
     monkeypatch.setattr(newton_mod, "build_precond", counting_build)
-    _, trace = newton_solve(NewtonConfig(), KktParams(nu=0.01, beta=1e-2),
-                            geom2,
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2,
                             on_system=lambda k, s: refs.append(weakref.ref(s)))
     assert trace.newton_iters == 3
     assert alive == [0, 0, 0]
@@ -234,8 +229,8 @@ def test_unconverged_linear_solve_warns(geom2, caplog, monkeypatch):
     monkeypatch.setattr(newton_mod, "MAX_STEPS", 2)
     monkeypatch.setattr(krylov_mod, "MAXITER", 1)
     with caplog.at_level(logging.WARNING, logger="nsctl.newton"):
-        _, trace = newton_solve(NewtonConfig(rtol=1e-6),
-                                KktParams(nu=0.01, beta=1e-2), geom2)
+        _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2,
+                                          tol_linear=1e-6), geom2)
     assert trace.fgmres_iters == [1, 1]
     assert trace.linear_converged == [False, False]
     warned = [r.getMessage() for r in caplog.records
@@ -258,6 +253,6 @@ def test_step_solves_assemble_no_coupled_matrix(geom2, monkeypatch, kind,
 
     monkeypatch.setattr(KktSystem, "matrix", refuse)
     monkeypatch.setattr(KktSystem, "momentum", refuse)
-    cfg = NewtonConfig(precond=kind, exact_blocks=exact)
-    _, trace = newton_solve(cfg, KktParams(nu=0.01, beta=1e-2), geom2)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2, precond=kind,
+                                      exact_blocks=exact), geom2)
     assert trace.converged and all(trace.linear_converged)

@@ -483,6 +483,8 @@ def test_params_default_gamma():
     p = KktParams(nu=0.01, beta=1e-2)
     assert isinstance(p.gamma, float)
     assert p.gamma == pytest.approx(100.0, abs=1e-12)
+    for kind in ("bpcd", "ideal"):        # only the al stack reads gamma
+        assert KktParams(nu=0.01, beta=1e-2, precond=kind).gamma is None
 
 
 def test_params_validation():
@@ -494,6 +496,9 @@ def test_params_validation():
         KktParams(nu=0.01, beta=1e-2, gamma=-1.0)
     with pytest.raises(ValueError):
         KktParams(nu=0.01, beta=1e-2, approach="both")
+    for kind in ("bpcd", "ideal"):
+        with pytest.raises(ValueError, match="reads no gamma"):
+            KktParams(nu=0.01, beta=1e-2, precond=kind, gamma=5.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             KktParams(nu=bad, beta=1e-2)
@@ -571,8 +576,8 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
     args = (state, geom3.mesh, d, geom3.patches, geom3.quad, params)
     vel = _vel(geom3, state.v, nu=params.nu, stab_wind=stab)
     res = eval_residual(*args, vel=vel)
-    own = augment(build_kkt(*args, stab_wind=stab), params.gamma)
-    given = augment(build_kkt(*args, stab_wind=stab, res=res), params.gamma)
+    own = augment(build_kkt(*args, stab_wind=stab))
+    given = augment(build_kkt(*args, stab_wind=stab, res=res))
     for name in ("a11", "a12", "a21", "a22", "b", "rhs1", "rhs2",
                  "rhs_div1", "rhs_div2"):
         assert _bits_equal(getattr(own, name), getattr(given, name)), name
@@ -611,9 +616,8 @@ def test_augment_refuses_pinned_system(geom2):
     params = KktParams(nu=0.01, beta=1e-2)
     system = build_kkt(_zero_state(geom2), geom2.mesh, geom2.dofmap,
                        geom2.patches, geom2.quad, params, pin=True)
-    for gamma in (0.0, params.gamma):
-        with pytest.raises(ValueError):
-            augment(system, gamma)
+    with pytest.raises(ValueError):
+        augment(system)
 
 
 def test_augment_marks_and_modifies(geom2):
@@ -622,7 +626,7 @@ def test_augment_marks_and_modifies(geom2):
     state.v = lift_boundary(geom2.dofmap)
     system = build_kkt(state, geom2.mesh, geom2.dofmap, geom2.patches,
                        geom2.quad, params)
-    aug = augment(system, params.gamma)
+    aug = augment(system)
     w = system.level_ops.mp_diag
     c = params.gamma * (system.b.T @ sp.diags(1.0 / w) @ system.b)
     assert _maxabs((aug.a12 - system.a12 - c).tocsr()) <= 1e-12
@@ -653,7 +657,7 @@ def test_pinned_system_drops_first_pressure_row(geom2):
 
 @pytest.mark.parametrize("approach", ["otd", "dto"])
 @pytest.mark.parametrize("derive", [
-    lambda s: s, lambda s: augment(s, s.params.gamma), pin_pressure],
+    lambda s: s, augment, pin_pressure],
     ids=["plain", "augment", "pin_pressure"])
 def test_block_products_match_assembled(geom2, rng, derive, approach):
     """The block products the Krylov loops apply equal the assembled

@@ -21,7 +21,7 @@ import workloads  # noqa: E402
 
 from nsctl import bench  # noqa: E402
 from nsctl.grid_fem import setup_geometry  # noqa: E402
-from nsctl.newton import NewtonConfig, newton_solve  # noqa: E402
+from nsctl.newton import newton_solve  # noqa: E402
 from nsctl.operators import KktParams, _level_operators  # noqa: E402
 
 
@@ -81,7 +81,7 @@ def test_reference_solution_and_mass_norm(tmp_path):
     checker = checks.Checker(tmp_path)
     m = _level_operators(2).m_full
     assert checker.mass_norm(2, ref.v) == np.sqrt(ref.v @ (m @ ref.v))
-    state, trace = newton_solve(NewtonConfig(), params, geom)
+    state, trace = newton_solve(params, geom)
     assert trace.converged
     dist = checker.mass_norm(2, state.v - ref.v)
     assert dist <= checks.REF_RTOL * checker.mass_norm(2, ref.v)

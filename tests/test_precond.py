@@ -15,7 +15,7 @@ from nsctl.grid_fem import cell_stars, q2_prolongation, setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, Factorization,
                           SingularMatrixError, chebyshev_solve, factorize,
                           gmres)
-from nsctl.newton import NewtonConfig, _newton_step, initial_state
+from nsctl.newton import _newton_step, initial_state
 from nsctl.operators import (CHEB_STEPS, KktParams, PressureOperators,
                              StateIterate, _level_operators, _wind_terms,
                              augment, build_kkt, lift_boundary,
@@ -26,14 +26,22 @@ from nsctl.precond import (IdealPrecond, MatchingSchur, Multigrid,
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
-                   approach="otd"):
+                   **settings):
+    """The Stokes step system of the lifted zero state; `settings` are
+    further KktParams fields, such as the stack's `precond`."""
     d = geom.dofmap
     state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
-    params = KktParams(nu=nu, beta=beta, approach=approach)
+    params = KktParams(nu=nu, beta=beta, **settings)
     system = build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
                        params, wind=np.zeros(d.n_v_full), pin=pinned)
-    return augment(system, params.gamma) if augmented else system
+    return augment(system) if augmented else system
+
+
+def _with_params(system, **changes):
+    """`system` with the given KktParams fields changed."""
+    return dataclasses.replace(
+        system, params=dataclasses.replace(system.params, **changes))
 
 
 # --------------------------------------------------------------------------
@@ -41,7 +49,7 @@ def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
 # --------------------------------------------------------------------------
 
 def test_matching_roundtrip(geom2, rng, matching_factors):
-    system = _stokes_system(geom2, augmented=True)
+    system = _stokes_system(geom2, augmented=True, exact_blocks=True)
     ms = build_matching(system)
     mat_21, mat_12 = matching_factors(system)
     x = rng.standard_normal(system.n_v)
@@ -51,7 +59,7 @@ def test_matching_roundtrip(geom2, rng, matching_factors):
 
 
 def test_matching_apply_matches_dense(geom2, rng, matching_factors):
-    system = _stokes_system(geom2, augmented=True)
+    system = _stokes_system(geom2, augmented=True, exact_blocks=True)
     ms = build_matching(system)
     mat_21, mat_12 = matching_factors(system)
     m_inv = np.linalg.inv(ms.mass.toarray())
@@ -65,7 +73,7 @@ def test_matching_apply_matches_dense(geom2, rng, matching_factors):
 def test_matching_factors_include_shift(geom2, rng, matching_factors):
     """The two inverses invert a21 and a12 shifted by L = M / sqrt(beta),
     and the mass they apply between them is the level record's M."""
-    system = _stokes_system(geom2, augmented=True)
+    system = _stokes_system(geom2, augmented=True, exact_blocks=True)
     ms = build_matching(system)
     assert ms.mass is system.level_ops.m
     shift = system.level_ops.m / np.sqrt(system.params.beta)
@@ -94,9 +102,10 @@ def test_multigrid_cycle_contracts_matching_residual(geom3, beta,
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
     params = KktParams(nu=0.01, beta=beta)
     system = augment(build_kkt(state, geom3.mesh, d, geom3.patches,
-                               geom3.quad, params), params.gamma)
-    assert isinstance(build_matching(system).inv_21, Factorization)
-    ms = build_matching(system, exact=False)
+                               geom3.quad, params))
+    lu = build_matching(_with_params(system, exact_blocks=True))
+    assert isinstance(lu.inv_21, Factorization)
+    ms = build_matching(system)
     mat_21, mat_12 = matching_factors(system)
     for a, inv in ((mat_21, ms.inv_21), (mat_12, ms.inv_12)):
         assert isinstance(inv, Multigrid)
@@ -149,14 +158,13 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
 def step2_system(geom3):
     """The augmented level-3 system of Newton step 2 at nu=1/100, beta=1e-2:
     its wind and its frozen stabilization wind are the step-1 velocity."""
-    params = KktParams(nu=0.01, beta=1e-2)
+    params = KktParams(nu=0.01, beta=1e-2, exact_blocks=True)
     zero = np.zeros(geom3.dofmap.n_v_full)
-    state, _, _ = _newton_step(initial_state(geom3.dofmap),
-                               NewtonConfig(exact_blocks=True), params, geom3,
+    state, _, _ = _newton_step(initial_state(geom3.dofmap), params, geom3,
                                wind=zero)
     return augment(build_kkt(state, geom3.mesh, geom3.dofmap, geom3.patches,
                              geom3.quad, params, wind=state.v,
-                             stab_wind=state.v), params.gamma)
+                             stab_wind=state.v))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -171,7 +179,7 @@ def test_concurrent_matching_build_equals_sequential(step2_system, exact,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ms = build_matching(step2_system, exact=exact)
+        ms = build_matching(_with_params(step2_system, exact_blocks=exact))
     finally:
         sys.setswitchinterval(interval)
     mat_21, mat_12 = matching_factors(step2_system)
@@ -191,11 +199,11 @@ def test_matching_build_error_propagates(geom2, exact, error):
     """A zero (Psi1 + L)^T cannot be factorized (LU) or star-smoothed
     (multigrid); its build runs in the worker thread, and the error reaches
     the caller."""
-    system = _stokes_system(geom2, augmented=True)
+    system = _stokes_system(geom2, augmented=True, exact_blocks=exact)
     lam = system.level_ops.m / np.sqrt(system.params.beta)
     broken = dataclasses.replace(system, a12=(-lam).tocsr())
     with pytest.raises(error):
-        build_matching(broken, exact=exact)
+        build_matching(broken)
 
 
 def _rss_mb():
@@ -212,7 +220,7 @@ def test_worker_built_factors_are_freed():
     exact matching builds at level 4 in one process may grow the resident
     set by at most 50 MB (a factor never freed costs about 9 MB a build)."""
     system = _stokes_system(setup_geometry(4), nu=1 / 250, beta=1e-3,
-                            augmented=True)
+                            augmented=True, exact_blocks=True)
     build_matching(system)
     before = _rss_mb()
     for _ in range(20):
@@ -250,7 +258,7 @@ def test_kp_solve_is_the_projected_pinned_solve(rng):
 
 
 def test_al_outer_cross_pairing(geom2, rng):
-    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2, exact_blocks=True))
     system = stack.system
     n_p = system.n_p
     kp, w = system.level_ops.kp, system.level_ops.mp_diag
@@ -270,7 +278,7 @@ def test_al_outer_cross_pairing(geom2, rng):
 
 
 def test_al_outer_zero_rhs(geom2):
-    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2, exact_blocks=True))
     system = stack.system
     y1, y2 = precond_mod.al_outer_schur_apply(system,
                                               np.zeros(system.n_p),
@@ -279,7 +287,8 @@ def test_al_outer_zero_rhs(geom2):
 
 
 def test_bpcd_stokes_limit(geom2):
-    stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2, precond="bpcd",
+                                          exact_blocks=True))
     system, pres, _ = stack.outer_schur.args
     assert system is stack.system
     nu_kp = (system.params.nu * system.level_ops.kp).tocsr()
@@ -290,7 +299,7 @@ def test_bpcd_stokes_limit(geom2):
 
 
 def test_bpcd_outer_zero_rhs(geom2):
-    stack = build_precond(_stokes_system(geom2), "bpcd", exact_blocks=False)
+    stack = build_precond(_stokes_system(geom2, precond="bpcd"))
     system = stack.system
     y1, y2 = stack.outer_schur(np.zeros(system.n_p), np.zeros(system.n_p))
     assert not y1.any() and not y2.any()
@@ -307,10 +316,11 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
     v[d.interior_vdofs] = rng.standard_normal(d.n_v_int)
     state = StateIterate(v=v, zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
-    params = KktParams(nu=1 / 250, beta=1e-2)
+    params = KktParams(nu=1 / 250, beta=1e-2, precond="bpcd",
+                       exact_blocks=exact)
     plain = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad, params,
                       stab_wind=v)
-    stack = build_precond(plain, "bpcd", exact_blocks=exact)
+    stack = build_precond(plain)
     system = stack.system
     lvl, beta = system.level_ops, system.params.beta
     n_p, w_p = _wind_terms(geom2.mesh, d, geom2.patches, geom2.quad, v,
@@ -337,7 +347,7 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
 # --------------------------------------------------------------------------
 
 def test_inner_p1_zero_and_linearity(geom2, rng):
-    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2, exact_blocks=True))
     system = stack.system
     z = inner_p1_apply(stack, np.zeros(2 * system.n_v))
     assert not z.any()
@@ -352,7 +362,8 @@ def test_inner_p1_zero_and_linearity(geom2, rng):
 @pytest.mark.parametrize("augmented", [True, False])
 def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
     kind = "al" if augmented else "bpcd"
-    stack = build_precond(_stokes_system(geom2), kind, exact_blocks=True)
+    stack = build_precond(_stokes_system(geom2, precond=kind,
+                                         exact_blocks=True))
     system = stack.system
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
@@ -373,7 +384,7 @@ def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
 def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
     """The update Z y equals P(V y), the form that applies the linear inner
     preconditioner once more, with y the residual minimizer over span(Z)."""
-    stack = build_precond(_stokes_system(geom2), "al", exact_blocks=exact)
+    stack = build_precond(_stokes_system(geom2, exact_blocks=exact))
     system = stack.system
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
@@ -454,9 +465,7 @@ def test_ideal_side_validation(geom2, rng):
 def test_build_precond_validation(geom2):
     for kind in ("al", "bpcd", "ideal"):
         with pytest.raises(ValueError):     # takes the unpinned system
-            build_precond(_stokes_system(geom2, pinned=True), kind)
-    with pytest.raises(ValueError):
-        build_precond(_stokes_system(geom2), "ilu")
+            build_precond(_stokes_system(geom2, pinned=True, precond=kind))
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -469,7 +478,8 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     geom = request.getfixturevalue(f"geom{level}")
     lvl = _level_operators(level)
     plain = _stokes_system(geom)
-    for system in (plain, _stokes_system(geom, augmented=True),
+    plain_bpcd = _stokes_system(geom, precond="bpcd")
+    for system in (plain, plain_bpcd, _stokes_system(geom, augmented=True),
                    _stokes_system(geom, pinned=True)):
         assert system.level_ops is lvl
     for cheb, mat, vals in ((lvl.m_cheb, lvl.m, geom.quad.q2_vals),
@@ -481,11 +491,11 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
         raise AssertionError("a stack built a Chebyshev mass solver")
 
     monkeypatch.setattr(ChebyshevMassSolver, "__post_init__", refuse)
-    stack = build_precond(plain, "al")
+    stack = build_precond(plain)
     assert stack.system.level_ops is lvl
     for mg in (stack.matching.inv_21, stack.matching.inv_12):
         assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
-    bpcd = build_precond(plain, "bpcd")
+    bpcd = build_precond(plain_bpcd)
     b = rng.standard_normal(lvl.m.shape[0])
     bp = rng.standard_normal(lvl.mp.shape[0])
     want = chebyshev_solve(lvl.m_cheb, b)
@@ -507,13 +517,13 @@ def test_stacks_hold_only_per_step_objects(geom2):
         == ["mass", "inv_21", "inv_12"]
     assert [f.name for f in dataclasses.fields(PressureOperators)] \
         == ["dp", "dp_adj"]
-    stack = build_precond(_stokes_system(geom2), "bpcd")
+    stack = build_precond(_stokes_system(geom2, precond="bpcd"))
     assert set(vars(stack.matching)) == {"mass", "inv_21", "inv_12"}
     assert stack.matching.mass is stack.system.level_ops.m
     pres = stack.outer_schur.args[1]
     assert type(pres) is PressureOperators
     assert set(vars(pres)) == {"dp", "dp_adj"}
-    al = build_precond(_stokes_system(geom2), "al")
+    al = build_precond(_stokes_system(geom2))
     assert al.outer_schur.func is precond_mod.al_outer_schur_apply
     assert len(al.outer_schur.args) == 1
     assert al.outer_schur.args[0] is al.system
@@ -542,8 +552,8 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
     monkeypatch.setattr(precond_mod, "factorize", counting)
     for exact in (False, True):
         for beta in (1e-2, 1e-3):
-            stack = build_precond(_stokes_system(geom2, beta=beta), "bpcd",
-                                  exact_blocks=exact)
+            stack = build_precond(_stokes_system(
+                geom2, beta=beta, precond="bpcd", exact_blocks=exact))
         if not exact:
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
@@ -553,7 +563,7 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
 
 def test_outer_p2_zero_rhs(geom2):
     for kind in ("al", "bpcd", "ideal"):
-        stack = build_precond(_stokes_system(geom2), kind)
+        stack = build_precond(_stokes_system(geom2, precond=kind))
         assert isinstance(stack, IdealPrecond if kind == "ideal"
                           else PrecondStack)
         z = outer_p2_apply(stack, np.zeros(stack.system.dim))
