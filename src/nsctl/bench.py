@@ -22,7 +22,7 @@ from scipy.io import mmwrite
 
 from .grid_fem import check_level, setup_geometry
 from .newton import newton_solve
-from .operators import KktParams
+from .operators import APPROACHES, PRECONDS, KktParams
 
 log = logging.getLogger("nsctl.bench")
 
@@ -32,31 +32,21 @@ CSV_COLUMNS = ["level", "dof", "nu", "beta", "gamma", "precond", "approach",
 
 
 @dataclass
-class CaseSpec:
-    """One benchmark case. Construction validates it: the level by
-    `check_level`, the rest by building `params` (KktParams), which
-    `run_case` solves with."""
+class CaseSpec(KktParams):
+    """One benchmark case: a case's parameters and its mesh level.
+    Construction validates it, the level by `check_level` and the rest as
+    `KktParams` does; `run_case` solves with the spec itself."""
 
-    level: int
-    nu: float
-    beta: float
-    gamma: float = None               # al only; defaults to 10 / sqrt(beta)
-    precond: str = "al"               # "al" | "bpcd" | "ideal"
-    approach: str = "otd"             # "otd" | "dto"
-    full_newton: bool = False
-    lps: bool = True
-    exact_blocks: bool = False
-    tol_linear: float = 1e-6
-    tol_newton: float = 1e-5
+    level: int = field(kw_only=True)
 
     def __post_init__(self):
         check_level(self.level)
-        self.params = KktParams(
-            nu=self.nu, beta=self.beta, gamma=self.gamma, lps_on=self.lps,
-            approach=self.approach, full_newton=self.full_newton,
-            precond=self.precond, exact_blocks=self.exact_blocks,
-            tol_newton=self.tol_newton, tol_linear=self.tol_linear)
-        self.gamma = self.params.gamma
+        super().__post_init__()
+
+    @property
+    def lps(self):
+        """`lps_on` under the name that perfbench's checks read."""
+        return self.lps_on
 
 
 @dataclass
@@ -120,10 +110,11 @@ def _build_parser():
                    help="viscosity value(s); accepts 0.01 or 1/100 (default 1/100)")
     p.add_argument("--beta", default="1e-2", type=_comma_list(_parse_number),
                    help="regularization value(s), comma separated (default 1e-2)")
-    p.add_argument("--gamma", default=None, type=_parse_number,
+    p.add_argument("--gamma", default=KktParams.gamma, type=_parse_number,
                    help="al augmentation parameter (default 10/sqrt(beta))")
-    p.add_argument("--precond", default="al", choices=["al", "bpcd", "ideal"])
-    p.add_argument("--approach", default="otd", choices=["otd", "dto"])
+    p.add_argument("--precond", default=KktParams.precond, choices=PRECONDS)
+    p.add_argument("--approach", default=KktParams.approach,
+                   choices=APPROACHES)
     p.add_argument("--lps", default="on", choices=["on", "off"],
                    help="local-projection stabilization (default on)")
     p.add_argument("--full-newton", action="store_true",
@@ -131,8 +122,8 @@ def _build_parser():
     p.add_argument("--exact-blocks", action="store_true",
                    help="LU solves instead of Chebyshev and multigrid "
                         "inside the al and bpcd stacks")
-    p.add_argument("--tol-linear", type=float, default=1e-6)
-    p.add_argument("--tol-newton", type=float, default=1e-5)
+    p.add_argument("--tol-linear", type=float, default=KktParams.tol_linear)
+    p.add_argument("--tol-newton", type=float, default=KktParams.tol_newton)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=list(_WRITERS))
     p.add_argument("--export-matrices", default=None, metavar="DIR",
@@ -159,7 +150,7 @@ def parse_config(argv=None):
         specs = [CaseSpec(level=l, nu=nu, beta=beta, gamma=ns.gamma,
                           precond=ns.precond, approach=ns.approach,
                           full_newton=ns.full_newton,
-                          lps=(ns.lps == "on"),
+                          lps_on=(ns.lps == "on"),
                           exact_blocks=ns.exact_blocks,
                           tol_linear=ns.tol_linear,
                           tol_newton=ns.tol_newton)
@@ -197,7 +188,7 @@ def run_case(spec: CaseSpec, export_dir=None) -> CaseResult:
     """Execute one benchmark case."""
     t0 = time.perf_counter()
     geom = setup_geometry(spec.level)
-    _, trace = newton_solve(spec.params, geom,
+    _, trace = newton_solve(spec, geom,
                             on_system=_make_exporter(spec, export_dir))
     return CaseResult(
         spec=spec, dof=geom.dofmap.coupled_dim,
@@ -220,27 +211,27 @@ def _run_case_guarded(args):
 
 
 def run_sweep(specs, jobs=1, export_dir=None):
-    """Run all cases (in spec order) and build pivot tables.
-
-    Returns (results, pivots); failures are recorded per row, not raised.
-    """
+    """Run all cases and return their results in spec order; failures are
+    recorded per row, not raised."""
     if not specs:
         raise ValueError("empty sweep")
     work = [(spec, export_dir) for spec in specs]
     if jobs > 1:
         # the pool forks all its workers at start: no more than the cases
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            results = list(pool.map(_run_case_guarded, work))
-    else:
-        results = [_run_case_guarded(w) for w in work]
-    return results, pivot_tables(results)
+            return list(pool.map(_run_case_guarded, work))
+    return [_run_case_guarded(w) for w in work]
 
 
 def pivot_tables(results):
-    """Group results the way the benchmark tables present them: one table per
-    (metric, preconditioner, nu), level rows by beta columns, with a dagger
-    marking runs whose Newton iteration did not converge."""
-    tables = []
+    """The results as the benchmark tables present them, in markdown: one
+    table per (metric, preconditioner, nu), level rows by beta columns,
+    with a dagger marking runs whose Newton iteration did not converge.
+    Each table is followed by a blank line."""
+    def row(cells):
+        return "| " + " | ".join(cells) + " |"
+
+    lines = []
     groups = sorted({(r.spec.precond, r.spec.approach, r.spec.nu)
                      for r in results}, key=lambda t: (t[0], t[1], -t[2]))
     for metric in ("avg_fgmres", "newton_iters"):
@@ -255,15 +246,13 @@ def pivot_tables(results):
                 if not r.converged and not r.error:
                     val += "†"
                 cell[(r.spec.level, r.spec.beta)] = val
-            rows = [[str(l)] + [cell.get((l, b), "") for b in betas]
-                    for l in levels]
-            tables.append({
-                "title": f"{metric}, precond={precond}, approach={approach}, "
-                         f"nu={nu:g}",
-                "header": ["l \\ beta"] + [f"{b:.0e}" for b in betas],
-                "rows": rows,
-            })
-    return tables
+            lines += [f"### {metric}, precond={precond}, approach={approach}, "
+                      f"nu={nu:g}", "",
+                      row(["l \\ beta"] + [f"{b:.0e}" for b in betas]),
+                      "|" + "|".join(["---"] * (len(betas) + 1)) + "|"]
+            lines += [row([str(l)] + [cell.get((l, b), "") for b in betas])
+                      for l in levels] + [""]
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -285,8 +274,10 @@ def _csv_text(results):
 
 
 def _json_text(results):
-    payload = {"schema": JSON_SCHEMA,
-               "results": [asdict(r) for r in results]}
+    rows = [asdict(r) for r in results]
+    for row in rows:                  # the files name lps_on `lps`
+        row["spec"]["lps"] = row["spec"].pop("lps_on")
+    payload = {"schema": JSON_SCHEMA, "results": rows}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -303,32 +294,16 @@ def load_results(path):
         d = dict(d)
         legacy = {"seed"} if d["spec"].get("precond") == "al" \
             else {"seed", "gamma"}
-        d["spec"] = CaseSpec(**{k: v for k, v in d["spec"].items()
-                                if k not in legacy})
+        spec = {k: v for k, v in d["spec"].items() if k not in legacy}
+        spec["lps_on"] = spec.pop("lps")
+        d["spec"] = CaseSpec(**spec)
         out.append(CaseResult(**d))
     return out
 
 
-def _md_table(table):
-    lines = ["### " + table["title"], ""]
-    lines.append("| " + " | ".join(table["header"]) + " |")
-    lines.append("|" + "|".join(["---"] * len(table["header"])) + "|")
-    for row in table["rows"]:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
-
-
 def _md_text(results):
-    parts = ["# Cavity control benchmark", ""]
-    for table in pivot_tables(results):
-        parts.append(_md_table(table))
-        parts.append("")
-    parts.append("## Cases")
-    parts.append("")
-    parts.append("```")
-    parts.append(_csv_text(results).rstrip("\n"))
-    parts.append("```")
-    return "\n".join(parts) + "\n"
+    return ("# Cavity control benchmark\n\n" + pivot_tables(results)
+            + "## Cases\n\n```\n" + _csv_text(results) + "```\n")
 
 
 _WRITERS = {"csv": _csv_text, "json": _json_text, "md": _md_text}
@@ -357,12 +332,10 @@ def main(argv=None):
     logging.basicConfig(level=name.upper(),
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     specs, opts = parse_config(argv)
-    results, pivots = run_sweep(specs, jobs=opts.jobs,
-                                export_dir=opts.export_dir)
+    results = run_sweep(specs, jobs=opts.jobs, export_dir=opts.export_dir)
     emit(results, opts.format, opts.out)
     if opts.out is not None:
-        for table in pivots:
-            sys.stdout.write(_md_table(table) + "\n\n")
+        sys.stdout.write(pivot_tables(results))
     failed = [r for r in results if r.error]
     return 1 if failed else 0
 

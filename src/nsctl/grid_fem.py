@@ -40,11 +40,10 @@ class Mesh:
     level: int
     cells_per_dir: int
     h_q1: float                       # cell edge length, 2^(1-l)
-    cell_vertices: np.ndarray         # (n_cells, 4) vertex ids, local lex by (y, x)
 
     @property
     def n_cells(self) -> int:
-        return self.cell_vertices.shape[0]
+        return self.cells_per_dir ** 2
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class DofMap:
     boundary_nodes: np.ndarray        # sorted Q2 node ids on the boundary
     n_v_int: int                      # interior velocity dofs
     n_p: int                          # pressure dofs, (2^l+1)^2
-    cell_q1: np.ndarray               # (n_cells, 4) pressure dof ids
+    cell_q1: np.ndarray               # (n_cells, 4) pressure dof ids, local lex by (y, x)
     interior_vdofs: np.ndarray        # full -> kept velocity dof ids
 
     @property
@@ -104,14 +103,7 @@ def check_level(l):
 def build_mesh(l: int) -> Mesh:
     """Build the level-l uniform mesh: 4^l square cells of edge 2^(1-l)."""
     check_level(l)
-    nc = 2 ** l
-    h = 2.0 / nc
-    ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="xy")
-    ci, cj = ci.ravel(), cj.ravel()
-    base = cj * (nc + 1) + ci
-    cell_vertices = np.column_stack([base, base + 1, base + (nc + 1), base + (nc + 2)])
-    return Mesh(level=l, cells_per_dir=nc, h_q1=h,
-                cell_vertices=cell_vertices.astype(np.int64))
+    return Mesh(level=l, cells_per_dir=2 ** l, h_q1=2.0 / 2 ** l)
 
 
 def build_dofmap(mesh: Mesh) -> DofMap:
@@ -128,6 +120,8 @@ def build_dofmap(mesh: Mesh) -> DofMap:
     base = (2 * cj) * m + 2 * ci      # lower-left Q2 node of each cell
     offsets = np.array([0, 1, 2, m, m + 1, m + 2, 2 * m, 2 * m + 1, 2 * m + 2])
     cell_q2 = base[:, None] + offsets[None, :]
+    base = cj * (nc + 1) + ci         # lower-left Q1 node of each cell
+    cell_q1 = np.column_stack([base, base + 1, base + nc + 1, base + nc + 2])
 
     ix = np.arange(n_q2) % m
     jy = np.arange(n_q2) // m
@@ -144,7 +138,7 @@ def build_dofmap(mesh: Mesh) -> DofMap:
         boundary_nodes=boundary_nodes,
         n_v_int=2 * interior_nodes.size,
         n_p=(nc + 1) ** 2,
-        cell_q1=mesh.cell_vertices,
+        cell_q1=cell_q1.astype(np.int64),
         interior_vdofs=vector_dofs(interior_nodes),
     )
 

@@ -82,6 +82,10 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+PRECONDS = ("al", "bpcd", "ideal")   # the preconditioner stacks
+APPROACHES = ("otd", "dto")           # optimize-then-discretize, or reverse
+
+
 @dataclass
 class KktParams:
     """All parameters of one case; construction checks every one."""
@@ -89,10 +93,10 @@ class KktParams:
     nu: float
     beta: float
     gamma: float = None               # al only; defaults to 10 / sqrt(beta)
-    approach: str = "otd"             # "otd" | "dto"
+    approach: str = "otd"             # one of APPROACHES
     lps_on: bool = True
     full_newton: bool = False
-    precond: str = "al"               # "al" | "bpcd" | "ideal"
+    precond: str = "al"               # one of PRECONDS
     exact_blocks: bool = False        # LU for the al and bpcd inner solves
     tol_newton: float = 1e-5          # relative nonlinear residual reduction
     tol_linear: float = 1e-6          # relative residual of each FGMRES solve
@@ -100,9 +104,9 @@ class KktParams:
     def __post_init__(self):
         _require_positive("nu", self.nu)
         _require_positive("beta", self.beta)
-        if self.approach not in ("otd", "dto"):
+        if self.approach not in APPROACHES:
             raise ValueError(f"unknown approach {self.approach!r}")
-        if self.precond not in ("al", "bpcd", "ideal"):
+        if self.precond not in PRECONDS:
             raise ValueError(f"unknown preconditioner kind {self.precond!r}")
         # the zero vector meets any tolerance >= 1; NaN fails the test too
         for name, x in (("tol_newton", self.tol_newton),

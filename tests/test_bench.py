@@ -1,5 +1,6 @@
 """CLI parsing, sweep execution and emit formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from nsctl.bench import (CSV_COLUMNS, CaseResult, CaseSpec, _csv_text, emit,
                          load_results, main, parse_config, pivot_tables,
                          run_case, run_sweep)
 from nsctl.newton import NewtonTrace
+from nsctl.operators import KktParams
 
 
 def _result(level=2, nu=0.01, beta=1e-2, precond="al", newton=3, avg=7,
@@ -33,9 +35,20 @@ def test_parse_defaults():
     s = specs[0]
     assert (s.level, s.nu, s.beta) == (3, 0.01, 1e-3)
     assert s.gamma == pytest.approx(316.22776601683796, rel=1e-12)
-    assert s.precond == "al" and s.approach == "otd"
-    assert s.lps and not s.full_newton and not s.exact_blocks
+    # every other case setting takes the KktParams default of its name
+    for f in dataclasses.fields(KktParams):
+        if f.name not in ("nu", "beta", "gamma"):
+            assert getattr(s, f.name) == f.default, f.name
     assert opts.format == "csv" and opts.out is None and opts.jobs == 1
+
+
+def test_spec_is_params_with_a_level():
+    """A case is one record: KktParams' fields plus the level, which
+    newton_solve takes as it is."""
+    assert [f.name for f in dataclasses.fields(CaseSpec)] \
+        == [f.name for f in dataclasses.fields(KktParams)] + ["level"]
+    spec = CaseSpec(level=2, nu=0.01, beta=1e-2)
+    assert isinstance(spec, KktParams) and not hasattr(spec, "params")
 
 
 def test_parse_sweep_cross_product():
@@ -81,6 +94,9 @@ def test_parse_explicit_gamma():
     ["--level", "2", "--precond", "bpcd", "--gamma", "7"],   # gamma is al's
     ["--level", "2", "--precond", "ideal", "--gamma", "7"],
     ["--level", "2", "--precond", "ideal", "--exact-blocks"],  # no blocks
+    ["--level", "2", "--precond", "xyz"],        # unknown choices
+    ["--level", "2", "--approach", "xyz"],
+    ["--level", "2", "--lps", "maybe"],
 ])
 def test_parse_rejections(argv):
     with pytest.raises(SystemExit) as exc:
@@ -123,8 +139,7 @@ def test_run_case_small():
 
 
 def test_run_case_solves_with_the_spec_parameters(monkeypatch):
-    """The spec validates by building its KktParams, and run_case solves
-    with exactly that record."""
+    """run_case solves with the spec itself, its KktParams checks run."""
     seen = []
 
     def fake_solve(params, geom, on_system=None):
@@ -133,15 +148,14 @@ def test_run_case_solves_with_the_spec_parameters(monkeypatch):
 
     monkeypatch.setattr(bench_mod, "newton_solve", fake_solve)
     spec = CaseSpec(level=2, nu=0.004, beta=1e-3, precond="bpcd",
-                    approach="dto", lps=False, exact_blocks=True,
+                    approach="dto", lps_on=False, exact_blocks=True,
                     tol_linear=1e-8, tol_newton=1e-6)
     run_case(spec)
-    assert len(seen) == 1 and seen[0] is spec.params
+    assert len(seen) == 1 and seen[0] is spec
     assert spec.gamma is None          # only the al stack reads gamma
-    assert (spec.params.precond, spec.params.tol_newton,
-            spec.params.tol_linear, spec.params.exact_blocks) \
-        == ("bpcd", 1e-6, 1e-8, True)
-    assert (spec.params.approach, spec.params.lps_on) == ("dto", False)
+    assert (spec.precond, spec.tol_newton, spec.tol_linear,
+            spec.exact_blocks) == ("bpcd", 1e-6, 1e-8, True)
+    assert (spec.approach, spec.lps_on) == ("dto", False)
 
 
 def test_run_case_deterministic():
@@ -167,11 +181,10 @@ def test_run_sweep_guards_failures(monkeypatch):
         raise RuntimeError("broken case")
 
     monkeypatch.setattr(bench_mod, "run_case", boom)
-    results, pivots = run_sweep([CaseSpec(level=2, nu=0.01, beta=1e-2)])
+    results = run_sweep([CaseSpec(level=2, nu=0.01, beta=1e-2)])
     assert len(results) == 1
     assert results[0].error == "RuntimeError: broken case"
-    assert any("failed" in c for t in pivots for row in t["rows"]
-               for c in row)
+    assert "| 2 | failed |" in pivot_tables(results).splitlines()
 
 
 @pytest.mark.parametrize("jobs,n_cases,workers", [(8, 1, 1), (8, 3, 3),
@@ -200,7 +213,7 @@ def test_run_sweep_pool_no_larger_than_the_sweep(monkeypatch, jobs, n_cases,
                         _result(level=spec.level, beta=spec.beta))
     specs = [CaseSpec(level=2, nu=0.01, beta=10.0 ** -k)
              for k in range(1, n_cases + 1)]
-    results, _ = run_sweep(specs, jobs=jobs)
+    results = run_sweep(specs, jobs=jobs)
     assert sizes == [workers]
     assert [r.spec.beta for r in results] == [s.beta for s in specs]
 
@@ -216,20 +229,22 @@ def test_pivot_tables_layout():
         _result(level=3, beta=1e-1, avg=9, converged=False),
         _result(level=3, beta=1e-3, avg=6, error="RuntimeError: x"),
     ]
-    tables = pivot_tables(results)
-    assert len(tables) == 2                     # one per metric, one group
-    avg_table = tables[0]
-    assert avg_table["header"] == ["l \\ beta", "1e-01", "1e-03"]
-    assert avg_table["rows"][0] == ["2", "5", "4"]
-    assert avg_table["rows"][1] == ["3", "9†", "failed"]
+    lines = pivot_tables(results).splitlines()
+    titles = [i for i, l in enumerate(lines) if l.startswith("### ")]
+    assert len(titles) == 2                     # one per metric, one group
+    avg_table = lines[titles[0]:titles[1]]
+    assert avg_table[2] == "| l \\ beta | 1e-01 | 1e-03 |"
+    assert avg_table[4] == "| 2 | 5 | 4 |"
+    assert avg_table[5] == "| 3 | 9† | failed |"
 
 
 def test_pivot_groups_by_nu_descending():
     results = [_result(nu=0.004), _result(nu=0.01)]
-    tables = pivot_tables(results)
-    assert len(tables) == 4
-    assert "nu=0.01" in tables[0]["title"]
-    assert "nu=0.004" in tables[1]["title"]
+    titles = [l for l in pivot_tables(results).splitlines()
+              if l.startswith("### ")]
+    assert len(titles) == 4
+    assert "nu=0.01" in titles[0]
+    assert "nu=0.004" in titles[1]
 
 
 def test_csv_emit_shape():
@@ -273,6 +288,20 @@ def test_json_roundtrip(tmp_path):
     assert len(back) == 1
     assert back[0].spec == _result().spec
     assert back[0].avg_fgmres == _result().avg_fgmres
+
+
+def test_json_names_lps_on_lps(tmp_path):
+    """A written spec carries `lps`, as files always have, and a
+    hand-made file with `lps` loads into the spec's `lps_on`."""
+    spec = json.loads(emit([_result()], "json"))["results"][0]["spec"]
+    assert spec["lps"] is True and "lps_on" not in spec
+    spec["lps"] = False
+    row = {"spec": spec, "dof": 200, "converged": True}
+    out = tmp_path / "hand.json"
+    out.write_text(json.dumps({"schema": "nsctl-bench/1", "results": [row]}))
+    back = load_results(str(out))[0]
+    assert back.spec == CaseSpec(level=2, nu=0.01, beta=1e-2, lps_on=False)
+    assert (back.dof, back.converged) == (200, True)
 
 
 def test_load_results_ignores_legacy_seed(tmp_path):

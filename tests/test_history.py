@@ -86,7 +86,7 @@ HISTORIES = {
          "0x1.724731ad3a8f0p-11",
          "0x1.3bc92dcca9e4bp-23"]),
     "lps-off-lu-l3": (
-        dict(level=3, nu=1 / 100, beta=1e-2, lps=False, gamma=50.0,
+        dict(level=3, nu=1 / 100, beta=1e-2, lps_on=False, gamma=50.0,
              exact_blocks=True),
         [3, 3, 4, 4], [True, True, True, True],
         ["0x1.32a7f9378a942p-4",
