@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from scipy.io import mmwrite
 
 from .grid_fem import check_level, setup_geometry
-from .newton import newton_solve
+from .newton import NewtonTrace, newton_solve
 from .operators import APPROACHES, PRECONDS, KktParams
 
 log = logging.getLogger("nsctl.bench")
@@ -50,19 +50,12 @@ class CaseSpec(KktParams):
 
 
 @dataclass
-class CaseResult:
-    """One solved case; a case that raised keeps the defaults and its
-    `error`."""
+class CaseResult(NewtonTrace):
+    """One case's Newton trace with its spec, dof, runtime and error; a
+    case that raised keeps an empty trace and its `error`."""
 
-    spec: CaseSpec
+    spec: CaseSpec = field(kw_only=True)
     dof: int = 0
-    newton_iters: int = 0
-    avg_fgmres: int = 0
-    fgmres_per_step: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    step_seconds: list = field(default_factory=list)
-    linear_converged: list = field(default_factory=list)
-    converged: bool = False
     runtime_s: float = 0.0
     error: str = None
 
@@ -139,7 +132,8 @@ def parse_config(argv=None):
 
     Comma lists sweep the cross product in (level, nu, beta) order. An
     `--out` that names a directory, or a file in a missing one, is rejected
-    here: the sweep runs before the output is opened.
+    here, as the output is opened only after the sweep; the
+    `--export-matrices` directory is made here, or rejected if it cannot be.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -157,6 +151,11 @@ def parse_config(argv=None):
                  for l in ns.level for nu in ns.nu for beta in ns.beta]
     except ValueError as exc:
         parser.error(str(exc))
+    if ns.export_dir is not None:
+        try:
+            os.makedirs(ns.export_dir, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--export-matrices: {exc}")
     return specs, ns
 
 
@@ -190,15 +189,8 @@ def run_case(spec: CaseSpec, export_dir=None) -> CaseResult:
     geom = setup_geometry(spec.level)
     _, trace = newton_solve(spec, geom,
                             on_system=_make_exporter(spec, export_dir))
-    return CaseResult(
-        spec=spec, dof=geom.dofmap.coupled_dim,
-        newton_iters=trace.newton_iters, avg_fgmres=trace.avg_fgmres,
-        fgmres_per_step=list(trace.fgmres_iters),
-        residuals=[float(r) for r in trace.residuals],
-        step_seconds=[float(t) for t in trace.step_seconds],
-        linear_converged=list(trace.linear_converged),
-        converged=trace.converged,
-        runtime_s=time.perf_counter() - t0)
+    return CaseResult(spec=spec, dof=geom.dofmap.coupled_dim,
+                      runtime_s=time.perf_counter() - t0, **vars(trace))
 
 
 def _run_case_guarded(args):
@@ -275,23 +267,27 @@ def _csv_text(results):
 
 def _json_text(results):
     rows = [asdict(r) for r in results]
-    for row in rows:                  # the files name lps_on `lps`
-        row["spec"]["lps"] = row["spec"].pop("lps_on")
+    for r, row in zip(results, rows):
+        row["spec"]["lps"] = row["spec"].pop("lps_on")   # the files' key
+        row.update(newton_iters=r.newton_iters, avg_fgmres=r.avg_fgmres)
     payload = {"schema": JSON_SCHEMA, "results": rows}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def load_results(path):
-    """Read back a JSON emit; inverse of emit(..., format='json'). The
-    `seed` that cases carried in earlier versions of the format is
-    ignored, and so is the `gamma` they echoed on bpcd and ideal rows."""
+    """Read back a JSON emit; inverse of emit(..., format='json'). A row's
+    `newton_iters` and `avg_fgmres` are dropped, as the result derives them
+    from `fgmres_per_step`. The `seed` that cases carried in earlier
+    versions of the format is ignored, and so is the `gamma` they echoed
+    on bpcd and ideal rows."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != JSON_SCHEMA:
         raise ValueError(f"unknown schema {payload.get('schema')!r}")
     out = []
     for d in payload["results"]:
-        d = dict(d)
+        d = {k: v for k, v in d.items()
+             if k not in ("newton_iters", "avg_fgmres")}
         legacy = {"seed"} if d["spec"].get("precond") == "al" \
             else {"seed", "gamma"}
         spec = {k: v for k, v in d["spec"].items() if k not in legacy}

@@ -212,16 +212,12 @@ def q2_prolongation(level: int) -> sp.csr_matrix:
     rows = np.broadcast_to(4 * c + np.arange(4)[:, None], (nc, 4, 3))
     cols = np.broadcast_to(2 * c + np.arange(3), (nc, 4, 3))
     vals = np.broadcast_to(w, (nc, 4, 3))
-    rows = np.append(rows.ravel(), 4 * nc)            # the last node, x = 1
-    cols = np.append(cols.ravel(), 2 * nc)
-    vals = np.append(vals.ravel(), 1.0)
-    p1 = sp.csr_matrix((vals, (rows, cols)), shape=(4 * nc + 1, 2 * nc + 1))
+    # a direction's interior rows and columns; build_dofmap numbers the
+    # interior nodes in (y, x) order, the tensor product of the two
+    p1 = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                       shape=(4 * nc + 1, 2 * nc + 1))[1:-1, 1:-1]
     p1.eliminate_zeros()
-    p = sp.kron(sp.kron(p1, p1, format="csr"),    # node = y index * m + x index
-                sp.eye(2), format="csr")
-    fine = build_dofmap(build_mesh(level)).interior_vdofs
-    coarse = build_dofmap(build_mesh(level - 1)).interior_vdofs
-    p = p[fine][:, coarse].tocsr()
+    p = sp.kron(sp.kron(p1, p1, format="csr"), sp.eye(2), format="csr")
     read_only(p)
     return p
 
@@ -241,7 +237,6 @@ def cell_stars(level: int):
     """
     nc = 2 ** level
     m = 2 * nc + 1                    # Q2 nodes per direction
-    interior = build_dofmap(build_mesh(level)).interior_vdofs[::2] // 2
     lo = np.maximum(1, 2 * np.arange(nc) - 1)              # first star node
     size = np.minimum(m - 2, 2 * np.arange(nc) + 3) - lo + 1
     ci, cj = np.meshgrid(np.arange(nc), np.arange(nc), indexing="xy")
@@ -253,8 +248,9 @@ def cell_stars(level: int):
         sy, sx = k[2], k[3]
         ix = lo[ci[sel]][:, None, None] + np.arange(sx)[None, None, :]
         jy = lo[cj[sel]][:, None, None] + np.arange(sy)[None, :, None]
-        group = vector_dofs(np.searchsorted(
-            interior, (jy * m + ix).reshape(sel.size, -1)))
+        # the id build_dofmap gives interior node (jy, ix)
+        group = vector_dofs(((jy - 1) * (m - 2) + ix - 1)
+                            .reshape(sel.size, -1))
         read_only(group)
         groups.append(group)
     return tuple(groups)

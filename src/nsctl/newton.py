@@ -36,22 +36,22 @@ class NewtonTrace:
     lifted zero state, so entry k is the residual after Newton step k."""
 
     residuals: list = field(default_factory=list)
-    fgmres_iters: list = field(default_factory=list)
+    fgmres_per_step: list = field(default_factory=list)
     step_seconds: list = field(default_factory=list)
     linear_converged: list = field(default_factory=list)
     converged: bool = False
 
     @property
     def newton_iters(self):
-        return len(self.fgmres_iters)
+        return len(self.fgmres_per_step)
 
     @property
     def avg_fgmres(self):
         """Mean FGMRES count over completed steps, rounded to nearest integer
         (half away from zero)."""
-        if not self.fgmres_iters:
+        if not self.fgmres_per_step:
             return 0
-        return int(np.floor(np.mean(self.fgmres_iters) + 0.5))
+        return int(np.floor(np.mean(self.fgmres_per_step) + 0.5))
 
 
 def initial_state(dofmap) -> StateIterate:
@@ -140,7 +140,7 @@ def newton_solve(params: KktParams, geom: Geometry, on_system=None):
         # is built from
         res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
                             geom.quad, params, stab_wind=stab)
-        trace.fgmres_iters.append(stats.iters)
+        trace.fgmres_per_step.append(stats.iters)
         trace.linear_converged.append(bool(stats.converged))
         trace.step_seconds.append(time.perf_counter() - t0)
         trace.residuals.append(res.norm)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from nsctl.operators import KktParams
 def _result(level=2, nu=0.01, beta=1e-2, precond="al", newton=3, avg=7,
             converged=True, error=None):
     spec = CaseSpec(level=level, nu=nu, beta=beta, precond=precond)
-    return CaseResult(spec=spec, dof=100 * level, newton_iters=newton,
-                      avg_fgmres=avg, fgmres_per_step=[avg] * newton,
+    return CaseResult(spec=spec, dof=100 * level,
+                      fgmres_per_step=[avg] * newton,
                       residuals=[1.0] + [0.1 ** k for k in range(1, newton + 1)],
                       step_seconds=[0.1] * newton,
                       linear_converged=[True] * newton,
@@ -49,6 +51,29 @@ def test_spec_is_params_with_a_level():
         == [f.name for f in dataclasses.fields(KktParams)] + ["level"]
     spec = CaseSpec(level=2, nu=0.01, beta=1e-2)
     assert isinstance(spec, KktParams) and not hasattr(spec, "params")
+
+
+def test_result_is_a_trace_with_its_spec():
+    """A result is one record: NewtonTrace's fields plus the spec, dof,
+    runtime and error; a case that raised has an empty trace."""
+    spec = CaseSpec(level=2, nu=0.01, beta=1e-2)
+    res = CaseResult(spec=spec, error="RuntimeError: x")
+    assert isinstance(res, NewtonTrace)
+    assert [f.name for f in dataclasses.fields(CaseResult)] \
+        == [f.name for f in dataclasses.fields(NewtonTrace)] \
+        + ["spec", "dof", "runtime_s", "error"]
+    assert (res.newton_iters, res.avg_fgmres, res.converged) == (0, 0, False)
+
+
+@pytest.mark.parametrize("count", ["newton_iters", "avg_fgmres"])
+def test_result_counts_come_from_the_trace(count):
+    """The two table counts derive from the per-step list: neither can be
+    set, so no result disagrees with its own trace."""
+    spec = CaseSpec(level=2, nu=0.01, beta=1e-2)
+    with pytest.raises(TypeError):
+        CaseResult(spec=spec, **{count: 3})
+    res = CaseResult(spec=spec, fgmres_per_step=[4, 5])
+    assert (res.newton_iters, res.avg_fgmres) == (2, 5)
 
 
 def test_parse_sweep_cross_product():
@@ -331,6 +356,27 @@ def test_load_results_drops_legacy_unread_gamma(tmp_path):
     assert [r.spec.gamma for r in back] == [None, None, 100.0]
 
 
+def test_json_rows_reemit_with_the_derived_counts(tmp_path):
+    """A row of the format as it has always been written, the trace's two
+    counts beside its per-step list, loads and re-emits as the same
+    text."""
+    row = {"avg_fgmres": 4, "converged": True, "dof": 246, "error": None,
+           "fgmres_per_step": [3, 4, 4], "linear_converged": [True] * 3,
+           "newton_iters": 3, "residuals": [0.5, 0.25, 1e-3, 1e-7],
+           "runtime_s": 0.25, "step_seconds": [0.1, 0.05, 0.05],
+           "spec": {"approach": "otd", "beta": 0.1, "exact_blocks": False,
+                    "full_newton": False, "gamma": 31.622776601683793,
+                    "level": 2, "lps": True, "nu": 0.01, "precond": "al",
+                    "tol_linear": 1e-06, "tol_newton": 1e-05}}
+    text = json.dumps({"results": [row], "schema": "nsctl-bench/1"},
+                      indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "parent.json"
+    path.write_text(text)
+    back = load_results(str(path))
+    assert (back[0].newton_iters, back[0].avg_fgmres) == (3, 4)
+    assert emit(back, "json") == text
+
+
 def test_load_results_rejects_unknown_schema(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "other/9", "results": []}))
@@ -372,6 +418,25 @@ def test_main_rejects_unwritable_out_before_the_sweep(tmp_path, monkeypatch,
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("export", ["file", "file/sub"])
+def test_main_rejects_unusable_export_dir_before_the_sweep(tmp_path,
+                                                           monkeypatch,
+                                                           export):
+    """An --export-matrices path that names a file, or a path below one,
+    is a parser error (status 2), raised before any case runs."""
+    (tmp_path / "file").write_text("")
+    argv = ["--level", "2", "--export-matrices", str(tmp_path / export)]
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(bench_mod, "run_sweep", no_sweep)
+    for entry in (parse_config, main):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
+        assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("value", ["verbose", "10", ""])
 def test_main_rejects_unknown_log_level(monkeypatch, capsys, value):
     """An NSCTL_LOG that names no log level ends the CLI as a bad flag
@@ -400,3 +465,25 @@ def test_main_export_matrices(tmp_path):
         assert (case_dir / f"{name}_2_1.mtx").exists()
     header = a11s[0].read_text().splitlines()[0]
     assert header == "%%MatrixMarket matrix coordinate real general"
+
+
+def _mask_timings(text):
+    """The text with every runtime_s and step_seconds value as `*`."""
+    text = re.sub(r'("runtime_s": )[0-9.e+-]+', r"\1*", text)
+    text = re.sub(r'"step_seconds": \[[^\]]*\]',
+                  lambda m: re.sub(r"\d[0-9.e+-]*", "*", m.group()), text)
+    return re.sub(r",\d+\.\d{3}$", ",*", text, flags=re.M)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+def test_main_output_text_pinned(tmp_path, capsys, fmt):
+    """A real sweep writes the same text as the recorded run of this
+    command, apart from its timings."""
+    out = tmp_path / f"run.{fmt}"
+    rc = main(["--level", "2", "--nu", "1/100", "--beta", "1e-1,1e-3",
+               "--format", fmt, "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    expected = pathlib.Path(__file__).parent / "data" \
+        / f"level2_nu1e-2_beta1e-1_1e-3.{fmt}"
+    assert _mask_timings(out.read_text()) == expected.read_text()

@@ -40,10 +40,10 @@ def test_convergence_check_truth_table():
 
 
 def test_trace_average_rounding():
-    assert NewtonTrace(fgmres_iters=[5, 6]).avg_fgmres == 6
-    assert NewtonTrace(fgmres_iters=[3, 4]).avg_fgmres == 4
-    assert NewtonTrace(fgmres_iters=[2, 3, 3]).avg_fgmres == 3
-    assert NewtonTrace(fgmres_iters=[7]).avg_fgmres == 7
+    assert NewtonTrace(fgmres_per_step=[5, 6]).avg_fgmres == 6
+    assert NewtonTrace(fgmres_per_step=[3, 4]).avg_fgmres == 4
+    assert NewtonTrace(fgmres_per_step=[2, 3, 3]).avg_fgmres == 3
+    assert NewtonTrace(fgmres_per_step=[7]).avg_fgmres == 7
     assert NewtonTrace().avg_fgmres == 0
 
 
@@ -105,7 +105,7 @@ def test_l3_run_trace_consistency(l3_run, geom3):
     assert len(trace.residuals) == trace.newton_iters + 1
     assert len(trace.step_seconds) == trace.newton_iters
     assert all(t > 0.0 for t in trace.step_seconds)
-    mean = np.mean(trace.fgmres_iters)
+    mean = np.mean(trace.fgmres_per_step)
     assert trace.avg_fgmres == int(np.floor(mean + 0.5))
     # callback saw every assembled step system
     assert [k for k, _ in seen] == list(range(1, trace.newton_iters + 1))
@@ -231,7 +231,7 @@ def test_unconverged_linear_solve_warns(geom2, caplog, monkeypatch):
     with caplog.at_level(logging.WARNING, logger="nsctl.newton"):
         _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2,
                                           tol_linear=1e-6), geom2)
-    assert trace.fgmres_iters == [1, 1]
+    assert trace.fgmres_per_step == [1, 1]
     assert trace.linear_converged == [False, False]
     warned = [r.getMessage() for r in caplog.records
               if r.levelno == logging.WARNING]
