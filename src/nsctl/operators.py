@@ -130,7 +130,7 @@ class KktSystem:
     Unknown ordering [dv; dzeta; dmu; dp] with momentum block
     [[a11, a12], [a21, a22]]; a22 = -(1/beta) M. With `pinned` the first
     pressure dof is eliminated from both multiplier blocks so that direct
-    solves (and the ideal preconditioner) see a nonsingular matrix.
+    solves (the ideal stack's too) see a nonsingular matrix.
     `level_ops` is the cached record of the system's level, from which the
     preconditioners take the level, M, Mp, Kp, diag(Mp) and the Chebyshev
     mass solvers. `pres()` assembles the pressure-space pair at the step's
@@ -139,7 +139,7 @@ class KktSystem:
     The blocks are the system's one representation: `matvec` and
     `momentum_matvec` apply it block by block, and `matrix()` and
     `momentum()` assemble a new copy for the callers that need one matrix
-    (direct-solve references, the ideal stack's momentum LU).
+    (direct-solve references, the LU of the ideal stack's momentum solve).
     """
 
     params: KktParams
@@ -563,22 +563,21 @@ def lift_boundary(dofmap):
 # --------------------------------------------------------------------------
 
 def eval_residual(state, mesh, dofmap, patches, quad, params,
-                  vel=None, stab_wind=None):
+                  wind=None, stab_wind=None):
     """Nonlinear residual at the given state.
 
     The adjoint residual includes the -omega correction with
     omega_i = ((grad v)^T zeta, phi_i), assembled as H(v)^T zeta; the first
     divergence residual carries the boundary lift through the full-space
-    product. `vel` is the operator set to evaluate with, assembled at
-    `params.nu` (`build_kkt` passes the one at its linearization wind);
-    without it, the set at `state.v` is assembled here, with `stab_wind` as
-    the stabilization wind and no stabilization without one (see
-    `assemble_velocity`). The result keeps the set it was evaluated with.
+    product. The operator set is assembled at `params.nu` and the wind
+    `wind`, `state.v` without one (`build_kkt` passes its linearization
+    wind), with `stab_wind` as the stabilization wind and no stabilization
+    without one (see `assemble_velocity`). The result keeps the set it was
+    evaluated with.
     """
-    if vel is None:
-        vel = assemble_velocity(mesh, dofmap, patches, quad, state.v,
-                                params.nu, lps_on=params.lps_on,
-                                stab_wind=stab_wind)
+    vel = assemble_velocity(mesh, dofmap, patches, quad,
+                            state.v if wind is None else wind, params.nu,
+                            lps_on=params.lps_on, stab_wind=stab_wind)
     div = assemble_divergence(mesh)
     keep = dofmap.interior_vdofs
     omega = vel.h_full.T @ state.zeta
@@ -642,9 +641,8 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     if wind is None:
         wind = state.v
     if res is None:
-        vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
-                                lps_on=params.lps_on, stab_wind=stab_wind)
-        res = eval_residual(state, mesh, dofmap, patches, quad, params, vel=vel)
+        res = eval_residual(state, mesh, dofmap, patches, quad, params,
+                            wind=wind, stab_wind=stab_wind)
     vel = res.vel
     pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)

@@ -6,8 +6,9 @@ convection-diffusion), followed by a momentum correction solved by a fixed
 number of GMRES iterations. The momentum solve itself is preconditioned by a
 lower block-triangular operator built from a Chebyshev mass solve and the
 matching-strategy Schur approximation, whose two factors are applied by
-geometric multigrid (or LU with `exact_blocks`). Ideal (exact-block)
-preconditioners are provided for verification at desk scale.
+geometric multigrid (or LU with `exact_blocks`). Every stack is one
+`PrecondStack` of its system, outer Schur inverse and momentum solve; the
+ideal one, for verification at desk scale, solves both blocks exactly.
 """
 
 import weakref
@@ -205,8 +206,20 @@ def bpcd_outer_schur_apply(system: KktSystem, pres, mp_solve, r1, r2):
 
 
 # --------------------------------------------------------------------------
-# ideal preconditioners (verification only)
+# the stacks
 # --------------------------------------------------------------------------
+
+@dataclass
+class PrecondStack:
+    """Upper block-triangular preconditioner of one step system: the outer
+    Schur inverse on the two pressure blocks, then the momentum block's
+    inverse on the corrected momentum blocks (see `outer_p2_apply`).
+    `system` is the form of the step system the stack solves."""
+
+    system: KktSystem
+    outer_schur: callable             # (r1, r2) -> (y1, y2), the outer Schur inverse
+    momentum_solve: callable          # t -> the momentum block's inverse on t
+
 
 def _refined(solve, a, r):
     """`solve(r)` polished by REFINE_STEPS steps of iterative refinement
@@ -217,67 +230,40 @@ def _refined(solve, a, r):
     return z
 
 
-class IdealPrecond:
-    """Exact block-triangular preconditioner with direct momentum and dense
-    Schur solves; desk-scale verification only."""
-
-    def __init__(self, system: KktSystem):
-        if system.dim > _IDEAL_GUARD:
-            raise ValueError(f"ideal preconditioner refused: dimension "
-                             f"{system.dim} exceeds {_IDEAL_GUARD}")
-        if not system.pinned:
-            raise ValueError("ideal preconditioner needs a pinned system")
-        self.system = system
-        f_mat = system.momentum()
-        f_fact = factorize(f_mat)
-        b = system.b
-        self.b_blk = sp.bmat([[b, None], [None, b]], format="csr")
-        sd = self.b_blk @ f_fact.solve(self.b_blk.T.toarray())
-        # both solves are refined, so that the defective unit eigenvalue of
-        # the preconditioned matrix survives in floating point (its
-        # perturbation enters under a square root)
-        self.f_solve = partial(_refined, f_fact.solve, f_mat)
-        self.schur_solve = partial(
-            _refined, partial(sla.lu_solve, sla.lu_factor(sd)), sd)
-
-    def apply(self, rhs, side="p2"):
-        if side not in ("p1", "p2"):
-            raise ValueError(f"side must be p1 or p2, got {side!r}")
-        r_v, r_z, r_mu, r_p = self.system.split(rhs)
-        r_m, r_p = np.concatenate([r_v, r_z]), np.concatenate([r_mu, r_p])
-        if side == "p1":
-            z_m = self.f_solve(r_m)
-            z_p = -self.schur_solve(r_p - self.b_blk @ z_m)
-        else:
-            z_p = -self.schur_solve(r_p)
-            z_m = self.f_solve(r_m - self.b_blk.T @ z_p)
-        return np.concatenate([z_m, z_p])
+def _split_solve(solve, r1, r2):
+    """`solve` of the stacked pair (r1, r2), split into its two blocks."""
+    y = solve(np.concatenate([r1, r2]))
+    return y[:r1.size], y[r1.size:]
 
 
-# --------------------------------------------------------------------------
-# the configured stack
-# --------------------------------------------------------------------------
+def _ideal_stack(system: KktSystem) -> PrecondStack:
+    """Exact stack of the pinned `system`, for verification at desk scale:
+    the refined LU of the momentum block F and the refined dense LU of the
+    Schur complement Bblk F^-1 Bblk^T on the two pressure blocks."""
+    if system.dim > _IDEAL_GUARD:
+        raise ValueError(f"ideal preconditioner refused: dimension "
+                         f"{system.dim} exceeds {_IDEAL_GUARD}")
+    f_mat = system.momentum()
+    f_fact = factorize(f_mat)
+    b_blk = sp.bmat([[system.b, None], [None, system.b]], format="csr")
+    sd = b_blk @ f_fact.solve(b_blk.T.toarray())
+    # both solves are refined, so that the defective unit eigenvalue of the
+    # preconditioned matrix survives in floating point (its perturbation
+    # enters under a square root)
+    schur_solve = partial(_refined, partial(sla.lu_solve, sla.lu_factor(sd)),
+                          sd)
+    return PrecondStack(system=system,
+                        outer_schur=partial(_split_solve, schur_solve),
+                        momentum_solve=partial(_refined, f_fact.solve, f_mat))
 
-@dataclass
-class PrecondStack:
-    """Configured nested preconditioner: outer Schur approximation + fixed
-    inner GMRES on the momentum block, which is preconditioned by the
-    Chebyshev mass solve and the matching-strategy Schur approximation.
-    `system` is the form of the step system the stack solves."""
 
-    system: KktSystem
-    outer_schur: callable             # (r1, r2) -> (y1, y2), the outer Schur inverse
-    mass_solve: callable              # action of M^-1 on one velocity block
-    matching: MatchingSchur
-
-
-def build_precond(system: KktSystem) -> PrecondStack | IdealPrecond:
+def build_precond(system: KktSystem) -> PrecondStack:
     """Assemble factorizations and solvers for the stack `params.precond`.
 
     `system` is the plain step system (`build_kkt` without `pin`); the stack
     derives the form it solves from it: "al" augments it, "bpcd" solves it as
-    it is and assembles its pressure-space pair, "ideal" is the
-    `IdealPrecond` of the pinned system.
+    it is and assembles its pressure-space pair, "ideal" pins it and solves
+    both blocks exactly (`_ideal_stack`).
     Everything that depends on the level alone comes from `system.level_ops`:
     M, Mp, Kp, their Chebyshev solvers, and the LUs of the pinned Kp and of
     the exact mass solves. The stack holds only what the step builds.
@@ -286,7 +272,7 @@ def build_precond(system: KktSystem) -> PrecondStack | IdealPrecond:
         raise ValueError("build_precond takes the unpinned step system")
     lvl, params = system.level_ops, system.params
     if params.precond == "ideal":
-        return IdealPrecond(operators.pin_pressure(system))
+        return _ideal_stack(operators.pin_pressure(system))
 
     # looked up at each build, so that a wrapper installed on a module sees it
     if params.precond == "al":
@@ -297,34 +283,41 @@ def build_precond(system: KktSystem) -> PrecondStack | IdealPrecond:
                     else lambda b: chebyshev_solve(lvl.mp_cheb, b))
         outer_schur = partial(bpcd_outer_schur_apply, system, system.pres(),
                               mp_solve)
+    mass_solve = (lvl.m_lu.solve if params.exact_blocks
+                  else lambda b: chebyshev_solve(lvl.m_cheb, b))
     return PrecondStack(
         system=system, outer_schur=outer_schur,
-        mass_solve=(lvl.m_lu.solve if params.exact_blocks
-                    else lambda b: chebyshev_solve(lvl.m_cheb, b)),
-        matching=build_matching(system))
+        momentum_solve=partial(inner_momentum_solve, system, mass_solve,
+                               build_matching(system)))
 
 
-def inner_p1_apply(stack: PrecondStack, rhs):
-    """Lower block-triangular momentum preconditioner: mass solve on the first
-    block, then the (negative) matching Schur solve on the corrected second."""
-    nv = stack.system.n_v
+def inner_p1_apply(system: KktSystem, mass_solve, matching: MatchingSchur,
+                   rhs):
+    """Lower block-triangular momentum preconditioner: `mass_solve` on the
+    first block, then the (negative) matching Schur solve on the corrected
+    second."""
+    nv = system.n_v
     s1, s2 = rhs[:nv], rhs[nv:]
-    z1 = stack.mass_solve(s1)
-    z2 = -matching_apply(stack.matching, s2 - stack.system.a21 @ z1)
+    z1 = mass_solve(s1)
+    z2 = -matching_apply(matching, s2 - system.a21 @ z1)
     return np.concatenate([z1, z2])
 
 
-def outer_p2_apply(stack: PrecondStack | IdealPrecond, rhs):
+def inner_momentum_solve(system: KktSystem, mass_solve,
+                         matching: MatchingSchur, t):
+    """Approximate momentum inverse of the AL and bpcd stacks: INNER_ITERS
+    fixed GMRES iterations on the momentum block, preconditioned by
+    `inner_p1_apply`. The Krylov solve makes it vary with `t`, so the outer
+    iteration must be flexible."""
+    z, _ = gmres(system.momentum_matvec,
+                 partial(inner_p1_apply, system, mass_solve, matching), t,
+                 fixed_iters=INNER_ITERS)
+    return z
+
+
+def outer_p2_apply(stack: PrecondStack, rhs):
     """Upper block-triangular outer preconditioner: (negative) Schur solve on
-    the pressure blocks, momentum correction, then the fixed inner GMRES;
-    an ideal stack applies its exact upper triangle instead.
-
-    The inner Krylov solve makes this operator vary between calls, so the
-    outer iteration must be flexible.
-    """
-    if isinstance(stack, IdealPrecond):
-        return stack.apply(rhs, side="p2")
-
+    the pressure blocks, momentum correction, then the momentum solve."""
     system = stack.system
     r_v, r_z, r_mu, r_p = system.split(rhs)
     y1, y2 = stack.outer_schur(r_mu, r_p)
@@ -332,7 +325,4 @@ def outer_p2_apply(stack: PrecondStack | IdealPrecond, rhs):
 
     bt = system.b.T
     t_m = np.concatenate([r_v - bt @ z_mu, r_z - bt @ z_p])
-    z_m, _ = gmres(system.momentum_matvec,
-                   lambda x: inner_p1_apply(stack, x), t_m,
-                   fixed_iters=INNER_ITERS)
-    return np.concatenate([z_m, z_mu, z_p])
+    return np.concatenate([stack.momentum_solve(t_m), z_mu, z_p])

@@ -2,7 +2,8 @@
 referenced in src/nsctl or perfbench/ somewhere other than its own
 definition. Every annotated field, method and property of a class in
 src/nsctl is read there, every dataclass field default is overridden there,
-and every parameter of a function in src/nsctl is read in its body."""
+and every parameter of a function in src/nsctl is read in its body and
+takes more than one value across the calls there."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,13 @@ ALLOWED_SETTINGS = {}
 # (class, method or property) kept although nothing reads it, with the
 # reason
 ALLOWED_METHODS = {}
+
+# (module, function, parameter) kept although every call passes it the same
+# literal, with the reason
+ALLOWED_VALUES = {
+    ("bench", "main", "argv"): "the console-script entry point reads "
+                               "sys.argv; tests pass their own argv",
+}
 
 
 def _references(node):
@@ -187,3 +195,88 @@ def test_every_setting_is_set():
     unset = {f for f in settings if f[1] not in sets}
     assert sorted(unset - set(ALLOWED_SETTINGS)) == []
     assert sorted(set(ALLOWED_SETTINGS) - unset) == []
+
+
+def _literal(node):
+    """(type, repr) of a literal expression, or None for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value).__name__, repr(value)
+
+
+def _callee(node):
+    """The name a call goes through: `f` of `f(...)` and of `x.f(...)`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _calls(program):
+    """(callee, positional arguments, keyword arguments, is a binding) of
+    every call in src/nsctl and perfbench/, with import aliases resolved; a
+    `partial(f, ...)` is a binding of f to the arguments it names. Calls
+    that unpack *args or **kwargs are skipped."""
+    out = []
+    for _, tree in program:
+        aliases = {a.asname: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.asname}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            binding = _callee(func) == "partial" and bool(args)
+            if binding:
+                func, args = args[0], args[1:]
+            name = _callee(func)
+            if name is None or any(isinstance(a, ast.Starred) for a in args) \
+                    or any(kw.arg is None for kw in call.keywords):
+                continue
+            out.append((aliases.get(name, name), args,
+                        {kw.arg: kw.value for kw in call.keywords}, binding))
+    return out
+
+
+def test_every_parameter_takes_two_values():
+    """A parameter that every call in the program sets to the same literal
+    (an omitted argument counts as its default) has one value in use: a
+    constant, not a parameter. Calls are matched by name; a parameter that
+    a `partial` leaves open, or that a call leaves without a default, takes
+    a value that cannot be read here, so it is not flagged."""
+    program = _program()
+    calls = _calls(program)
+    values = {}
+    for path, tree in program:
+        if path.parent != SRC:
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name.startswith("__"):
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            tail = pos[len(pos) - len(a.defaults):]
+            defaults = {x.arg: d for x, d in zip(tail, a.defaults)}
+            defaults.update((x.arg, d) for x, d in zip(a.kwonlyargs,
+                                                       a.kw_defaults) if d)
+            if pos and pos[0].arg in ("self", "cls"):
+                pos = pos[1:]
+            for name, args, keywords, binding in calls:
+                if name != fn.name:
+                    continue
+                for i, x in enumerate(pos + a.kwonlyargs):
+                    if i < len(pos) and i < len(args):
+                        node = args[i]
+                    elif x.arg in keywords:
+                        node = keywords[x.arg]
+                    else:
+                        node = None if binding else defaults.get(x.arg)
+                    values.setdefault((path.stem, fn.name, x.arg), []).append(
+                        None if node is None else _literal(node))
+    assert values
+    single = {p for p, v in values.items()
+              if None not in v and len(set(v)) == 1}
+    assert sorted(single - set(ALLOWED_VALUES)) == []
+    assert sorted(set(ALLOWED_VALUES) - single) == []

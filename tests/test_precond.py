@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from nsctl.operators import (CHEB_STEPS, KktParams, PressureOperators,
                              StateIterate, _level_operators, _wind_terms,
                              augment, build_kkt, lift_boundary,
                              mass_eig_interval)
-from nsctl.precond import (IdealPrecond, MatchingSchur, Multigrid,
-                           PrecondStack, build_matching, build_precond,
-                           inner_p1_apply, matching_apply, outer_p2_apply)
+from nsctl.precond import (MatchingSchur, Multigrid, PrecondStack,
+                           build_matching, build_precond, inner_p1_apply,
+                           matching_apply, outer_p2_apply)
 
 
 def _stokes_system(geom, nu=0.01, beta=1e-2, augmented=False, pinned=False,
@@ -346,16 +347,23 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
 # inner momentum preconditioner
 # --------------------------------------------------------------------------
 
+def _inner_p1(stack):
+    """The stack's inner momentum preconditioner, from the pieces its
+    momentum solve binds."""
+    assert stack.momentum_solve.func is precond_mod.inner_momentum_solve
+    return partial(inner_p1_apply, *stack.momentum_solve.args)
+
+
 def test_inner_p1_zero_and_linearity(geom2, rng):
     stack = build_precond(_stokes_system(geom2, exact_blocks=True))
-    system = stack.system
-    z = inner_p1_apply(stack, np.zeros(2 * system.n_v))
+    system, p1 = stack.system, _inner_p1(stack)
+    z = p1(np.zeros(2 * system.n_v))
     assert not z.any()
     a = rng.standard_normal(2 * system.n_v)
     b = rng.standard_normal(2 * system.n_v)
-    zab = inner_p1_apply(stack, a + b)
-    za = inner_p1_apply(stack, a)
-    zb = inner_p1_apply(stack, b)
+    zab = p1(a + b)
+    za = p1(a)
+    zb = p1(b)
     assert np.linalg.norm(zab - za - zb) <= 1e-10 * np.linalg.norm(zab)
 
 
@@ -368,14 +376,15 @@ def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
 
-    x5, _ = gmres(lambda x: mom @ x,
-                  lambda x: inner_p1_apply(stack, x), rhs, fixed_iters=5)
+    x5, _ = gmres(lambda x: mom @ x, _inner_p1(stack), rhs, fixed_iters=5)
     assert np.linalg.norm(rhs - mom @ x5) <= 1e-2 * np.linalg.norm(rhs)
+    # the stack's momentum solve is that fixed solve, on the system's blocks
+    x = stack.momentum_solve(rhs)
+    assert np.linalg.norm(x - x5) <= 1e-12 * np.linalg.norm(x5)
 
     monkeypatch.setattr(krylov_mod, "RESTART", 30)
     monkeypatch.setattr(krylov_mod, "MAXITER", 30)
-    _, stats = gmres(lambda x: mom @ x,
-                     lambda x: inner_p1_apply(stack, x), rhs, rtol=1e-10)
+    _, stats = gmres(lambda x: mom @ x, _inner_p1(stack), rhs, rtol=1e-10)
     assert stats.converged
     assert stats.iters <= 15
 
@@ -385,77 +394,74 @@ def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
     """The update Z y equals P(V y), the form that applies the linear inner
     preconditioner once more, with y the residual minimizer over span(Z)."""
     stack = build_precond(_stokes_system(geom2, exact_blocks=exact))
-    system = stack.system
+    system, p1 = stack.system, _inner_p1(stack)
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
     basis, images = [], []
 
     def apply_p(v):
         basis.append(v.copy())
-        images.append(inner_p1_apply(stack, v))
+        images.append(p1(v))
         return images[-1]
 
     x, _ = gmres(lambda u: mom @ u, apply_p, rhs, fixed_iters=5)
     az = np.column_stack([mom @ z for z in images])
     y = np.linalg.lstsq(az, rhs, rcond=None)[0]
-    old = inner_p1_apply(stack, np.column_stack(basis) @ y)
+    old = p1(np.column_stack(basis) @ y)
     assert np.linalg.norm(x - old) <= 1e-12 * np.linalg.norm(old)
 
 
 # --------------------------------------------------------------------------
-# ideal preconditioners
+# ideal stack
 # --------------------------------------------------------------------------
 
-def test_ideal_p1_inverts_lower_triangle(geom2, rng):
-    system = _stokes_system(geom2, pinned=True)
-    pre = IdealPrecond(system)
-    nm = 2 * system.n_v
-    rhs = rng.standard_normal(system.dim)
-    z = pre.apply(rhs, side="p1")
-    z_m, z_p = z[:nm], z[nm:]
+def _ideal_blocks(stack):
+    """F, Bblk and the dense Schur complement Bblk F^-1 Bblk^T of the
+    ideal stack's pinned system."""
+    system = stack.system
     f = system.momentum()
     b_blk = sp.bmat([[system.b, None], [None, system.b]], format="csr")
     sd = b_blk @ np.linalg.solve(f.toarray(), b_blk.T.toarray())
-    assert np.linalg.norm(f @ z_m - rhs[:nm]) \
-        <= 1e-10 * np.linalg.norm(rhs[:nm])
-    assert np.linalg.norm(b_blk @ z_m - sd @ z_p - rhs[nm:]) \
-        <= 1e-8 * np.linalg.norm(rhs)
+    return f, b_blk, sd
+
+
+def test_ideal_stack_solves_exactly(geom2, rng):
+    """On the pinned system that `build_precond` makes, the ideal stack's
+    momentum solve inverts F and its outer Schur inverse inverts the dense
+    Bblk F^-1 Bblk^T on the two stacked pressure blocks."""
+    stack = build_precond(_stokes_system(geom2, precond="ideal"))
+    system = stack.system
+    assert system.pinned
+    f, _, sd = _ideal_blocks(stack)
+    t = rng.standard_normal(2 * system.n_v)
+    assert np.linalg.norm(f @ stack.momentum_solve(t) - t) \
+        <= 1e-10 * np.linalg.norm(t)
+    r1, r2 = (rng.standard_normal(system.n_p) for _ in range(2))
+    y1, y2 = stack.outer_schur(r1, r2)
+    assert y1.shape == r1.shape and y2.shape == r2.shape
+    r = np.concatenate([r1, r2])
+    assert np.linalg.norm(sd @ np.concatenate([y1, y2]) - r) \
+        <= 1e-8 * np.linalg.norm(r)
 
 
 def test_ideal_p2_inverts_upper_triangle(geom2, rng):
-    system = _stokes_system(geom2, pinned=True)
-    pre = IdealPrecond(system)
+    stack = build_precond(_stokes_system(geom2, precond="ideal"))
+    system = stack.system
     nm = 2 * system.n_v
     rhs = rng.standard_normal(system.dim)
-    z = pre.apply(rhs, side="p2")
+    z = outer_p2_apply(stack, rhs)
     z_m, z_p = z[:nm], z[nm:]
-    f = system.momentum()
-    b_blk = sp.bmat([[system.b, None], [None, system.b]], format="csr")
-    sd = b_blk @ np.linalg.solve(f.toarray(), b_blk.T.toarray())
+    f, b_blk, sd = _ideal_blocks(stack)
     assert np.linalg.norm(-sd @ z_p - rhs[nm:]) \
         <= 1e-8 * np.linalg.norm(rhs)
     assert np.linalg.norm(f @ z_m + b_blk.T @ z_p - rhs[:nm]) \
         <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_ideal_requires_pinned_system(geom2):
-    system = _stokes_system(geom2, pinned=False)
-    with pytest.raises(ValueError):
-        IdealPrecond(system)
-
-
 def test_ideal_size_guard(geom2, monkeypatch):
     monkeypatch.setattr(precond_mod, "_IDEAL_GUARD", 100)
-    system = _stokes_system(geom2, pinned=True)
     with pytest.raises(ValueError):
-        IdealPrecond(system)
-
-
-def test_ideal_side_validation(geom2, rng):
-    system = _stokes_system(geom2, pinned=True)
-    pre = IdealPrecond(system)
-    with pytest.raises(ValueError):
-        pre.apply(rng.standard_normal(system.dim), side="p3")
+        build_precond(_stokes_system(geom2, precond="ideal"))
 
 
 # --------------------------------------------------------------------------
@@ -493,33 +499,37 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     monkeypatch.setattr(ChebyshevMassSolver, "__post_init__", refuse)
     stack = build_precond(plain)
     assert stack.system.level_ops is lvl
-    for mg in (stack.matching.inv_21, stack.matching.inv_12):
+    _, mass_solve, matching = stack.momentum_solve.args
+    for mg in (matching.inv_21, matching.inv_12):
         assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
     bpcd = build_precond(plain_bpcd)
     b = rng.standard_normal(lvl.m.shape[0])
     bp = rng.standard_normal(lvl.mp.shape[0])
     want = chebyshev_solve(lvl.m_cheb, b)
-    assert np.array_equal(stack.mass_solve(b), want)
-    assert np.array_equal(bpcd.mass_solve(b), want)
+    assert np.array_equal(mass_solve(b), want)
+    assert np.array_equal(bpcd.momentum_solve.args[1](b), want)
     mp_solve = bpcd.outer_schur.args[2]
     assert np.array_equal(mp_solve(bp), chebyshev_solve(lvl.mp_cheb, bp))
 
 
 def test_stacks_hold_only_per_step_objects(geom2):
-    """A stack holds its system, its outer Schur inverse, its mass solve and
-    its matching Schur approximation; the latter holds M and the two
+    """A stack holds its system, its outer Schur inverse and its momentum
+    solve; the AL and bpcd momentum solves bind the system, the mass solve
+    and the matching Schur approximation, which holds M and the two
     inverses only, with M the level record's. The bpcd outer inverse binds
     the step's pressure-space pair, which holds none of the level's data,
     and the AL one binds the augmented system alone."""
     assert [f.name for f in dataclasses.fields(PrecondStack)] \
-        == ["system", "outer_schur", "mass_solve", "matching"]
+        == ["system", "outer_schur", "momentum_solve"]
     assert [f.name for f in dataclasses.fields(MatchingSchur)] \
         == ["mass", "inv_21", "inv_12"]
     assert [f.name for f in dataclasses.fields(PressureOperators)] \
         == ["dp", "dp_adj"]
     stack = build_precond(_stokes_system(geom2, precond="bpcd"))
-    assert set(vars(stack.matching)) == {"mass", "inv_21", "inv_12"}
-    assert stack.matching.mass is stack.system.level_ops.m
+    system, _, matching = stack.momentum_solve.args
+    assert system is stack.system
+    assert set(vars(matching)) == {"mass", "inv_21", "inv_12"}
+    assert matching.mass is stack.system.level_ops.m
     pres = stack.outer_schur.args[1]
     assert type(pres) is PressureOperators
     assert set(vars(pres)) == {"dp", "dp_adj"}
@@ -557,14 +567,13 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
         if not exact:
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
-    assert stack.mass_solve == lvl.m_lu.solve
+    assert stack.momentum_solve.args[1] == lvl.m_lu.solve
     assert stack.outer_schur.args[2] == lvl.mp_lu.solve
 
 
 def test_outer_p2_zero_rhs(geom2):
     for kind in ("al", "bpcd", "ideal"):
         stack = build_precond(_stokes_system(geom2, precond=kind))
-        assert isinstance(stack, IdealPrecond if kind == "ideal"
-                          else PrecondStack)
+        assert type(stack) is PrecondStack
         z = outer_p2_apply(stack, np.zeros(stack.system.dim))
         assert not z.any()
