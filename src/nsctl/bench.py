@@ -131,15 +131,16 @@ def parse_config(argv=None):
     """Parse CLI arguments into (list of CaseSpec, the argparse namespace).
 
     Comma lists sweep the cross product in (level, nu, beta) order. An
-    `--out` that names a directory, or a file in a missing one, is rejected
-    here, as the output is opened only after the sweep; the
+    `--out` that is empty, names a directory, or names a file in a missing
+    one is rejected here, as the output is opened only after the sweep; the
     `--export-matrices` directory is made here, or rejected if it cannot be.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.out is not None and (os.path.isdir(ns.out) or not os.path.isdir(
-            os.path.dirname(ns.out) or ".")):
-        parser.error(f"--out {ns.out!r} is not a file in an existing directory")
+    out = ns.out
+    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(
+            os.path.dirname(out) or ".")):
+        parser.error(f"--out {out!r} is not a file in an existing directory")
     try:
         specs = [CaseSpec(level=l, nu=nu, beta=beta, gamma=ns.gamma,
                           precond=ns.precond, approach=ns.approach,

@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 _REORTH_TOL = 1e-8
 RESTART = 10                          # Arnoldi steps per cycle of a tolerance solve
 MAXITER = 200                         # Arnoldi steps in all, over every cycle
+CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 
 class SingularMatrixError(Exception):
@@ -70,7 +71,6 @@ class ChebyshevMassSolver:
 
     matrix: sp.csr_matrix
     interval: tuple
-    steps: int
     diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -85,7 +85,7 @@ class ChebyshevMassSolver:
 
 
 def chebyshev_solve(solver: ChebyshevMassSolver, b: np.ndarray) -> np.ndarray:
-    """Run the fixed number of Chebyshev steps on M x = b (inner-product free)."""
+    """Run CHEB_STEPS Chebyshev steps on M x = b (inner-product free)."""
     lmin, lmax = solver.interval
     theta = 0.5 * (lmax + lmin)
     delta = 0.5 * (lmax - lmin)
@@ -98,7 +98,7 @@ def chebyshev_solve(solver: ChebyshevMassSolver, b: np.ndarray) -> np.ndarray:
     sigma1 = theta / delta
     rho = 1.0 / sigma1
     d = r / theta
-    for _ in range(solver.steps):
+    for _ in range(CHEB_STEPS):
         x = x + d
         r = r - dinv * (m @ d)
         rho_next = 1.0 / (2.0 * sigma1 - rho)

@@ -82,17 +82,14 @@ def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
     return StateIterate(v=v, zeta=zeta, mu=mu, p=p, k=state.k + 1)
 
 
-def _newton_step(state, params: KktParams, geom: Geometry, wind,
-                 stab_wind=None, res=None):
-    """One Newton step; returns (state, stats, system) with `system` the form
-    of the step system the configured stack solved. `res` is the residual
-    at `state` when it was evaluated at these winds (see `build_kkt`)."""
-    stack = build_precond(
-        build_kkt(state, geom.mesh, geom.dofmap, geom.patches, geom.quad,
-                  params, wind=wind, stab_wind=stab_wind, res=res))
+def _newton_step(state, plain, geom: Geometry):
+    """One Newton step on the plain step system `plain` linearized at
+    `state`; returns (state, stats, system) with `system` the form of it
+    that the configured stack solved."""
+    stack = build_precond(plain)
     system = stack.system
     x, stats = fgmres(system.matvec, lambda r: outer_p2_apply(stack, r),
-                      system.rhs(), rtol=params.tol_linear)
+                      system.rhs(), rtol=system.params.tol_linear)
     return _apply_update(state, system, x, geom.dofmap), stats, system
 
 
@@ -103,50 +100,50 @@ def newton_solve(params: KktParams, geom: Geometry, on_system=None):
     relative to the residual of the lifted zero state, at the first
     non-finite residual, or after MAX_STEPS steps (in the last two cases
     the trace is marked not converged, averages taken over completed
-    steps). `on_system(k, sys)` is called with each step system in the
-    form its stack solved, e.g. for matrix export; the system and the
-    residual it was built from are released when it returns, before the
+    steps). Each iterate's residual is the plain step system linearized
+    there (`eval_residual`), which the next step solves. `on_system(k, sys)`
+    is called with each step system in the form its stack solved, e.g. for
+    matrix export; both forms are released when it returns, before the
     next iterate's operators are assembled, so only one step's matrices
     and factors are alive at a time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
     stab = zero
-    res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
-                        geom.quad, params, stab_wind=stab)
-    trace = NewtonTrace(residuals=[res.norm])
-    if not np.isfinite(res.norm):
+    trace = NewtonTrace(residuals=[eval_residual(
+        state, geom.mesh, geom.dofmap, geom.patches, geom.quad, params,
+        stab_wind=stab).norm])
+    if not np.isfinite(trace.residuals[0]):
         log.warning("newton: non-finite initial residual, stopping")
         return state, trace
     if convergence_check(trace, params.tol_newton):
         trace.converged = True
         return state, trace
 
-    res = None                       # the Stokes step evaluates its own
     for k in range(1, MAX_STEPS + 1):
         t0 = time.perf_counter()
-        wind = zero if k == 1 else state.v
-        state, stats, system = _newton_step(state, params, geom, wind,
-                                            stab_wind=stab, res=res)
+        if k == 1:                   # the Stokes step: a zero wind
+            plain = build_kkt(state, geom.mesh, geom.dofmap, geom.patches,
+                              geom.quad, params, wind=zero, stab_wind=stab)
+        state, stats, system = _newton_step(state, plain, geom)
         if k == 1:
             stab = state.v.copy()    # freeze the stabilization wind here
         if on_system is not None:
             on_system(k, system)
-        del system, res
+        del system, plain
         if not stats.converged:
             log.warning("newton step %d: linear solve not converged (%d iters, "
                         "residual %.3e)", k, stats.iters, stats.true_residual)
-        # one operator set and one residual per iterate, which step k + 1
-        # is built from
-        res = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
-                            geom.quad, params, stab_wind=stab)
+        # one operator set per iterate: its residual is step k + 1's system
+        plain = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
+                              geom.quad, params, stab_wind=stab)
         trace.fgmres_per_step.append(stats.iters)
         trace.linear_converged.append(bool(stats.converged))
         trace.step_seconds.append(time.perf_counter() - t0)
-        trace.residuals.append(res.norm)
+        trace.residuals.append(plain.norm)
         log.info("newton step %d: residual %.6e (fgmres %d)",
-                 k, res.norm, stats.iters)
-        if not np.isfinite(res.norm):
+                 k, trace.residuals[-1], stats.iters)
+        if not np.isfinite(trace.residuals[-1]):
             log.warning("newton step %d: non-finite residual, stopping", k)
             break
         if convergence_check(trace, params.tol_newton):

@@ -11,7 +11,7 @@ others once per wind.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -19,8 +19,6 @@ import scipy.sparse as sp
 
 from .grid_fem import read_only, setup_geometry, vector_dofs
 from .krylov import ChebyshevMassSolver, factorize
-
-CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 
 # --------------------------------------------------------------------------
@@ -58,22 +56,6 @@ class StateIterate:
     mu: np.ndarray                    # (n_p,)
     p: np.ndarray                     # (n_p,)
     k: int = 0
-
-
-@dataclass
-class ResidualVector:
-    """The nonlinear residual by blocks, its norm, and the velocity operator
-    set it was evaluated with."""
-
-    r1: np.ndarray                    # adjoint momentum, (n_v_int,)
-    r2: np.ndarray                    # state momentum, (n_v_int,)
-    r1_div: np.ndarray                # divergence of v, (n_p,)
-    r2_div: np.ndarray                # divergence of zeta, (n_p,)
-    norm: float = 0.0
-    vel: VelocityOperators = field(default=None, repr=False)
-
-    def stacked(self):
-        return np.concatenate([self.r1, self.r2, self.r1_div, self.r2_div])
 
 
 def _require_positive(name, value):
@@ -170,6 +152,12 @@ class KktSystem:
 
     def rhs(self):
         return np.concatenate([self.rhs1, self.rhs2, self.rhs_div1, self.rhs_div2])
+
+    @property
+    def norm(self):
+        """Norm of the right-hand side: of the plain system, the nonlinear
+        residual at the iterate it is linearized at."""
+        return float(np.linalg.norm(self.rhs()))
 
     def momentum_matvec(self, x):
         """[[a11, a12], [a21, a22]] x, applied block by block."""
@@ -362,10 +350,10 @@ def _level_operators(level):
                          b=b_full[:, dofmap.interior_vdofs].tocsr(),
                          b_full=b_full, mp=mp, kp=kp,
                          m_cheb=ChebyshevMassSolver(
-                             matrix=m, steps=CHEB_STEPS,
+                             matrix=m,
                              interval=mass_eig_interval(quad, quad.q2_vals)),
                          mp_cheb=ChebyshevMassSolver(
-                             matrix=mp, steps=CHEB_STEPS,
+                             matrix=mp,
                              interval=mass_eig_interval(quad, quad.q1_vals)))
     read_only(wdet, g2, g1, nn_w, ops.m_cheb.diag, ops.mp_cheb.diag,
               m_full, k_full, m, ops.b, b_full, mp, kp)
@@ -563,35 +551,12 @@ def lift_boundary(dofmap):
 # --------------------------------------------------------------------------
 
 def eval_residual(state, mesh, dofmap, patches, quad, params,
-                  wind=None, stab_wind=None):
-    """Nonlinear residual at the given state.
-
-    The adjoint residual includes the -omega correction with
-    omega_i = ((grad v)^T zeta, phi_i), assembled as H(v)^T zeta; the first
-    divergence residual carries the boundary lift through the full-space
-    product. The operator set is assembled at `params.nu` and the wind
-    `wind`, `state.v` without one (`build_kkt` passes its linearization
-    wind), with `stab_wind` as the stabilization wind and no stabilization
-    without one (see `assemble_velocity`). The result keeps the set it was
-    evaluated with.
-    """
-    vel = assemble_velocity(mesh, dofmap, patches, quad,
-                            state.v if wind is None else wind, params.nu,
-                            lps_on=params.lps_on, stab_wind=stab_wind)
-    div = assemble_divergence(mesh)
-    keep = dofmap.interior_vdofs
-    omega = vel.h_full.T @ state.zeta
-    a12_full = vel.d_adj_full if params.approach == "otd" else vel.d_full.T
-    # zero forcing and zero desired state
-    r1_full = -(vel.m_full @ state.v) - a12_full @ state.zeta \
-        - div.b_full.T @ state.mu - omega
-    r2_full = -(vel.d_full @ state.v) - div.b_full.T @ state.p \
-        + (1.0 / params.beta) * (vel.m_full @ state.zeta)
-    res = ResidualVector(r1=r1_full[keep], r2=r2_full[keep],
-                         r1_div=-(div.b_full @ state.v),
-                         r2_div=-(div.b_full @ state.zeta), vel=vel)
-    res.norm = float(np.linalg.norm(res.stacked()))
-    return res
+                  stab_wind=None):
+    """Nonlinear residual at the given state: the plain step system
+    linearized there, whose right-hand side is the residual and `norm` its
+    norm (see `build_kkt`). The Newton driver solves it as the next step."""
+    return build_kkt(state, mesh, dofmap, patches, quad, params,
+                     stab_wind=stab_wind)
 
 
 def augment(system):
@@ -601,11 +566,8 @@ def augment(system):
     system's `params.gamma`, W the level's diag(Mp) and B^T W^-1 B taken
     from the level record; the momentum right-hand sides gain the matching
     row combination of the constraint rows, which pairs each momentum row
-    with the *other* unknown's divergence residual. A pinned system is
-    refused.
+    with the *other* unknown's divergence residual.
     """
-    if system.pinned:
-        raise ValueError("augment takes the unpinned step system")
     lvl, gamma = system.level_ops, system.params.gamma
     c = gamma * lvl.bt_winv_b
     w_diag = lvl.mp_diag
@@ -624,29 +586,35 @@ def pin_pressure(system):
 
 
 def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
-              pin=False, stab_wind=None, res=None):
+              pin=False, stab_wind=None):
     """Assemble the plain (unaugmented) Newton-step KKT system at the given
     state; with `pin`, the pinned one (see `pin_pressure`).
 
-    `wind` overrides the linearization wind (the first iteration passes
-    zero); the right-hand side is the residual evaluated with the same
-    frozen operators, so a zero wind yields the Stokes control problem and
-    the step solves it exactly. `stab_wind` is the stabilization wind,
-    independent of the linearization wind; without it the system has no
-    stabilization (see `assemble_velocity`).
-    `res`, when given, is that residual, already evaluated at `state` with
-    the operator set at these two winds; the system is built from its set
-    instead of assembling one and evaluating the residual again.
+    The right-hand side is the nonlinear residual at `state`, evaluated with
+    the step's own operator set. The adjoint residual includes the -omega
+    correction with omega_i = ((grad v)^T zeta, phi_i), assembled as
+    H(v)^T zeta; the first divergence residual carries the boundary lift
+    through the full-space product. `wind` overrides the linearization
+    wind `state.v` (the first iteration passes zero), so a zero wind yields
+    the Stokes control problem and the step solves it exactly. `stab_wind`
+    is the stabilization wind, independent of the linearization wind;
+    without it the system has no stabilization (see `assemble_velocity`).
     """
     if wind is None:
         wind = state.v
-    if res is None:
-        res = eval_residual(state, mesh, dofmap, patches, quad, params,
-                            wind=wind, stab_wind=stab_wind)
-    vel = res.vel
+    vel = assemble_velocity(mesh, dofmap, patches, quad, wind, params.nu,
+                            lps_on=params.lps_on, stab_wind=stab_wind)
+    lvl = assemble_divergence(mesh)
+    keep = dofmap.interior_vdofs
+    omega = vel.h_full.T @ state.zeta
+    a12_full = vel.d_adj_full if params.approach == "otd" else vel.d_full.T
+    # zero forcing and zero desired state
+    r1_full = -(vel.m_full @ state.v) - a12_full @ state.zeta \
+        - lvl.b_full.T @ state.mu - omega
+    r2_full = -(vel.d_full @ state.v) - lvl.b_full.T @ state.p \
+        + (1.0 / params.beta) * (vel.m_full @ state.zeta)
     pres = partial(assemble_pressure, mesh, dofmap, patches, quad, wind,
                    params.nu, lps_on=params.lps_on, stab_wind=stab_wind)
-    lvl = _level_operators(mesh.level)
 
     a21 = restrict(vel.d_full + vel.h_full, dofmap)
     if params.approach == "otd":
@@ -662,8 +630,9 @@ def build_kkt(state, mesh, dofmap, patches, quad, params, wind=None,
     a22 = (-(1.0 / params.beta) * lvl.m).tocsr()
 
     system = KktSystem(params=params, a11=a11, a12=a12, a21=a21, a22=a22,
-                       b=lvl.b, rhs1=res.r1, rhs2=res.r2,
-                       rhs_div1=res.r1_div, rhs_div2=res.r2_div,
+                       b=lvl.b, rhs1=r1_full[keep], rhs2=r2_full[keep],
+                       rhs_div1=-(lvl.b_full @ state.v),
+                       rhs_div2=-(lvl.b_full @ state.zeta),
                        level_ops=lvl, pres=pres)
     return pin_pressure(system) if pin else system
 

@@ -197,7 +197,7 @@ def test_jacobian_consistency():
         st.mu = mu0 + x[2 * d.n_v_int:2 * d.n_v_int + d.n_p]
         st.p = p0 + x[2 * d.n_v_int + d.n_p:]
         return eval_residual(st, geom.mesh, d, geom.patches, geom.quad,
-                             params, stab_wind=v0).stacked()
+                             params, stab_wind=v0).rhs()
 
     for probe in range(5):
         e = np.random.default_rng(100 + probe).standard_normal(dim)
@@ -214,8 +214,7 @@ def test_chebyshev_mass_solve_accuracy():
     m = restrict(vel.m_full, geom.dofmap)
     solver = ChebyshevMassSolver(matrix=m,
                                  interval=mass_eig_interval(
-                                     geom.quad, geom.quad.q2_vals),
-                                 steps=20)
+                                     geom.quad, geom.quad.q2_vals))
     rng = np.random.default_rng(7)
     for trial in range(10):
         b = rng.standard_normal(m.shape[0])

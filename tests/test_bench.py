@@ -399,14 +399,14 @@ def test_main_json_out(tmp_path, capsys):
     assert "### avg_fgmres" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("out", ["dir", "missing/run.csv"])
+@pytest.mark.parametrize("out", ["dir", "missing/run.csv", ""])
 def test_main_rejects_unwritable_out_before_the_sweep(tmp_path, monkeypatch,
                                                       out):
-    """An --out that names a directory, or a file in a missing one, is a
-    parser error (status 2), raised before any case runs: the output is
-    opened only after the whole sweep."""
+    """An --out that is empty, names a directory, or names a file in a
+    missing one is a parser error (status 2), raised before any case runs:
+    the output is opened only after the whole sweep."""
     (tmp_path / "dir").mkdir()
-    argv = ["--level", "2", "--out", str(tmp_path / out)]
+    argv = ["--level", "2", "--out", str(tmp_path / out) if out else ""]
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")

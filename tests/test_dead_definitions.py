@@ -2,8 +2,9 @@
 referenced in src/nsctl or perfbench/ somewhere other than its own
 definition. Every annotated field, method and property of a class in
 src/nsctl is read there, every dataclass field default is overridden there,
-and every parameter of a function in src/nsctl is read in its body and
-takes more than one value across the calls there."""
+every parameter of a function in src/nsctl is read in its body and takes
+more than one value across the calls there, and so does every dataclass
+field that each construction passes."""
 
 import ast
 from pathlib import Path
@@ -197,8 +198,18 @@ def test_every_setting_is_set():
     assert sorted(set(ALLOWED_SETTINGS) - unset) == []
 
 
-def _literal(node):
-    """(type, repr) of a literal expression, or None for any other."""
+def _constants(program):
+    """Names of the module-level UPPER_CASE constants of the program."""
+    return {target.id for _, tree in program for stmt in tree.body
+            if isinstance(stmt, ast.Assign) for target in stmt.targets
+            if isinstance(target, ast.Name) and target.id.isupper()}
+
+
+def _literal(node, constants):
+    """(type, repr) of a literal expression, ("constant", name) of a name
+    in `constants`, or None for any other expression."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return "constant", node.id
     try:
         value = ast.literal_eval(node)
     except ValueError:
@@ -239,15 +250,54 @@ def _calls(program):
     return out
 
 
+def _init_fields(program):
+    """(module, class, field) of each constructor field of every dataclass
+    in src/nsctl, inherited fields first, keyed by class name."""
+    classes = {cls.name: (path.stem, cls) for path, tree in program
+               if path.parent == SRC for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and any(
+                   "dataclass" in _references(d) for d in cls.decorator_list)}
+    out = {}
+
+    def fields(name):
+        if name not in out:
+            module, cls = classes[name]
+            out[name] = [f for base in cls.bases if isinstance(base, ast.Name)
+                         and base.id in classes for f in fields(base.id)]
+            out[name] += [
+                (module, name, stmt.target.id) for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and not (isinstance(stmt.value, ast.Call) and any(
+                    kw.arg == "init" for kw in stmt.value.keywords))]
+        return out[name]
+
+    for name in classes:
+        fields(name)
+    return out
+
+
 def test_every_parameter_takes_two_values():
     """A parameter that every call in the program sets to the same literal
     (an omitted argument counts as its default) has one value in use: a
-    constant, not a parameter. Calls are matched by name; a parameter that
-    a `partial` leaves open, or that a call leaves without a default, takes
-    a value that cannot be read here, so it is not flagged."""
+    constant, not a parameter. A module-level UPPER_CASE constant counts as
+    a literal. Calls are matched by name; a parameter that a `partial`
+    leaves open, or that a call leaves without a default, takes a value
+    that cannot be read here, so it is not flagged. A dataclass field is
+    checked on the constructor calls of its class and of its subclasses
+    when every one of them passes it."""
     program = _program()
     calls = _calls(program)
+    constants = _constants(program)
     values = {}
+    for cls, fields in _init_fields(program).items():
+        for name, args, keywords, binding in calls:
+            if name != cls or binding:
+                continue
+            for i, (module, owner, f) in enumerate(fields):
+                node = args[i] if i < len(args) else keywords.get(f)
+                values.setdefault((module, owner, f), []).append(
+                    None if node is None else _literal(node, constants))
     for path, tree in program:
         if path.parent != SRC:
             continue
@@ -274,7 +324,7 @@ def test_every_parameter_takes_two_values():
                     else:
                         node = None if binding else defaults.get(x.arg)
                     values.setdefault((path.stem, fn.name, x.arg), []).append(
-                        None if node is None else _literal(node))
+                        None if node is None else _literal(node, constants))
     assert values
     single = {p for p, v in values.items()
               if None not in v and len(set(v)) == 1}

@@ -78,13 +78,13 @@ def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
 
 def test_chebyshev_zero_rhs():
     solver = ChebyshevMassSolver(matrix=sp.eye(4, format="csr"),
-                                 interval=(1.0, 1.0), steps=20)
+                                 interval=(1.0, 1.0))
     assert np.array_equal(chebyshev_solve(solver, np.zeros(4)), np.zeros(4))
 
 
 def test_chebyshev_identity_one_step(rng):
     solver = ChebyshevMassSolver(matrix=sp.eye(5, format="csr"),
-                                 interval=(1.0, 1.0), steps=1)
+                                 interval=(1.0, 1.0))
     b = rng.standard_normal(5)
     assert np.array_equal(chebyshev_solve(solver, b), b)
 
@@ -92,18 +92,17 @@ def test_chebyshev_identity_one_step(rng):
 def test_chebyshev_interval_validation():
     with pytest.raises(ValueError):
         ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
-                            interval=(0.0, 1.0), steps=20)
+                            interval=(0.0, 1.0))
     with pytest.raises(ValueError):
         ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
-                            interval=(2.0, 1.0), steps=20)
+                            interval=(2.0, 1.0))
 
 
 def test_chebyshev_is_linear(geom2, rng):
     lvl = _level_operators(geom2.mesh.level)
     solver = ChebyshevMassSolver(matrix=lvl.mp,
                                  interval=mass_eig_interval(
-                                     geom2.quad, geom2.quad.q1_vals),
-                                 steps=20)
+                                     geom2.quad, geom2.quad.q1_vals))
     b = rng.standard_normal(lvl.mp.shape[0])
     x1 = chebyshev_solve(solver, b)
     x2 = chebyshev_solve(solver, 2.0 * b)
@@ -117,8 +116,7 @@ def test_chebyshev_velocity_mass_accuracy(geom3, rng):
     m = _interior_mass(geom3)
     solver = ChebyshevMassSolver(matrix=m,
                                  interval=mass_eig_interval(
-                                     geom3.quad, geom3.quad.q2_vals),
-                                 steps=20)
+                                     geom3.quad, geom3.quad.q2_vals))
     b = rng.standard_normal(m.shape[0])
     x = chebyshev_solve(solver, b)
     assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) <= 1e-6

@@ -65,8 +65,9 @@ def test_zero_data_state_is_a_fixed_point(geom2):
     state = StateIterate(v=np.zeros(d.n_v_full), zeta=np.zeros(d.n_v_full),
                          mu=np.zeros(d.n_p), p=np.zeros(d.n_p))
     params = KktParams(nu=0.01, beta=1e-2)
-    new_state, stats, _ = _newton_step(
-        state, params, geom2, wind=np.zeros(geom2.dofmap.n_v_full))
+    system = build_kkt(state, geom2.mesh, d, geom2.patches, geom2.quad,
+                       params, wind=np.zeros(d.n_v_full))
+    new_state, stats, _ = _newton_step(state, system, geom2)
     assert stats.iters == 0 and stats.converged
     assert np.array_equal(new_state.v, state.v)
     assert not new_state.zeta.any()
@@ -148,20 +149,48 @@ def test_velocity_operators_assembled_once_per_wind(geom3, monkeypatch,
 
 
 def test_residual_evaluated_once_per_iterate(geom2, monkeypatch):
-    """The lifted state's residual, the Stokes step's (at its zero wind) and
-    one per iterate, which the next step is built from: a solve of s steps
-    evaluates the residual s + 2 times. Both the driver's name and the one
-    `build_kkt` calls are counted."""
+    """The lifted state's residual and one per iterate, which the next step
+    solves: a solve of s steps evaluates the residual s + 1 times, and
+    builds one step system apart from them, the Stokes step's at its zero
+    wind."""
     calls = []
-    for mod in (newton_mod, operators_mod):
-        def counting(*args, _real=mod.eval_residual, **kwargs):
-            calls.append(1)
+    for name in ("eval_residual", "build_kkt"):
+        def counting(*args, _real=getattr(newton_mod, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(mod, "eval_residual", counting)
+        monkeypatch.setattr(newton_mod, name, counting)
     _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
     assert trace.converged and trace.newton_iters >= 3
-    assert len(calls) == trace.newton_iters + 2
+    assert calls == (["eval_residual", "build_kkt"]
+                     + ["eval_residual"] * trace.newton_iters)
+
+
+def test_each_step_solves_the_previous_residual(geom2, monkeypatch):
+    """An iterate's residual is its plain step system: from step 2 on, the
+    stack is built on the very object that the driver's previous
+    `eval_residual` returned, and the trace records its norm."""
+    real_res, real_build = newton_mod.eval_residual, newton_mod.build_precond
+    returned, built = [], []
+
+    def recording_res(*args, **kwargs):
+        returned.append(real_res(*args, **kwargs))
+        return returned[-1]
+
+    def recording_build(system):
+        built.append(system)
+        return real_build(system)
+
+    monkeypatch.setattr(newton_mod, "eval_residual", recording_res)
+    monkeypatch.setattr(newton_mod, "build_precond", recording_build)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
+    steps = trace.newton_iters
+    assert trace.converged and steps >= 3
+    assert len(returned) == steps + 1 and len(built) == steps
+    for k in range(2, steps + 1):
+        assert built[k - 1] is returned[k - 1]
+        assert trace.residuals[k - 1] == returned[k - 1].norm
 
 
 @pytest.mark.parametrize("kind, exact", [
@@ -195,7 +224,7 @@ def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
     def nan_at_bad_step(*args, **kwargs):
         res = real(*args, **kwargs)
         if len(calls) == bad_step:
-            res.norm = float("nan")
+            res.rhs1[0] = np.nan
         calls.append(res)
         return res
 

@@ -513,7 +513,7 @@ def test_zero_data_problem_has_zero_residual(geom2):
     res = eval_residual(_zero_state(geom2), geom2.mesh, geom2.dofmap,
                         geom2.patches, geom2.quad, params)
     assert res.norm == 0.0
-    assert np.array_equal(res.stacked(), np.zeros(res.stacked().size))
+    assert np.array_equal(res.rhs(), np.zeros(res.dim))
 
 
 def test_kkt_matrix_matches_blocks(geom2, rng):
@@ -560,11 +560,10 @@ def _bits_equal(x, y):
 
 
 @pytest.mark.parametrize("approach", ["otd", "dto"])
-def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
-    """build_kkt on a residual evaluated beforehand at the same winds (as
-    the Newton driver passes its own) gives exactly the system it
-    assembles itself, and its momentum blocks equal the sums of the
-    restricted matrices."""
+def test_residual_is_the_plain_system_at_the_iterate(geom3, rng, approach):
+    """The residual at a state is the plain step system linearized there,
+    bit for bit, with the norm of its right-hand side; its momentum blocks
+    equal the sums of the restricted matrices."""
     d = geom3.dofmap
     params = KktParams(nu=0.004, beta=1e-3, approach=approach)
     state = _zero_state(geom3)
@@ -575,18 +574,16 @@ def test_kkt_with_given_operators_is_bit_equal(geom3, rng, approach):
     stab = state.v + 0.1 * rng.standard_normal(d.n_v_full)
     args = (state, geom3.mesh, d, geom3.patches, geom3.quad, params)
     res = eval_residual(*args, stab_wind=stab)
-    vel = res.vel
-    own = augment(build_kkt(*args, stab_wind=stab))
-    given = augment(build_kkt(*args, stab_wind=stab, res=res))
+    plain = build_kkt(*args, wind=state.v, stab_wind=stab)
     for name in ("a11", "a12", "a21", "a22", "b", "rhs1", "rhs2",
                  "rhs_div1", "rhs_div2"):
-        assert _bits_equal(getattr(own, name), getattr(given, name)), name
+        assert _bits_equal(getattr(res, name), getattr(plain, name)), name
+    assert res.norm == np.linalg.norm(res.rhs())
 
-    plain = build_kkt(*args, stab_wind=stab, res=res)
     n_s, w_s = _terms(geom3, state.v, nu=params.nu, stab_wind=stab)
     k, n, h, w = (restrict(m, d) for m in (
         _level_operators(3).k_full, _kron2(n_s),
-        vel.h_full, _kron2(w_s)))
+        _vel(geom3, state.v).h_full, _kron2(w_s)))
     d_int = (params.nu * k + n + w).tocsr()
     assert _bits_equal(plain.a21, (d_int + h).tocsr())
     if approach == "otd":
@@ -610,14 +607,6 @@ def test_full_newton_adds_exact_curvature(geom2, rng):
                                     state.zeta, "dto")
     assert _maxabs((s1.a11 - s0.a11 - curv).tocsr()) <= 1e-15
     assert _maxabs((s1.a12 - s0.a12).tocsr()) == 0.0
-
-
-def test_augment_refuses_pinned_system(geom2):
-    params = KktParams(nu=0.01, beta=1e-2)
-    system = build_kkt(_zero_state(geom2), geom2.mesh, geom2.dofmap,
-                       geom2.patches, geom2.quad, params, pin=True)
-    with pytest.raises(ValueError):
-        augment(system)
 
 
 def test_augment_marks_and_modifies(geom2):
