@@ -11,6 +11,7 @@ geometric multigrid (or LU with `exact_blocks`). Every stack is one
 ideal one, for verification at desk scale, solves both blocks exactly.
 """
 
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import operators
-from .grid_fem import cell_stars, q2_prolongation
+from .grid_fem import cell_stars, q2_prolongation, read_only
 from .krylov import Factorization, chebyshev_solve, factorize, gmres
 from .operators import KktSystem
 
@@ -43,25 +44,67 @@ class StarSmoother:
     """Exact local solves of one operator on one group of disjoint stars."""
 
     dofs: np.ndarray                  # (n_stars, k) star dof ids
-    rows: sp.csr_matrix               # the operator's rows at dofs.ravel()
-    inv: np.ndarray                   # (n_stars, k, k) inverse star blocks
+    rows: sp.csr_matrix               # A[D, not D] of each star D, stacked
+    inv: np.ndarray                   # (n_stars, k, k) inverses of A[D, D]
 
     def update(self, b, x):
-        """x += sum_i R_i^T A_i^-1 R_i (b - A x), in place; the stars of a
-        group are disjoint, so their corrections do not interfere."""
+        """x[D] = A[D, D]^-1 (b[D] - A[D, not D] x) for every star D, in
+        place; the stars of a group are disjoint, so they do not interfere."""
         r = b[self.dofs] - (self.rows @ x).reshape(self.dofs.shape)
-        x[self.dofs] += (self.inv @ r[:, :, None])[:, :, 0]
+        x[self.dofs] = (self.inv @ r[:, :, None])[:, :, 0]
+
+
+def _plan_stars(a, level):
+    """Per star group of the level: its dofs, the positions in `a.data` and
+    the int32 column indices and row pointers of its off-star rows, and the
+    positions of its (n_stars, k, k) blocks, -1 where `a` has no entry."""
+    plan = []
+    for d in cell_stars(level):
+        k, rows = d.shape[1], d.ravel()
+        start, length = a.indptr[rows], np.diff(a.indptr)[rows]
+        pos = np.arange(length.sum()) + np.repeat(
+            start - np.cumsum(length) + length, length)
+        row = np.repeat(np.arange(d.size), length)
+        slot = np.full(a.shape[0], -1)
+        slot[rows] = np.arange(d.size)
+        place = slot[a.indices[pos]]             # star * k + place in it
+        own = place // k == row // k
+        block = np.full(d.size * k, -1, dtype=np.int32)
+        block[row[own] * k + place[own] % k] = pos[own]
+        off = pos[~own]
+        indptr = np.zeros(d.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row[~own], minlength=d.size), out=indptr[1:])
+        group = (off.astype(np.int32), a.indices[off].astype(np.int32),
+                 indptr, block.reshape(d.shape + (k,)))
+        read_only(*group)
+        plan.append((d,) + group)
+    return plan
+
+
+_star_plans, _star_plans_lock = {}, threading.Lock()  # level: pattern, plan
+
+
+def _star_plan(a, level):
+    """The level's one star plan, made again when the pattern of `a` is not
+    its own (the Stokes step's, another case's); under the lock, a plan
+    that both factor builds ask for is made once."""
+    with _star_plans_lock:
+        indptr, indices, plan = _star_plans.pop(level, (None, None, None))
+        if not (np.array_equal(indptr, a.indptr)
+                and np.array_equal(indices, a.indices)):
+            del plan                  # free the stale plan before planning
+            indptr, indices = a.indptr.copy(), a.indices.copy()
+            plan = _plan_stars(a, level)
+        _star_plans[level] = indptr, indices, plan
+    return plan
 
 
 def _star_smoothers(a, level):
-    out = []
-    for d in cell_stars(level):
-        k = d.shape[1]
-        blocks = a[np.repeat(d, k, axis=1).ravel(), np.tile(d, (1, k)).ravel()]
-        out.append(StarSmoother(
-            dofs=d, rows=a[d.ravel()],
-            inv=np.linalg.inv(np.asarray(blocks).reshape(-1, k, k))))
-    return out
+    data = np.append(a.data, 0.0)    # [-1] stands for an absent entry
+    return [StarSmoother(dofs=d, inv=np.linalg.inv(data[block]),
+                         rows=sp.csr_matrix((data[pos], indices, indptr),
+                                            shape=(d.size, a.shape[1])))
+            for d, pos, indices, indptr, block in _star_plan(a, level)]
 
 
 @dataclass
@@ -98,7 +141,10 @@ class Multigrid:
 
 def build_multigrid(a, level) -> Multigrid:
     """Galerkin hierarchy for the level-`level` interior velocity operator `a`."""
-    ops, prolongations, smoothers = [a.tocsr()], [], []
+    a = a.tocsr()
+    if not a.has_canonical_format:   # sum duplicates, which a gather would not
+        a = a.tocoo().tocsr()
+    ops, prolongations, smoothers = [a], [], []
     for l in range(level, MG_COARSEST, -1):
         p = q2_prolongation(l)
         smoothers.append(_star_smoothers(ops[-1], l))
@@ -144,10 +190,10 @@ def build_matching(system: KktSystem) -> MatchingSchur:
     kernels release the GIL, so the builds overlap. An error from either
     build is raised here. On a level's first use both builds may fill the
     per-level geometry caches; the two results are equal, so either may
-    stay. scipy's SuperLU wrapper frees memory only on the thread that
-    allocated it, so the worker's inverse is dropped on the worker, when
-    the result's finalizer shuts the worker down; the result holds it
-    through a weak proxy.
+    stay; the star plans are made once. scipy's SuperLU wrapper frees
+    memory only on the thread that allocated it, so the worker's inverse is
+    dropped on the worker, when the result's finalizer shuts the worker
+    down; the result holds it through a weak proxy.
     """
     m = system.level_ops.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()
@@ -155,6 +201,9 @@ def build_matching(system: KktSystem) -> MatchingSchur:
     mat_12 = (system.a12 + lam).tocsr()
     build = (factorize if system.params.exact_blocks
              else partial(build_multigrid, level=system.level_ops.level))
+    if not system.params.exact_blocks:
+        # plan the finest level here: planned on the worker, it raised peak RSS
+        _star_plan(mat_21, system.level_ops.level)
     held, pool = [], ThreadPoolExecutor(max_workers=1)
     future_12 = pool.submit(_build_and_hold, held, build, mat_12)
 

@@ -21,25 +21,25 @@ HISTORIES = {
         dict(level=2, nu=1 / 100, beta=1e-2),
         [2, 3, 3], [True, True, True],
         ["0x1.c6c5c819f2e02p-4",
-         "0x1.0b27032b23945p-2",
-         "0x1.4dafed0b1b262p-11",
-         "0x1.9c23ae60cbbd6p-21"]),
+         "0x1.0b27032b2370ap-2",
+         "0x1.4dafed0b23361p-11",
+         "0x1.9c23ae60d5d49p-21"]),
     "al-mg-l3": (
         dict(level=3, nu=1 / 100, beta=1e-5),
         [2, 2, 3], [True, True, True],
         ["0x1.32a7f9378a942p-4",
-         "0x1.cbab889f1deacp-4",
-         "0x1.22c100e7835d4p-13",
-         "0x1.44320ab4cc402p-37"]),
+         "0x1.cbab889e3dbaap-4",
+         "0x1.22c77ac616c80p-13",
+         "0x1.4459823a6f8ddp-37"]),
     "al-mg-l3-hard": (
         dict(level=3, nu=1 / 500, beta=1e-1),
         [3, 4, 4, 4, 5], [True, True, True, True, True],
         ["0x1.b04edcf738fbap-5",
-         "0x1.61115db61ec23p-3",
-         "0x1.f6880b8385e81p-10",
-         "0x1.a0d336d5e2e36p-15",
-         "0x1.2c7aed1fbbac2p-18",
-         "0x1.fe1dbc180d1ebp-22"]),
+         "0x1.61115db62a243p-3",
+         "0x1.f6880b8388f94p-10",
+         "0x1.a0d336d5e7dfcp-15",
+         "0x1.2c7aed1fc1f07p-18",
+         "0x1.fe1dbc183358fp-22"]),
     "al-lu-l3": (
         dict(level=3, nu=1 / 250, beta=1e-3, exact_blocks=True),
         [2, 3, 3], [True, True, True],
@@ -52,8 +52,8 @@ HISTORIES = {
         [8, 19, 19], [True, True, True],
         ["0x1.cadae59fe3bdcp-5",
          "0x1.13b92c2a83d99p-3",
-         "0x1.9bcc2fdec664fp-13",
-         "0x1.a3775de0c704ap-25"]),
+         "0x1.9bcc2fdec6333p-13",
+         "0x1.a3775de0c8ba9p-25"]),
     "bpcd-lu-l2": (
         dict(level=2, nu=1 / 100, beta=1e-2, precond="bpcd",
              exact_blocks=True),

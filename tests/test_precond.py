@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -130,22 +131,23 @@ def _csr_equal(a, b):
 
 def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
         geom3, matching_factors):
+    """A hierarchy built from the warm per-level geometry caches, and one
+    built from the warm star plans as well, equal a cold build bit for
+    bit."""
     system = _stokes_system(geom3, beta=1e-3, augmented=True)
     mat, _ = matching_factors(system)
     q2_prolongation.cache_clear()
     cell_stars.cache_clear()
+    precond_mod._star_plans.clear()
     cold = precond_mod.build_multigrid(mat, 3)
+    precond_mod._star_plans.clear()  # replan from the warm geometry
     warm = precond_mod.build_multigrid(mat, 3)
     assert q2_prolongation.cache_info().hits == 2
     assert cell_stars.cache_info().hits == 2
-    for a, b in zip(cold.ops + cold.prolongations,
-                    warm.ops + warm.prolongations, strict=True):
-        assert _csr_equal(a, b)
-    for ga, gb in zip(cold.smoothers, warm.smoothers, strict=True):
-        for sa, sb in zip(ga, gb, strict=True):
-            assert np.array_equal(sa.dofs, sb.dofs)
-            assert _csr_equal(sa.rows, sb.rows)
-            assert np.array_equal(sa.inv, sb.inv)
+    planned = precond_mod.build_multigrid(mat, 3)
+    assert cell_stars.cache_info().hits == 2   # the plans were reused
+    for other in (warm, planned):
+        _assert_hierarchies_equal(cold, other)
     # the hierarchy applies the geometry layer's prolongations themselves;
     # the cached arrays are shared between hierarchies, so they are read-only
     for p, l in zip(warm.prolongations, (3, 2), strict=True):
@@ -153,6 +155,163 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
     p = warm.prolongations[0]
     assert not any(x.flags.writeable for x in (p.data, p.indices, p.indptr))
     assert not any(g.flags.writeable for g in cell_stars(3))
+
+
+def _assert_hierarchies_equal(a, b):
+    for x, y in zip(a.ops + a.prolongations, b.ops + b.prolongations,
+                    strict=True):
+        assert _csr_equal(x, y)
+    for ga, gb in zip(a.smoothers, b.smoothers, strict=True):
+        for sa, sb in zip(ga, gb, strict=True):
+            assert np.array_equal(sa.dofs, sb.dofs)
+            assert _csr_equal(sa.rows, sb.rows)
+            assert np.array_equal(sa.inv, sb.inv)
+
+
+def _reference_stars(a, level):
+    """Per star group of the level: its off-star rows A[D, not D] and its
+    (n_stars, k, k) blocks A[D, D], by fancy indexing into `a`; each row
+    keeps the entries of `a` in their stored order."""
+    out = []
+    for d in cell_stars(level):
+        k = d.shape[1]
+        rows = a[d.ravel()]
+        row = np.repeat(np.arange(d.size), np.diff(rows.indptr))
+        off = ~(d[row // k] == rows.indices[:, None]).any(axis=1)
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row[off], minlength=d.size))])
+        blocks = a[np.repeat(d, k, axis=1).ravel(), np.tile(d, (1, k)).ravel()]
+        out.append((sp.csr_matrix((rows.data[off], rows.indices[off], indptr),
+                                  shape=rows.shape),
+                    np.asarray(blocks).reshape(-1, k, k)))
+    return out
+
+
+def _assert_smoothers_match_reference(mg, level):
+    """Every level's star rows, blocks and inverses equal the fancy-index
+    reference bit for bit."""
+    for k, groups in enumerate(mg.smoothers):
+        a = mg.ops[k]
+        _, _, plan = precond_mod._star_plans[level - k]
+        data = np.append(a.data, 0.0)
+        for s, (rows, blocks), (_, _, _, _, block) in zip(
+                groups, _reference_stars(a, level - k), plan, strict=True):
+            assert _csr_equal(s.rows, rows)
+            assert np.array_equal(data[block], blocks)
+            assert np.array_equal(s.inv, np.linalg.inv(blocks))
+
+
+def test_star_plan_equals_fancy_index_reference(geom3, step2_system,
+                                                matching_factors):
+    """On the Stokes step's pattern and on the pattern of every later step,
+    and on each Galerkin level below them, the planned gather gives the
+    off-star rows, the star blocks and their inverses of fancy indexing."""
+    stokes = _stokes_system(geom3, nu=0.01, beta=1e-2, augmented=True)
+    for system in (stokes, step2_system):
+        for mat in matching_factors(system):
+            _assert_smoothers_match_reference(
+                precond_mod.build_multigrid(mat, 3), 3)
+
+
+def test_star_plan_follows_pattern_switches(geom3, step2_system,
+                                            matching_factors):
+    """The Stokes step and a later step differ in pattern; switching
+    A -> B -> A on one level replans each time and leaves no stale
+    positions."""
+    mat_a, _ = matching_factors(_stokes_system(geom3, nu=0.01, beta=1e-2,
+                                               augmented=True))
+    mat_b, _ = matching_factors(step2_system)
+    assert not np.array_equal(mat_a.indices, mat_b.indices)
+    for mat in (mat_a, mat_b, mat_a):
+        mg = precond_mod.build_multigrid(mat, 3)
+        _assert_smoothers_match_reference(mg, 3)
+        assert np.array_equal(precond_mod._star_plans[3][1], mat.indices)
+
+
+def test_concurrent_builds_of_two_patterns(geom3, step2_system,
+                                           matching_factors):
+    """Threads (more than the cores) that build hierarchies of two patterns
+    on the same levels at once, so that each replans what another just
+    planned, all get the hierarchy of their own matrix."""
+    mat_a, _ = matching_factors(_stokes_system(geom3, nu=0.01, beta=1e-2,
+                                               augmented=True))
+    mat_b, _ = matching_factors(step2_system)
+    ref = {id(m): precond_mod.build_multigrid(m, 3) for m in (mat_a, mat_b)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(4):
+                precond_mod._star_plans.clear()
+                mats = (mat_a, mat_b) * 2
+                built = pool.map(partial(precond_mod.build_multigrid, level=3),
+                                 mats)
+                for m, mg in zip(mats, built, strict=True):
+                    _assert_hierarchies_equal(ref[id(m)], mg)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_matching_build_plans_each_level_once(step2_system, monkeypatch):
+    """Both factors of a step share one pattern; when they are built side
+    by side with no plan yet, each level is planned once."""
+    planned = []
+    plan_stars = precond_mod._plan_stars
+    monkeypatch.setattr(precond_mod, "_plan_stars", lambda a, level: (
+        planned.append(level), plan_stars(a, level))[1])
+    precond_mod._star_plans.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        build_matching(_with_params(step2_system, exact_blocks=False))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(planned) == [2, 3]
+
+
+def _additive_cycle(mg, b, k=0):
+    """The V-cycle with each star update in its additive form
+    x[D] += A[D, D]^-1 (b - A x)[D], over the star's full rows."""
+    if k == len(mg.prolongations):
+        return mg.coarse.solve(b)
+    x = np.zeros_like(b)
+    for _ in range(precond_mod.MG_SWEEPS):
+        for s in mg.smoothers[k]:
+            r = b[s.dofs] - (mg.ops[k][s.dofs.ravel()] @ x).reshape(
+                s.dofs.shape)
+            x[s.dofs] += (s.inv @ r[:, :, None])[:, :, 0]
+    p = mg.prolongations[k]
+    return x + p @ _additive_cycle(mg, p.T @ (b - mg.ops[k] @ x), k + 1)
+
+
+def test_off_star_cycle_is_the_additive_cycle(step2_system,
+                                              matching_factors):
+    """Solving each star from its off-star residual is the additive star
+    update in exact arithmetic: the two cycles agree to roundoff, and the
+    cycle stays linear."""
+    for mat in matching_factors(step2_system):
+        mg = precond_mod.build_multigrid(mat, 3)
+        rng = np.random.default_rng(11)
+        b1, b2 = rng.standard_normal((2, mat.shape[0]))
+        y1 = mg.solve(b1)
+        ref = _additive_cycle(mg, b1)
+        assert np.linalg.norm(y1 - ref) <= 1e-10 * np.linalg.norm(ref)
+        lin = mg.solve(b1 + b2) - y1 - mg.solve(b2)
+        assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(y1)
+
+
+def test_multigrid_sums_duplicate_entries(geom3, matching_factors):
+    """A matrix that stores each entry as two halves builds the hierarchy
+    of its canonical twin, and is left as it was."""
+    mat, _ = matching_factors(_stokes_system(geom3, beta=1e-3,
+                                             augmented=True))
+    halves = sp.csr_matrix((np.repeat(mat.data / 2, 2),
+                            np.repeat(mat.indices, 2), 2 * mat.indptr),
+                           shape=mat.shape)
+    assert not halves.has_canonical_format
+    _assert_hierarchies_equal(precond_mod.build_multigrid(mat, 3),
+                              precond_mod.build_multigrid(halves, 3))
+    assert halves.nnz == 2 * mat.nnz
 
 
 @pytest.fixture(scope="module")
