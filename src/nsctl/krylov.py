@@ -26,7 +26,8 @@ class SingularMatrixError(Exception):
 
 
 class Factorization:
-    """Sparse LU (SuperLU, minimum-degree ordering on A^T + A) behind a solve() facade."""
+    """Sparse LU (SuperLU, minimum-degree ordering on A^T + A, threshold
+    pivoting) behind a solve() facade."""
 
     def __init__(self, lu):
         self._lu = lu
@@ -41,12 +42,17 @@ def factorize(a: sp.spmatrix) -> Factorization:
     The columns are ordered by minimum degree on the pattern of A^T + A
     (Amestoy, Davis & Duff 1996). The blocks factorized here have a nearly
     symmetric pattern, on which this ordering gives less fill and faster
-    factor and solve than SuperLU's default COLAMD.
+    factor and solve than SuperLU's default COLAMD. Pivoting is by threshold
+    (Duff, Erisman & Reid 1986): in symmetric mode the diagonal entry stays
+    the pivot unless it is below 0.1 of its column's largest, so the rows
+    keep the ordering's elimination order; strict partial pivoting, which
+    takes each column's largest entry, can fill these blocks several-fold.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
     try:
-        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularMatrixError(f"singular matrix: {exc}") from exc
     # SuperLU happily factorizes singular matrices, leaving zero (or

@@ -186,14 +186,15 @@ def build_matching(system: KktSystem) -> MatchingSchur:
     """Matching factors, LU-factorized with `exact_blocks`, else multigrid.
 
     The two inverses are independent, so `inv_12` is built in a worker
-    thread while this thread builds `inv_21`; SuperLU and the numpy/scipy
-    kernels release the GIL, so the builds overlap. An error from either
-    build is raised here. On a level's first use both builds may fill the
-    per-level geometry caches; the two results are equal, so either may
-    stay; the star plans are made once. scipy's SuperLU wrapper frees
-    memory only on the thread that allocated it, so the worker's inverse is
-    dropped on the worker, when the result's finalizer shuts the worker
-    down; the result holds it through a weak proxy.
+    thread while this thread builds `inv_21`; SuperLU releases the GIL and
+    scipy's sparse mat-vec does not, so the builds overlap in part. An
+    error from either build is raised here. On a level's first use both
+    builds may fill the per-level geometry caches; the two results are
+    equal, so either may stay; the star plans are made once. scipy's
+    SuperLU wrapper frees memory only on the thread that allocated it, so
+    the worker's inverse is dropped on the worker, when the result's
+    finalizer shuts the worker down; the result holds it through a weak
+    proxy.
     """
     m = system.level_ops.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import nsctl.krylov as krylov_mod
+from nsctl.grid_fem import setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, SingularMatrixError,
                           chebyshev_solve, factorize, gmres)
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
@@ -70,6 +71,24 @@ def test_factorize_solves_augmented_matching_block(geom3, rng, beta):
         b = rng.standard_normal(a.shape[0])
         res = np.linalg.norm(a @ factorize(a).solve(b) - b) / np.linalg.norm(b)
         assert res <= 1e-10
+
+
+def test_factorize_fill_on_the_level4_matching_block(matching_factors):
+    """The augmented Stokes-step `Psi2 + L` at level 4, nu=1/500, beta=1e-1
+    stores only its true nonzeros (110,784) and threshold pivoting keeps
+    its LU fill near the ordering's (517,320); strict partial pivoting
+    fills it to 1.3M."""
+    geom = setup_geometry(4)
+    d = geom.dofmap
+    state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
+                         mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
+    system = augment(build_kkt(state, geom.mesh, d, geom.patches, geom.quad,
+                               KktParams(nu=1 / 500, beta=1e-1),
+                               wind=_zero_wind(geom)))
+    mat_21, _ = matching_factors(system)
+    assert mat_21.nnz <= 120_000
+    lu = factorize(mat_21)._lu
+    assert lu.L.nnz + lu.U.nnz <= 600_000
 
 
 # --------------------------------------------------------------------------

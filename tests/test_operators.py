@@ -251,6 +251,53 @@ def test_level_operators_shared_and_read_only(geom3):
         a.m_full.data *= 2.0
 
 
+def _reassembled_without_drop(level):
+    """M, K, B, Mp and Kp of a level scattered from their element matrices
+    as `_level_operators` scatters them, but keeping every summed entry;
+    each with the largest element entry its residue is measured against."""
+    lvl, geom = _level_operators(level), setup_geometry(level)
+    d, v2, v1 = geom.dofmap, geom.quad.q2_vals, geom.quad.q1_vals
+    n_cells = geom.mesh.n_cells
+
+    def raw(e, idx_r, idx_c, shape, vector=False):
+        a = _scatter(shape, (idx_r, idx_c,
+                             np.broadcast_to(e, (n_cells,) + e.shape)))
+        return (_kron2(a) if vector else a), np.abs(e).max()
+
+    q2, q1 = (d.n_q2, d.n_q2), (d.n_p, d.n_p)
+    return {
+        "m_full": raw(np.einsum("q,qi,qj->ij", lvl.wdet, v2, v2),
+                      d.cell_q2, d.cell_q2, q2, vector=True),
+        "k_full": raw(np.einsum("q,qid,qjd->ij", lvl.wdet, lvl.g2, lvl.g2),
+                      d.cell_q2, d.cell_q2, q2, vector=True),
+        "b_full": raw(-np.einsum("q,qi,qja->ija", lvl.wdet, v1,
+                                 lvl.g2).reshape(4, 18),
+                      d.cell_q1, d.cell_v, (d.n_p, d.n_v_full)),
+        "mp": raw(np.einsum("q,qi,qj->ij", lvl.wdet, v1, v1),
+                  d.cell_q1, d.cell_q1, q1),
+        "kp": raw(np.einsum("q,qid,qjd->ij", lvl.wdet, lvl.g1, lvl.g1),
+                  d.cell_q1, d.cell_q1, q1),
+    }
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_level_operators_store_no_cancellation_residue(level):
+    """Every stored entry of the wind-free operators is genuine (at least
+    1e-3 of its matrix's largest), and a scatter that keeps every summed
+    entry differs from the stored matrix only where an entry was dropped,
+    by no more than the drop threshold 64 eps max|e|."""
+    lvl = _level_operators(level)
+    for name, (full, e_max) in _reassembled_without_drop(level).items():
+        kept = getattr(lvl, name)
+        assert np.abs(kept.data).min() >= 1e-3 * np.abs(kept.data).max(), name
+        diff = full - kept
+        assert np.abs(diff.data).max(initial=0.0) \
+            <= 64 * np.finfo(float).eps * e_max, name
+        assert diff.multiply(kept != 0).count_nonzero() == 0, name
+    if level == 4:
+        assert lvl.b_full.nnz == 6468
+
+
 def test_scatter_sums_duplicates_into_canonical_csr():
     """`_scatter` relies on scipy's COO -> CSR conversion to sum duplicate
     entries, within one part and across parts, and sort each row's column
