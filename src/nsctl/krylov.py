@@ -83,8 +83,8 @@ class ChebyshevMassSolver:
         lmin, lmax = self.interval
         if lmin <= 0.0:
             raise ValueError(f"Chebyshev interval must be positive, got [{lmin}, {lmax}]")
-        if lmax < lmin:
-            raise ValueError(f"empty Chebyshev interval [{lmin}, {lmax}]")
+        if lmax <= lmin:
+            raise ValueError(f"Chebyshev interval [{lmin}, {lmax}] needs lmin < lmax")
         self.diag = self.matrix.diagonal().copy()
         if np.any(self.diag <= 0.0):
             raise ValueError("mass matrix diagonal must be positive")
@@ -99,8 +99,6 @@ def chebyshev_solve(solver: ChebyshevMassSolver, b: np.ndarray) -> np.ndarray:
 
     x = np.zeros_like(b, dtype=np.float64)
     r = dinv * b                       # preconditioned residual at x = 0
-    if delta == 0.0:                   # exact Jacobi case, e.g. M = I
-        return r / theta
     sigma1 = theta / delta
     rho = 1.0 / sigma1
     d = r / theta

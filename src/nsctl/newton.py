@@ -65,7 +65,7 @@ def convergence_check(trace: NewtonTrace, tol) -> bool:
     """Relative criterion `tol` against the reference residual, with an
     absolute floor guarding zero-data cases."""
     ref = trace.residuals[0]
-    return trace.residuals[-1] <= max(tol * ref, RESIDUAL_FLOOR)
+    return bool(trace.residuals[-1] <= max(tol * ref, RESIDUAL_FLOOR))
 
 
 def _apply_update(state: StateIterate, system, x, dofmap) -> StateIterate:
@@ -96,33 +96,36 @@ def _newton_step(state, plain, geom: Geometry):
 def newton_solve(params: KktParams, geom: Geometry, on_system=None):
     """Run the inexact Newton iteration; returns (state, trace).
 
-    Stops when the nonlinear residual drops below `params.tol_newton`
-    relative to the residual of the lifted zero state, at the first
-    non-finite residual, or after MAX_STEPS steps (in the last two cases
-    the trace is marked not converged, averages taken over completed
-    steps). Each iterate's residual is the plain step system linearized
-    there (`eval_residual`), which the next step solves. `on_system(k, sys)`
-    is called with each step system in the form its stack solved, e.g. for
-    matrix export; both forms are released when it returns, before the
-    next iterate's operators are assembled, so only one step's matrices
-    and factors are alive at a time.
+    One check runs on each iterate's residual, the lifted zero state's
+    included: it stops when the residual drops below `params.tol_newton`
+    relative to the lifted state's, at the first non-finite residual, or
+    after MAX_STEPS steps (in the last two cases the trace is marked not
+    converged, averages taken over completed steps). Each iterate's
+    residual is the plain step system linearized there (`eval_residual`),
+    which the next step solves. `on_system(k, sys)` is called with each
+    step system in the form its stack solved, e.g. for matrix export; both
+    forms are released when it returns, before the next iterate's operators
+    are assembled, so only one step's matrices and factors are alive at a
+    time.
     """
     state = initial_state(geom.dofmap)
     zero = np.zeros(geom.dofmap.n_v_full)
     stab = zero
-    trace = NewtonTrace(residuals=[eval_residual(
-        state, geom.mesh, geom.dofmap, geom.patches, geom.quad, params,
-        stab_wind=stab).norm])
-    if not np.isfinite(trace.residuals[0]):
-        log.warning("newton: non-finite initial residual, stopping")
-        return state, trace
-    if convergence_check(trace, params.tol_newton):
-        trace.converged = True
-        return state, trace
-
-    for k in range(1, MAX_STEPS + 1):
+    trace = NewtonTrace()
+    plain = eval_residual(state, geom.mesh, geom.dofmap, geom.patches,
+                          geom.quad, params, stab_wind=stab)
+    for k in range(1, MAX_STEPS + 2):
+        # the one stop check, on the residual of iterate k - 1
+        trace.residuals.append(plain.norm)
+        if not np.isfinite(plain.norm):
+            log.warning("newton step %d: non-finite residual, stopping", k - 1)
+            break
+        trace.converged = convergence_check(trace, params.tol_newton)
+        if trace.converged or k > MAX_STEPS:
+            break
         t0 = time.perf_counter()
         if k == 1:                   # the Stokes step: a zero wind
+            del plain                # the lifted state's, freed first
             plain = build_kkt(state, geom.mesh, geom.dofmap, geom.patches,
                               geom.quad, params, wind=zero, stab_wind=stab)
         state, stats, system = _newton_step(state, plain, geom)
@@ -140,13 +143,6 @@ def newton_solve(params: KktParams, geom: Geometry, on_system=None):
         trace.fgmres_per_step.append(stats.iters)
         trace.linear_converged.append(bool(stats.converged))
         trace.step_seconds.append(time.perf_counter() - t0)
-        trace.residuals.append(plain.norm)
         log.info("newton step %d: residual %.6e (fgmres %d)",
-                 k, trace.residuals[-1], stats.iters)
-        if not np.isfinite(trace.residuals[-1]):
-            log.warning("newton step %d: non-finite residual, stopping", k)
-            break
-        if convergence_check(trace, params.tol_newton):
-            trace.converged = True
-            break
+                 k, plain.norm, stats.iters)
     return state, trace

@@ -126,7 +126,7 @@ class Multigrid:
     coarse: Factorization
 
     def solve(self, b):
-        return self._cycle(0, np.asarray(b, dtype=np.float64))
+        return self._cycle(0, b)
 
     def _cycle(self, k, b):
         if k == len(self.prolongations):
@@ -140,10 +140,9 @@ class Multigrid:
 
 
 def build_multigrid(a, level) -> Multigrid:
-    """Galerkin hierarchy for the level-`level` interior velocity operator `a`."""
-    a = a.tocsr()
-    if not a.has_canonical_format:   # sum duplicates, which a gather would not
-        a = a.tocoo().tocsr()
+    """Galerkin hierarchy for the level-`level` interior velocity operator
+    `a`, a CSR matrix in canonical format (sorted, no duplicate entries):
+    the star plans gather its entries by position."""
     ops, prolongations, smoothers = [a], [], []
     for l in range(level, MG_COARSEST, -1):
         p = q2_prolongation(l)
@@ -176,12 +175,6 @@ class MatchingSchur:
     inv_12: object                    # the same, of (Psi1 + L)^T
 
 
-def _build_and_hold(held, build, a):
-    """`build(a)` as a weak proxy; the only strong reference goes to `held`."""
-    held.append(build(a))
-    return weakref.proxy(held[0])
-
-
 def build_matching(system: KktSystem) -> MatchingSchur:
     """Matching factors, LU-factorized with `exact_blocks`, else multigrid.
 
@@ -206,7 +199,7 @@ def build_matching(system: KktSystem) -> MatchingSchur:
         # plan the finest level here: planned on the worker, it raised peak RSS
         _star_plan(mat_21, system.level_ops.level)
     held, pool = [], ThreadPoolExecutor(max_workers=1)
-    future_12 = pool.submit(_build_and_hold, held, build, mat_12)
+    future_12 = pool.submit(lambda: held.append(build(mat_12)))
 
     def stop():
         pool.submit(held.clear)      # drop the inverse on the worker thread
@@ -214,11 +207,11 @@ def build_matching(system: KktSystem) -> MatchingSchur:
 
     try:
         inv_21 = build(mat_21)
-        inv_12 = future_12.result()
+        future_12.result()
     except BaseException:
         stop()
         raise
-    ms = MatchingSchur(mass=m, inv_21=inv_21, inv_12=inv_12)
+    ms = MatchingSchur(mass=m, inv_21=inv_21, inv_12=weakref.proxy(held[0]))
     # at interpreter exit the pool is already shut down: leave it be
     weakref.finalize(ms, stop).atexit = False
     return ms

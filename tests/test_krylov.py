@@ -97,24 +97,18 @@ def test_factorize_fill_on_the_level4_matching_block(matching_factors):
 
 def test_chebyshev_zero_rhs():
     solver = ChebyshevMassSolver(matrix=sp.eye(4, format="csr"),
-                                 interval=(1.0, 1.0))
+                                 interval=(0.5, 1.5))
     assert np.array_equal(chebyshev_solve(solver, np.zeros(4)), np.zeros(4))
-
-
-def test_chebyshev_identity_one_step(rng):
-    solver = ChebyshevMassSolver(matrix=sp.eye(5, format="csr"),
-                                 interval=(1.0, 1.0))
-    b = rng.standard_normal(5)
-    assert np.array_equal(chebyshev_solve(solver, b), b)
 
 
 def test_chebyshev_interval_validation():
     with pytest.raises(ValueError):
         ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
                             interval=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
-                            interval=(2.0, 1.0))
+    for interval in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="needs lmin < lmax"):
+            ChebyshevMassSolver(matrix=sp.eye(3, format="csr"),
+                                interval=interval)
 
 
 def test_chebyshev_is_linear(geom2, rng):

@@ -215,9 +215,11 @@ def test_pressure_operators_assembled_only_for_bpcd(geom2, monkeypatch, kind,
 
 
 @pytest.mark.parametrize("bad_step", [0, 2])
-def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
-    """A NaN residual ends the iteration at that step, unconverged (step 0
-    is the lifted zero state); the unperturbed case takes 3 steps."""
+def test_non_finite_residual_stops_newton(geom2, caplog, monkeypatch,
+                                          bad_step):
+    """A NaN residual ends the iteration at that step, unconverged, with a
+    warning that names the step (step 0 is the lifted zero state); the
+    unperturbed case takes 3 steps."""
     real = newton_mod.eval_residual
     calls = []
 
@@ -229,7 +231,10 @@ def test_non_finite_residual_stops_newton(geom2, monkeypatch, bad_step):
         return res
 
     monkeypatch.setattr(newton_mod, "eval_residual", nan_at_bad_step)
-    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
+    with caplog.at_level(logging.WARNING, logger="nsctl.newton"):
+        _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2), geom2)
+    assert caplog.messages == [
+        f"newton step {bad_step}: non-finite residual, stopping"]
     assert trace.newton_iters == bad_step
     assert not trace.converged
     assert np.isnan(trace.residuals[-1])

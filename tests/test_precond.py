@@ -17,7 +17,7 @@ from nsctl.grid_fem import cell_stars, q2_prolongation, setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, Factorization,
                           SingularMatrixError, chebyshev_solve, factorize,
                           gmres)
-from nsctl.newton import _newton_step, initial_state
+from nsctl.newton import _newton_step, initial_state, newton_solve
 from nsctl.operators import (KktParams, PressureOperators,
                              StateIterate, _level_operators, _wind_terms,
                              augment, build_kkt, lift_boundary,
@@ -300,18 +300,26 @@ def test_off_star_cycle_is_the_additive_cycle(step2_system,
         assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(y1)
 
 
-def test_multigrid_sums_duplicate_entries(geom3, matching_factors):
-    """A matrix that stores each entry as two halves builds the hierarchy
-    of its canonical twin, and is left as it was."""
-    mat, _ = matching_factors(_stokes_system(geom3, beta=1e-3,
-                                             augmented=True))
-    halves = sp.csr_matrix((np.repeat(mat.data / 2, 2),
-                            np.repeat(mat.indices, 2), 2 * mat.indptr),
-                           shape=mat.shape)
-    assert not halves.has_canonical_format
-    _assert_hierarchies_equal(precond_mod.build_multigrid(mat, 3),
-                              precond_mod.build_multigrid(halves, 3))
-    assert halves.nnz == 2 * mat.nnz
+@pytest.mark.parametrize("settings", [
+    dict(precond="al"), dict(precond="bpcd"),
+    dict(approach="dto", full_newton=True)], ids=["al", "bpcd", "dto-full"])
+def test_multigrid_inputs_are_canonical_csr(geom3, monkeypatch, settings):
+    """`build_multigrid` gathers star blocks by position and does not sum
+    duplicate entries: every matrix a Newton solve hands it is CSR in
+    canonical format (sorted indices, no duplicates)."""
+    real = precond_mod.build_multigrid
+    seen = []
+
+    def checking(a, level):
+        # a new matrix on the same arrays computes the flag, not a cached one
+        seen.append(a.format == "csr" and sp.csr_matrix(
+            (a.data, a.indices, a.indptr), shape=a.shape).has_canonical_format)
+        return real(a, level)
+
+    monkeypatch.setattr(precond_mod, "build_multigrid", checking)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2, **settings), geom3)
+    assert trace.converged
+    assert len(seen) == 2 * trace.newton_iters and all(seen)
 
 
 @pytest.fixture(scope="module")
