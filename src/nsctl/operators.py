@@ -395,7 +395,8 @@ def _lps_delta(patches, wind_nodes, nu):
 def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
     """Assemble sum_m delta_m int_Pm kappa(w.grad u) kappa(w.grad v).
 
-    `conv[c, q, n]` holds (w . grad N_n) at quadrature point q of cell c.
+    `conv(cells)[c, q, n]` holds (w . grad N_n) at quadrature point q of
+    cell `cells[c]`; it is formed on the active patches' cells only.
     kappa subtracts the patch mean, so each patch contributes the plain
     integral term minus a rank-one mean correction.
     """
@@ -403,20 +404,20 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
     if active.size == 0:
         return sp.csr_matrix((n_dofs, n_dofs))
 
-    t_cell = np.einsum("cqm,cqn,q->cmn", conv, conv, wdet)
-    a_cell = np.einsum("cqn,q->cn", conv, wdet)
-
     cells_act = patches.patch_cells[active].ravel()
+    conv_act = conv(cells_act)
+    t_cell = np.einsum("cqm,cqn,q->cmn", conv_act, conv_act, wdet)
+    a_cell = np.einsum("cqn,q->cn", conv_act, wdet)
     w_act = np.repeat(delta[active], 4)
     idx = cell_nodes[cells_act]
 
     # rank-one patch-mean correction: -(delta/|P|) (int w.grad u)(int w.grad v)
-    nodes_p = cell_nodes[patches.patch_cells[active]].reshape(active.size, -1)
-    a_p = a_cell[patches.patch_cells[active]].reshape(active.size, -1)
+    nodes_p = idx.reshape(active.size, -1)
+    a_p = a_cell.reshape(active.size, -1)
     coef = (delta[active] / patches.size ** 2)[:, None, None]
     outer = -coef * a_p[:, :, None] * a_p[:, None, :]
     return _scatter((n_dofs, n_dofs),
-                    (idx, idx, t_cell[cells_act] * w_act[:, None, None]),
+                    (idx, idx, t_cell * w_act[:, None, None]),
                     (nodes_p, nodes_p, outer))
 
 
@@ -424,10 +425,11 @@ def _lps_matrix(patches, conv, wdet, delta, cell_nodes, n_dofs):
 # assembly operations
 # --------------------------------------------------------------------------
 
-def _streamline(wind, dofmap, quad, grads):
+def _streamline(wind, dofmap, quad, grads, cells=slice(None)):
     """(w . grad phi_n) at each quadrature point, as [cell, point, n], for
-    the shape functions phi_n whose gradients `grads` holds."""
-    w_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind, dofmap), quad.q2_vals)
+    the shape functions phi_n whose gradients `grads` holds, on `cells`."""
+    w_q = np.einsum("cnd,qn->cqd", _wind_cellwise(wind, dofmap)[cells],
+                    quad.q2_vals)
     return np.einsum("cqd,qnd->cqn", w_q, grads)
 
 
@@ -450,7 +452,7 @@ def _wind_terms(mesh, dofmap, patches, quad, wind, nu, lps_on, stab_wind,
     conv_mat = _scatter((n, n), (cell_nodes, cell_nodes, n_e))
     if not lps_on or stab_wind is None:
         return conv_mat, sp.csr_matrix((n, n))
-    conv = _streamline(stab_wind, dofmap, quad, grads)
+    conv = partial(_streamline, stab_wind, dofmap, quad, grads)
     delta = _lps_delta(patches, stab_wind.reshape(-1, 2), nu)
     return conv_mat, _lps_matrix(patches, conv, wdet, delta, cell_nodes, n)
 

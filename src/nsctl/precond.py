@@ -20,6 +20,8 @@ from functools import partial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+# the raw kernel behind scipy's CSR mat-vec: y += A x, without the dispatch
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import operators
 from .grid_fem import cell_stars, q2_prolongation, read_only
@@ -44,20 +46,26 @@ class StarSmoother:
     """Exact local solves of one operator on one group of disjoint stars."""
 
     dofs: np.ndarray                  # (n_stars, k) star dof ids
-    rows: sp.csr_matrix               # A[D, not D] of each star D, stacked
+    rows: sp.csr_matrix               # [-A[D, not D] | I_D] of each star D
     inv: np.ndarray                   # (n_stars, k, k) inverses of A[D, D]
 
-    def update(self, b, x):
+    def update(self, w):
         """x[D] = A[D, D]^-1 (b[D] - A[D, not D] x) for every star D, in
-        place; the stars of a group are disjoint, so they do not interfere."""
-        r = b[self.dofs] - (self.rows @ x).reshape(self.dofs.shape)
-        x[self.dofs] = (self.inv @ r[:, :, None])[:, :, 0]
+        place on the work vector w = [x; b]; the stars of a group are
+        disjoint, so they do not interfere. Each row's b[D] entry comes
+        last and rounding is sign-symmetric, so the kernel's sum into zeros
+        is b[D] - A[D, not D] x bit for bit."""
+        r, rows = np.zeros(self.dofs.size), self.rows
+        csr_matvec(r.size, w.size, rows.indptr, rows.indices, rows.data, w, r)
+        w[self.dofs] = (self.inv @ r.reshape(self.dofs.shape + (1,)))[:, :, 0]
 
 
 def _plan_stars(a, level):
     """Per star group of the level: its dofs, the positions in `a.data` and
-    the int32 column indices and row pointers of its off-star rows, and the
-    positions of its (n_stars, k, k) blocks, -1 where `a` has no entry."""
+    the int32 column indices and row pointers of its rows
+    [-A[D, not D] | I_D] over [x; b], position -1 standing for each row's
+    closing identity entry, and the positions of its (n_stars, k, k)
+    blocks, -1 where `a` has no entry."""
     plan = []
     for d in cell_stars(level):
         k, rows = d.shape[1], d.ravel()
@@ -71,10 +79,13 @@ def _plan_stars(a, level):
         own = place // k == row // k
         block = np.full(d.size * k, -1, dtype=np.int32)
         block[row[own] * k + place[own] % k] = pos[own]
-        off = pos[~own]
+        off = pos[~own].astype(np.int32)
+        ends = np.cumsum(np.bincount(row[~own], minlength=d.size))
         indptr = np.zeros(d.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row[~own], minlength=d.size), out=indptr[1:])
-        group = (off.astype(np.int32), a.indices[off].astype(np.int32),
+        indptr[1:] = ends + np.arange(1, d.size + 1)
+        group = (np.insert(off, ends, -1),
+                 np.insert(a.indices[off].astype(np.int32), ends,
+                           a.shape[0] + rows),
                  indptr, block.reshape(d.shape + (k,)))
         read_only(*group)
         plan.append((d,) + group)
@@ -101,9 +112,10 @@ def _star_plan(a, level):
 
 def _star_smoothers(a, level):
     data = np.append(a.data, 0.0)    # [-1] stands for an absent entry
+    rows = np.append(-a.data, 1.0)   # [-1] stands for the b[D] entry
     return [StarSmoother(dofs=d, inv=np.linalg.inv(data[block]),
-                         rows=sp.csr_matrix((data[pos], indices, indptr),
-                                            shape=(d.size, a.shape[1])))
+                         rows=sp.csr_matrix((rows[pos], indices, indptr),
+                                            shape=(d.size, 2 * a.shape[1])))
             for d, pos, indices, indptr, block in _star_plan(a, level)]
 
 
@@ -112,31 +124,37 @@ class Multigrid:
     """One V(2,0)-cycle for a matching factor on the nested uniform meshes.
 
     ops[k] is the operator on level `level - k`: the factor itself, then
-    Galerkin products P^T A P with the Q2 prolongations P; the last one is
-    LU-factorized. On every other level the cycle runs MG_SWEEPS sweeps over
-    the star groups (multiplicative across groups), then adds the coarse
-    correction; there is no post-smoothing. The cycle is a fixed linear
-    operator, so the inner GMRES that applies it is GMRES on a fixed
+    Galerkin products P^T A P with the Q2 prolongations P, whose CSR
+    transposes are the restrictions; the last one is LU-factorized. On
+    every other level the cycle runs MG_SWEEPS sweeps over the star groups
+    (multiplicative across groups) on the work vector [x; b], then adds the
+    coarse correction; there is no post-smoothing. The cycle is a fixed
+    linear operator, so the inner GMRES that applies it is GMRES on a fixed
     preconditioned matrix.
     """
 
     ops: list
     prolongations: list
+    restrictions: list
     smoothers: list
     coarse: Factorization
 
     def solve(self, b):
+        if b.shape != (self.ops[0].shape[0],):  # the kernel reads w unchecked
+            raise ValueError(f"right-hand side of shape {b.shape}, expected "
+                             f"({self.ops[0].shape[0]},)")
         return self._cycle(0, b)
 
     def _cycle(self, k, b):
         if k == len(self.prolongations):
             return self.coarse.solve(b)
-        x = np.zeros_like(b)
+        w = np.concatenate([np.zeros_like(b), b])
         for _ in range(MG_SWEEPS):
             for s in self.smoothers[k]:
-                s.update(b, x)
-        p = self.prolongations[k]
-        return x + p @ self._cycle(k + 1, p.T @ (b - self.ops[k] @ x))
+                s.update(w)
+        x = w[:b.size]
+        r = self.restrictions[k] @ (b - self.ops[k] @ x)
+        return x + self.prolongations[k] @ self._cycle(k + 1, r)
 
 
 def build_multigrid(a, level) -> Multigrid:
@@ -149,8 +167,9 @@ def build_multigrid(a, level) -> Multigrid:
         smoothers.append(_star_smoothers(ops[-1], l))
         prolongations.append(p)
         ops.append((p.T @ ops[-1] @ p).tocsr())
-    return Multigrid(ops=ops, prolongations=prolongations, smoothers=smoothers,
-                     coarse=factorize(ops[-1]))
+    return Multigrid(ops=ops, prolongations=prolongations,
+                     restrictions=[p.T.tocsr() for p in prolongations],
+                     smoothers=smoothers, coarse=factorize(ops[-1]))
 
 
 # --------------------------------------------------------------------------
@@ -179,15 +198,15 @@ def build_matching(system: KktSystem) -> MatchingSchur:
     """Matching factors, LU-factorized with `exact_blocks`, else multigrid.
 
     The two inverses are independent, so `inv_12` is built in a worker
-    thread while this thread builds `inv_21`; SuperLU releases the GIL and
-    scipy's sparse mat-vec does not, so the builds overlap in part. An
-    error from either build is raised here. On a level's first use both
-    builds may fill the per-level geometry caches; the two results are
-    equal, so either may stay; the star plans are made once. scipy's
-    SuperLU wrapper frees memory only on the thread that allocated it, so
-    the worker's inverse is dropped on the worker, when the result's
-    finalizer shuts the worker down; the result holds it through a weak
-    proxy.
+    thread while this thread builds `inv_21`; SuperLU and scipy's CSR
+    mat-vec kernel release the GIL, the Python between them does not, so
+    the builds overlap in part. An error from either build is raised here.
+    On a level's first use both builds may fill the per-level geometry
+    caches; the two results are equal, so either may stay; the star plans
+    are made once. scipy's SuperLU wrapper frees memory only on the thread
+    that allocated it, so the worker's inverse is dropped on the worker,
+    when the result's finalizer shuts the worker down; the result holds it
+    through a weak proxy.
     """
     m = system.level_ops.m
     lam = (m / np.sqrt(system.params.beta)).tocsr()

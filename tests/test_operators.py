@@ -1,6 +1,7 @@
 """Assembly and coupled-system contracts on small grids."""
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -422,7 +423,8 @@ def _lps_reference(patches, conv, wdet, delta, cell_nodes, n_dofs):
 @pytest.mark.parametrize("space", ["q2", "q1"])
 def test_lps_matrix_matches_triplet_reference(geom3, space):
     """W and Wp through `_scatter` are byte for byte the reference triplet
-    assembly, with every patch active, with some, and with none."""
+    assembly on the streamline derivative of every cell, with every patch
+    active, with some, and with none."""
     d, q = geom3.dofmap, geom3.quad
     lvl = _level_operators(geom3.mesh.level)
     grads, nodes, n = ((lvl.g2, d.cell_q2, d.n_q2) if space == "q2"
@@ -435,7 +437,11 @@ def test_lps_matrix_matches_triplet_reference(geom3, space):
         conv = _streamline(wind, d, q, grads)
         delta = _lps_delta(geom3.patches, wind.reshape(-1, 2), nu)
         seen.add(int(np.count_nonzero(delta)))
-        got = _lps_matrix(geom3.patches, conv, lvl.wdet, delta, nodes, n)
+        # `_lps_matrix` forms the streamline derivative on the active
+        # patches' cells only; the reference forms it on every cell
+        got = _lps_matrix(geom3.patches,
+                          partial(_streamline, wind, d, q, grads),
+                          lvl.wdet, delta, nodes, n)
         want = _lps_reference(geom3.patches, conv, lvl.wdet, delta, nodes, n)
         assert got.shape == want.shape
         for f in ("indptr", "indices", "data"):

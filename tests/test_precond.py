@@ -158,8 +158,8 @@ def test_multigrid_hierarchy_identical_with_warm_geometry_cache(
 
 
 def _assert_hierarchies_equal(a, b):
-    for x, y in zip(a.ops + a.prolongations, b.ops + b.prolongations,
-                    strict=True):
+    for x, y in zip(a.ops + a.prolongations + a.restrictions,
+                    b.ops + b.prolongations + b.restrictions, strict=True):
         assert _csr_equal(x, y)
     for ga, gb in zip(a.smoothers, b.smoothers, strict=True):
         for sa, sb in zip(ga, gb, strict=True):
@@ -169,9 +169,10 @@ def _assert_hierarchies_equal(a, b):
 
 
 def _reference_stars(a, level):
-    """Per star group of the level: its off-star rows A[D, not D] and its
-    (n_stars, k, k) blocks A[D, D], by fancy indexing into `a`; each row
-    keeps the entries of `a` in their stored order."""
+    """Per star group of the level: its rows [-A[D, not D] | I_D] over
+    [x; b] and its (n_stars, k, k) blocks A[D, D], by fancy indexing into
+    `a`; each row keeps the entries of `a` in their stored order, then its
+    identity entry."""
     out = []
     for d in cell_stars(level):
         k = d.shape[1]
@@ -181,8 +182,11 @@ def _reference_stars(a, level):
         indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(row[off], minlength=d.size))])
         blocks = a[np.repeat(d, k, axis=1).ravel(), np.tile(d, (1, k)).ravel()]
-        out.append((sp.csr_matrix((rows.data[off], rows.indices[off], indptr),
-                                  shape=rows.shape),
+        off_rows = sp.csr_matrix((rows.data[off], rows.indices[off], indptr),
+                                 shape=rows.shape)
+        eye = sp.csr_matrix((np.ones(d.size), d.ravel(),
+                             np.arange(d.size + 1)), shape=rows.shape)
+        out.append((sp.hstack([-off_rows, eye], format="csr"),
                     np.asarray(blocks).reshape(-1, k, k)))
     return out
 
@@ -205,7 +209,8 @@ def test_star_plan_equals_fancy_index_reference(geom3, step2_system,
                                                 matching_factors):
     """On the Stokes step's pattern and on the pattern of every later step,
     and on each Galerkin level below them, the planned gather gives the
-    off-star rows, the star blocks and their inverses of fancy indexing."""
+    negated off-star rows with their closing identity entries, the star
+    blocks and their inverses of fancy indexing."""
     stokes = _stokes_system(geom3, nu=0.01, beta=1e-2, augmented=True)
     for system in (stokes, step2_system):
         for mat in matching_factors(system):
@@ -298,6 +303,75 @@ def test_off_star_cycle_is_the_additive_cycle(step2_system,
         assert np.linalg.norm(y1 - ref) <= 1e-10 * np.linalg.norm(ref)
         lin = mg.solve(b1 + b2) - y1 - mg.solve(b2)
         assert np.linalg.norm(lin) <= 1e-12 * np.linalg.norm(y1)
+
+
+def test_star_kernel_accumulates_and_equals_matmul(rng):
+    """The raw CSR kernel the star update calls adds A x into `y`, and
+    into zeros it gives scipy's `A @ x` bit for bit on int32 indices."""
+    a = sp.random(60, 80, density=0.2, format="csr", random_state=3)
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+    x = rng.standard_normal(80)
+    y = np.zeros(60)
+    precond_mod.csr_matvec(60, 80, a.indptr, a.indices, a.data, x, y)
+    assert np.array_equal(y, a @ x)
+    # small integers sum exactly, so the accumulation shows unrounded
+    a.data = rng.integers(-9, 10, a.nnz).astype(float)
+    x = rng.integers(-9, 10, 80).astype(float)
+    y = np.full(60, 1000.0)
+    precond_mod.csr_matvec(60, 80, a.indptr, a.indices, a.data, x, y)
+    assert np.array_equal(y, 1000.0 + a @ x)
+
+
+def _sparse_cycle(mg, b, k=0):
+    """The V-cycle through scipy's sparse products: each star from
+    b[D] - A[D, not D] x, with A[D, not D] the negated x-half of the
+    smoother's rows, and the restriction applied as P^T."""
+    if k == len(mg.prolongations):
+        return mg.coarse.solve(b)
+    x = np.zeros_like(b)
+    for _ in range(precond_mod.MG_SWEEPS):
+        for s in mg.smoothers[k]:
+            off = -s.rows[:, :b.size]
+            r = b[s.dofs] - (off @ x).reshape(s.dofs.shape)
+            x[s.dofs] = (s.inv @ r[:, :, None])[:, :, 0]
+    p = mg.prolongations[k]
+    return x + p @ _sparse_cycle(mg, p.T @ (b - mg.ops[k] @ x), k + 1)
+
+
+@pytest.mark.parametrize("step", ["stokes", "step2"])
+def test_fused_cycle_equals_sparse_cycle(geom3, step2_system,
+                                         matching_factors, step):
+    """The cycle on the work vector [x; b], with each star update one CSR
+    kernel call and the restriction held in CSR, is the cycle of sparse
+    products bit for bit, on both factors of the Stokes step and of a
+    later step at level 3."""
+    system = (step2_system if step == "step2" else
+              _stokes_system(geom3, nu=0.01, beta=1e-2, augmented=True))
+    for mat in matching_factors(system):
+        mg = precond_mod.build_multigrid(mat, 3)
+        for seed in range(2):
+            b = np.random.default_rng(seed).standard_normal(mat.shape[0])
+            assert np.array_equal(mg.solve(b), _sparse_cycle(mg, b))
+        # the kernel does not check bounds, so the cycle checks the size
+        with pytest.raises(ValueError, match="right-hand side"):
+            mg.solve(b[:-1])
+
+
+def test_cycle_dispatches_per_level_transfer(step2_system, matching_factors,
+                                             monkeypatch):
+    """One level-3 cycle goes through scipy's sparse `@` three times per
+    level transfer (residual, restriction, prolongation), however many
+    star groups the levels have: the star updates call the kernel."""
+    mat, _ = matching_factors(step2_system)
+    mg = precond_mod.build_multigrid(mat, 3)
+    owner = next(c for c in type(mat).__mro__ if "__matmul__" in vars(c))
+    matmul, calls = owner.__matmul__, []
+    monkeypatch.setattr(owner, "__matmul__", lambda self, other: (
+        calls.append(1), matmul(self, other))[1])
+    mg.solve(np.ones(mat.shape[0]))
+    updates = precond_mod.MG_SWEEPS * sum(map(len, mg.smoothers))
+    assert updates > 3 * len(mg.prolongations) > 0
+    assert len(calls) <= 3 * len(mg.prolongations)
 
 
 @pytest.mark.parametrize("settings", [
