@@ -95,8 +95,9 @@ class QuadratureRule:
 
 
 def check_level(l):
-    """Reject a refinement level that is not an integer >= 1."""
-    if not isinstance(l, (int, np.integer)) or l < 1:
+    """Reject a refinement level that is not an integer >= 1; a bool is an
+    int to Python, but not a level."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 1:
         raise ValueError(f"invalid refinement level {l!r}: need integer l >= 1")
 
 
@@ -204,7 +205,8 @@ def q2_prolongation(level: int) -> sp.csr_matrix:
     of coarse cell c, whose coarse nodes are 2c..2c+2. The result is cached
     per level, so its arrays are read-only.
     """
-    if not isinstance(level, (int, np.integer)) or level < 2:
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) \
+            or level < 2:
         raise ValueError(f"invalid fine level {level!r}: need integer l >= 2")
     nc = 2 ** (level - 1)             # coarse cells per direction
     w, _ = _q2_shapes_1d(np.array([-1.0, -0.5, 0.0, 0.5]))     # (4, 3)

@@ -1,12 +1,12 @@
 """Sparse kernels: direct LU solves, Chebyshev semi-iteration for mass
-matrices, and restarted GMRES with right preconditioning.
+matrices, and GMRES with right preconditioning.
 
-GMRES is hand-rolled because the benchmark reports iteration counts: we need a
-fixed-iteration mode (an exact number of inner steps, no tolerance exit),
-explicit restart semantics and true-residual reporting. It always runs in the
-flexible form (Saad 1993): it keeps the preconditioned basis Z and forms the
-update from it, so each step applies the preconditioner once and a
-preconditioner that varies between steps is admitted.
+GMRES is hand-rolled because the benchmark reports iteration counts. The
+outer solve `fgmres` restarts until a tolerance; the inner `gmres` runs
+exactly INNER_ITERS steps. Both run one Arnoldi cycle in the flexible form
+(Saad 1993): it keeps the preconditioned basis Z and forms the update from
+it, so each step applies the preconditioner once and a preconditioner that
+varies between steps is admitted.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 _REORTH_TOL = 1e-8
 RESTART = 10                          # Arnoldi steps per cycle of a tolerance solve
 MAXITER = 200                         # Arnoldi steps in all, over every cycle
+INNER_ITERS = 5                       # Arnoldi steps of each inner solve
 CHEB_STEPS = 20                       # Chebyshev steps per mass solve
 
 
@@ -122,11 +123,12 @@ class SolveStats:
         return len(self.residuals)
 
 
-def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
+def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target):
     """One Arnoldi cycle of right-preconditioned flexible GMRES from x0,
-    whose residual b - A x0 is r0; returns (x, met, breakdown). r0 is
-    nonzero: `gmres` returns before any cycle for b = 0, and restarts only
-    while ||r|| > rtol ||b|| > 0."""
+    whose residual b - A x0 is r0, with no tolerance exit for `target`
+    None; returns (x, residuals, met, breakdown). r0 is nonzero: both
+    solves return at once for b = 0, and `fgmres` restarts only while
+    ||r|| > rtol ||b|| > 0."""
     n = r0.shape[0]
     beta = np.linalg.norm(r0)
     v = np.zeros((steps + 1, n))
@@ -138,7 +140,7 @@ def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
     v[0] = r0 / beta
     g[0] = beta
 
-    j_done = 0
+    residuals = []
     breakdown = False
     met = False
     for j in range(steps):
@@ -180,32 +182,23 @@ def _gmres_cycle(apply_a, apply_p, r0, x0, steps, target, collect):
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
 
-        j_done = j + 1
-        collect(abs(g[j + 1]))
-
-        if happy:
-            breakdown = True
-            met = target is None or abs(g[j + 1]) <= target
-            break
-        if target is not None and abs(g[j + 1]) <= target:
-            met = True
+        residuals.append(abs(g[j + 1]))
+        met = target is not None and residuals[-1] <= target
+        if happy or met:
+            breakdown = happy
             break
 
+    j_done = len(residuals)
     y = np.zeros(j_done)
     for i in range(j_done - 1, -1, -1):
         y[i] = (g[i] - h[i, i + 1:j_done] @ y[i + 1:j_done]) / h[i, i]
-    return x0 + z[:j_done].T @ y, met, breakdown
+    return x0 + z[:j_done].T @ y, residuals, met, breakdown
 
 
-def gmres(apply_a, apply_p, b, rtol=None, fixed_iters=None):
-    """Right-preconditioned restarted GMRES, one preconditioner apply per step.
-
-    Each call passes exactly one of `rtol` and `fixed_iters`. With `rtol`,
-    cycles of RESTART steps run until ||b - A x|| <= rtol ||b||, for at most
-    MAXITER steps in all. With `fixed_iters`, exactly that many Arnoldi steps
-    run (no tolerance exit) -- the mode used for the inner momentum solver.
-    That mode does not compute `true_residual`, which stays 0.
-    """
+def fgmres(apply_a, apply_p, b, rtol):
+    """Restarted right-preconditioned flexible GMRES, the outer solve: cycles
+    of RESTART steps run until ||b - A x|| <= rtol ||b||, for at most MAXITER
+    steps in all. Returns (x, SolveStats)."""
     b = np.asarray(b, dtype=np.float64)
     stats = SolveStats()
 
@@ -214,18 +207,13 @@ def gmres(apply_a, apply_p, b, rtol=None, fixed_iters=None):
         stats.converged = True
         return np.zeros_like(b), stats
 
-    if fixed_iters is not None:
-        x, _, _ = _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b),
-                               fixed_iters, None, stats.residuals.append)
-        stats.converged = True
-        return x, stats
-
     target = rtol * norm_b
     x, r = np.zeros_like(b), b
     while stats.iters < MAXITER:
         steps = min(RESTART, MAXITER - stats.iters)
-        x, met, breakdown = _gmres_cycle(apply_a, apply_p, r, x, steps, target,
-                                         stats.residuals.append)
+        x, residuals, met, breakdown = _gmres_cycle(apply_a, apply_p, r, x,
+                                                    steps, target)
+        stats.residuals += residuals
         r = b - apply_a(x)
         stats.true_residual = np.linalg.norm(r)
         if met or stats.true_residual <= target:
@@ -234,3 +222,12 @@ def gmres(apply_a, apply_p, b, rtol=None, fixed_iters=None):
         if breakdown:
             break
     return x, stats
+
+
+def gmres(apply_a, apply_p, b):
+    """INNER_ITERS steps of flexible GMRES from x = 0, the inner solve: no
+    tolerance exit, only a happy breakdown ends it early. Returns x."""
+    if np.linalg.norm(b) == 0.0:
+        return np.zeros_like(b)
+    return _gmres_cycle(apply_a, apply_p, b, np.zeros_like(b), INNER_ITERS,
+                        None)[0]

@@ -90,6 +90,10 @@ class KktParams:
             raise ValueError(f"unknown approach {self.approach!r}")
         if self.precond not in PRECONDS:
             raise ValueError(f"unknown preconditioner kind {self.precond!r}")
+        for name in ("lps_on", "full_newton", "exact_blocks"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, "
+                                 f"got {getattr(self, name)!r}")
         # the zero vector meets any tolerance >= 1; NaN fails the test too
         for name, x in (("tol_newton", self.tol_newton),
                         ("tol_linear", self.tol_linear)):
@@ -119,9 +123,9 @@ class KktSystem:
     winds, which only the bpcd preconditioner reads.
 
     The blocks are the system's one representation: `matvec` and
-    `momentum_matvec` apply it block by block, and `matrix()` and
-    `momentum()` assemble a new copy for the callers that need one matrix
-    (direct-solve references, the LU of the ideal stack's momentum solve).
+    `momentum_matvec` apply it block by block, and `matrix()`, `momentum()`
+    and `b_blk()` assemble a new copy for the callers that need one matrix
+    (direct-solve references, the ideal stack's LU and Schur complement).
     """
 
     params: KktParams
@@ -166,26 +170,28 @@ class KktSystem:
                                self.a21 @ x1 + self.a22 @ x2])
 
     def matvec(self, x):
-        """The coupled operator [[F, Bblk^T], [Bblk, 0]] applied to x block
-        by block."""
+        """The coupled operator [[F, Bblk^T], [Bblk, 0]] applied to x: F by
+        `momentum_matvec`, then Bblk^T and Bblk by their two B blocks."""
         x1, x2, x3, x4 = self.split(x)
         bt = self.b.T
-        return np.concatenate([self.a11 @ x1 + self.a12 @ x2 + bt @ x3,
-                               self.a21 @ x1 + self.a22 @ x2 + bt @ x4,
-                               self.b @ x1, self.b @ x2])
+        y = self.momentum_matvec(x[:2 * self.n_v])
+        y += np.concatenate([bt @ x3, bt @ x4])
+        return np.concatenate([y, self.b @ x1, self.b @ x2])
 
     def momentum(self):
         """The 2x2 velocity block [[a11, a12], [a21, a22]] as one matrix."""
         return sp.bmat([[self.a11, self.a12], [self.a21, self.a22]],
                        format="csr")
 
+    def b_blk(self):
+        """The constraint block Bblk = diag(B, B) as one matrix."""
+        return sp.bmat([[self.b, None], [None, self.b]], format="csr")
+
     def matrix(self):
         """The full coupled matrix [[F, Bblk^T], [Bblk, 0]]."""
-        bt = self.b.T.tocsr()
-        return sp.bmat([[self.a11, self.a12, bt, None],
-                        [self.a21, self.a22, None, bt],
-                        [self.b, None, None, None],
-                        [None, self.b, None, None]], format="csr")
+        b_blk = self.b_blk()
+        return sp.bmat([[self.momentum(), b_blk.T], [b_blk, None]],
+                       format="csr")
 
     def split(self, x):
         nv, npp = self.n_v, self.n_p

@@ -37,7 +37,6 @@ _IDEAL_GUARD = 20000
 
 MG_COARSEST = 1                       # level whose Galerkin operator is LU-factorized
 MG_SWEEPS = 2                         # pre-smoothing sweeps per level
-INNER_ITERS = 5                       # inner GMRES steps per outer apply
 REFINE_STEPS = 2                      # refinement steps per ideal block solve
 
 
@@ -307,7 +306,7 @@ def _ideal_stack(system: KktSystem) -> PrecondStack:
                          f"{system.dim} exceeds {_IDEAL_GUARD}")
     f_mat = system.momentum()
     f_fact = factorize(f_mat)
-    b_blk = sp.bmat([[system.b, None], [None, system.b]], format="csr")
+    b_blk = system.b_blk()
     sd = b_blk @ f_fact.solve(b_blk.T.toarray())
     # both solves are refined, so that the defective unit eigenvalue of the
     # preconditioned matrix survives in floating point (its perturbation
@@ -347,10 +346,12 @@ def build_precond(system: KktSystem) -> PrecondStack:
                               mp_solve)
     mass_solve = (lvl.m_lu.solve if params.exact_blocks
                   else lambda b: chebyshev_solve(lvl.m_cheb, b))
+    # INNER_ITERS GMRES steps vary with the right-hand side: hence FGMRES
+    inner_p = partial(inner_p1_apply, system, mass_solve,
+                      build_matching(system))
     return PrecondStack(
         system=system, outer_schur=outer_schur,
-        momentum_solve=partial(inner_momentum_solve, system, mass_solve,
-                               build_matching(system)))
+        momentum_solve=partial(gmres, system.momentum_matvec, inner_p))
 
 
 def inner_p1_apply(system: KktSystem, mass_solve, matching: MatchingSchur,
@@ -363,18 +364,6 @@ def inner_p1_apply(system: KktSystem, mass_solve, matching: MatchingSchur,
     z1 = mass_solve(s1)
     z2 = -matching_apply(matching, s2 - system.a21 @ z1)
     return np.concatenate([z1, z2])
-
-
-def inner_momentum_solve(system: KktSystem, mass_solve,
-                         matching: MatchingSchur, t):
-    """Approximate momentum inverse of the AL and bpcd stacks: INNER_ITERS
-    fixed GMRES iterations on the momentum block, preconditioned by
-    `inner_p1_apply`. The Krylov solve makes it vary with `t`, so the outer
-    iteration must be flexible."""
-    z, _ = gmres(system.momentum_matvec,
-                 partial(inner_p1_apply, system, mass_solve, matching), t,
-                 fixed_iters=INNER_ITERS)
-    return z
 
 
 def outer_p2_apply(stack: PrecondStack, rhs):

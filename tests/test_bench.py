@@ -139,9 +139,9 @@ def test_parse_rejection_names_the_setting(capsys, flag, value):
     assert f"{name} must be in (0, 1)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "3"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "3", True, False])
 def test_spec_level_rule(bad):
-    """A case takes the mesh's level rule: an integer >= 1."""
+    """A case takes the mesh's level rule: an integer >= 1, not a bool."""
     with pytest.raises(ValueError, match="invalid refinement level"):
         CaseSpec(level=bad, nu=0.01, beta=1e-2)
 

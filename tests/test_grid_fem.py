@@ -59,10 +59,17 @@ def test_vertex_grid_spacing():
     assert np.allclose(np.diff(xs), mesh.h_q1)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "3"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "3", True, False])
 def test_invalid_level_rejected(bad):
     with pytest.raises(ValueError):
         build_mesh(bad)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2.5, "3", True, np.True_])
+def test_invalid_fine_level_rejected(bad):
+    """A prolongation's fine level is an integer >= 2, not a bool."""
+    with pytest.raises(ValueError, match="invalid fine level"):
+        q2_prolongation(bad)
 
 
 @pytest.mark.parametrize("l", sorted(DOF_COUNTS))

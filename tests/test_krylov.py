@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import nsctl.krylov as krylov_mod
 from nsctl.grid_fem import setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, SingularMatrixError,
-                          chebyshev_solve, factorize, gmres)
+                          chebyshev_solve, factorize, fgmres, gmres)
 from nsctl.operators import (KktParams, StateIterate, _level_operators,
                              assemble_velocity, augment, build_kkt,
                              lift_boundary, mass_eig_interval, restrict)
@@ -145,21 +145,34 @@ def _well_conditioned(rng, n=60):
 
 def test_gmres_identity_one_iteration(rng):
     b = rng.standard_normal(10)
-    x, stats = gmres(lambda u: u, lambda u: u, b, rtol=1e-12)
+    x, stats = fgmres(lambda u: u, lambda u: u, b, 1e-12)
     assert stats.iters == 1 and stats.converged
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_gmres_fixed_iterations(rng):
+    """The fixed solve takes exactly INNER_ITERS steps, no tolerance exit;
+    its x minimizes ||b - A x|| over the span of the preconditioned
+    directions, which the steps compute."""
     a = _well_conditioned(rng)
     b = rng.standard_normal(a.shape[0])
-    x, stats = gmres(lambda u: a @ u, lambda u: u, b, fixed_iters=5)
-    assert stats.iters == 5
-    assert len(stats.residuals) == 5
+    dirs = []
+
+    def apply_p(u):
+        dirs.append(u / 4.0)
+        return dirs[-1]
+
+    x = gmres(lambda u: a @ u, apply_p, b)
+    assert len(dirs) == krylov_mod.INNER_ITERS == 5
+    z = np.column_stack(dirs)
+    y = np.linalg.lstsq(a @ z, b, rcond=None)[0]
+    assert np.linalg.norm(x - z @ y) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_gmres_fixed_iterations_apply_preconditioner_once_per_step(rng, k):
+def test_gmres_fixed_iterations_apply_preconditioner_once_per_step(
+        rng, monkeypatch, k):
+    monkeypatch.setattr(krylov_mod, "INNER_ITERS", k)
     a = _well_conditioned(rng)
     b = rng.standard_normal(a.shape[0])
     calls = []
@@ -168,18 +181,17 @@ def test_gmres_fixed_iterations_apply_preconditioner_once_per_step(rng, k):
         calls.append(1)
         return u / 4.0
 
-    _, stats = gmres(lambda u: a @ u, apply_p, b, fixed_iters=k)
-    assert stats.iters == k
+    gmres(lambda u: a @ u, apply_p, b)
     assert len(calls) == k
 
 
-@pytest.mark.parametrize("cfg", [dict(fixed_iters=5), dict(rtol=1e-10)])
+@pytest.mark.parametrize("cfg", [dict(), dict(rtol=1e-10)])
 def test_gmres_applies_operator_once_per_step_and_cycle(rng, monkeypatch,
                                                          cfg):
-    """Each Arnoldi step applies A once. A restarted solve applies it once
-    more per cycle, for the residual that serves both the convergence test
-    and the next cycle's start; the fixed mode starts from x = 0, whose
-    residual is b."""
+    """Each Arnoldi step applies A once. The restarted solve (`cfg` holds
+    its rtol) applies it once more per cycle, for the residual that serves
+    both the convergence test and the next cycle's start; the fixed solve
+    starts from x = 0, whose residual is b, so it forms no other."""
     monkeypatch.setattr(krylov_mod, "RESTART", 3)
     monkeypatch.setattr(krylov_mod, "MAXITER", 60)
     a = _well_conditioned(rng)
@@ -190,10 +202,11 @@ def test_gmres_applies_operator_once_per_step_and_cycle(rng, monkeypatch,
         calls.append(1)
         return a @ u
 
-    x, stats = gmres(apply_a, lambda u: u, b, **cfg)
-    if "fixed_iters" in cfg:
-        assert len(calls) == stats.iters == cfg["fixed_iters"]
+    if not cfg:
+        gmres(apply_a, lambda u: u, b)
+        assert len(calls) == krylov_mod.INNER_ITERS
         return
+    x, stats = fgmres(apply_a, lambda u: u, b, **cfg)
     cycles = -(-stats.iters // 3)
     assert stats.converged and cycles >= 3
     assert len(calls) == stats.iters + cycles
@@ -204,7 +217,7 @@ def test_gmres_converges_and_reports_true_residual(rng, monkeypatch):
     monkeypatch.setattr(krylov_mod, "MAXITER", 100)
     a = _well_conditioned(rng)
     b = rng.standard_normal(a.shape[0])
-    x, stats = gmres(lambda u: a @ u, lambda u: u, b, rtol=1e-9)
+    x, stats = fgmres(lambda u: a @ u, lambda u: u, b, 1e-9)
     assert stats.converged
     true = np.linalg.norm(b - a @ x)
     assert true <= 1e-9 * np.linalg.norm(b)
@@ -217,7 +230,7 @@ def test_gmres_right_preconditioned_solution(rng, monkeypatch):
     a = _well_conditioned(rng)
     p = np.linalg.inv(4.0 * np.eye(a.shape[0]))
     b = rng.standard_normal(a.shape[0])
-    x, stats = gmres(lambda u: a @ u, lambda u: p @ u, b, rtol=1e-11)
+    x, stats = fgmres(lambda u: a @ u, lambda u: p @ u, b, 1e-11)
     assert stats.converged
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
 
@@ -227,37 +240,55 @@ def test_gmres_residuals_monotone_within_cycle(rng, monkeypatch):
     monkeypatch.setattr(krylov_mod, "MAXITER", 50)
     a = _well_conditioned(rng, n=50)
     b = rng.standard_normal(50)
-    _, stats = gmres(lambda u: a @ u, lambda u: u, b, rtol=1e-10)
+    _, stats = fgmres(lambda u: a @ u, lambda u: u, b, 1e-10)
     res = np.array(stats.residuals)
     assert np.all(np.diff(res) <= 1e-12 * res[0])
 
 
 def test_fgmres_zero_rhs():
-    x, stats = gmres(lambda u: u, lambda u: u, np.zeros(8), rtol=1e-6)
+    x, stats = fgmres(lambda u: u, lambda u: u, np.zeros(8), 1e-6)
     assert stats.iters == 0 and stats.converged
     assert np.array_equal(x, np.zeros(8))
+
+
+def test_gmres_zero_rhs():
+    """The fixed solve of b = 0 is x = 0, with no apply."""
+    def refuse(u):
+        raise AssertionError("applied an operator to b = 0")
+
+    assert np.array_equal(gmres(refuse, refuse, np.zeros(8)), np.zeros(8))
 
 
 def test_gmres_stops_on_a_first_step_breakdown(rng):
     """An operator that annihilates the first direction gives no step: the
     solve ends after one cycle, unconverged, at x = 0."""
     b = rng.standard_normal(8)
-    x, stats = gmres(lambda u: 0.0 * u, lambda u: u, b, rtol=1e-6)
+    x, stats = fgmres(lambda u: 0.0 * u, lambda u: u, b, 1e-6)
     assert stats.iters == 0 and not stats.converged
     assert np.array_equal(x, np.zeros(8))
     assert stats.true_residual == np.linalg.norm(b)
 
 
 
-def test_krylov_config_validation(rng):
-    """The outer solve's settings: RESTART and MAXITER are constants, and
-    its rtol is KktParams.tol_linear, checked there. The fixed-step mode has
-    no tolerance exit, so it reads no rtol."""
-    assert (krylov_mod.RESTART, krylov_mod.MAXITER) == (10, 200)
+def test_krylov_config_validation():
+    """The solves' settings: RESTART, MAXITER and INNER_ITERS are
+    constants, and the outer rtol is KktParams.tol_linear, checked there.
+    The fixed solve has no tolerance exit, so it reads no rtol."""
+    assert (krylov_mod.RESTART, krylov_mod.MAXITER,
+            krylov_mod.INNER_ITERS) == (10, 200, 5)
     # tol_linear lies in (0, 1): the zero vector meets any rtol >= 1
     for bad in (-1.0, 0.0, 1.0, 3.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             KktParams(nu=0.01, beta=1e-2, tol_linear=bad)
+
+
+def test_gmres_ends_at_a_happy_breakdown(rng):
+    """A multiple of the identity is solved in one step, a happy breakdown:
+    the fixed solve stops there, after one apply of each operator, with
+    the exact solution."""
     b = rng.standard_normal(6)
-    _, stats = gmres(lambda u: 2.0 * u, lambda u: u, b, fixed_iters=5)
-    assert stats.iters == 1 and stats.converged
+    a_calls, p_calls = [], []
+    x = gmres(lambda u: a_calls.append(1) or 2.0 * u,
+              lambda u: p_calls.append(1) or u, b)
+    assert len(a_calls) == len(p_calls) == 1
+    assert np.allclose(x, b / 2.0, rtol=1e-14)

@@ -559,6 +559,14 @@ def test_params_validation():
             KktParams(nu=0.01, beta=bad)
         with pytest.raises(ValueError):
             KktParams(nu=0.01, beta=1e-2, gamma=bad)
+    # the three flags take a bool, not any value that reads as one
+    for flag in ("lps_on", "full_newton", "exact_blocks"):
+        for bad in ("no", "", 0, 1, 1.0, None):
+            with pytest.raises(ValueError, match=f"{flag} must be a bool"):
+                KktParams(nu=0.01, beta=1e-2, **{flag: bad})
+        for good in (True, False, np.True_, np.False_):
+            assert getattr(KktParams(nu=0.01, beta=1e-2, **{flag: good}),
+                           flag) == good
 
 
 def test_zero_data_problem_has_zero_residual(geom2):
@@ -594,6 +602,41 @@ def test_kkt_matrix_matches_blocks(geom2, rng):
     assert np.array_equal(rhs, np.concatenate([system.rhs1, system.rhs2,
                                                system.rhs_div1,
                                                system.rhs_div2]))
+
+
+@pytest.mark.parametrize("approach", ["otd", "dto"])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_kkt_matrix_and_matvec_are_the_block_forms(geom3, rng, approach,
+                                                   pinned):
+    """`matrix()`, which perfbench's direct-solve reference factors, is the
+    explicit 4x4 block matrix entry for entry, in the same CSR arrays, and
+    `matvec` rounds as the block-by-block sums do, on a Newton-step system
+    with its stabilization."""
+    d = geom3.dofmap
+    state = StateIterate(v=lift_boundary(d) + 0.1 * rng.standard_normal(
+                             d.n_v_full),
+                         zeta=0.1 * rng.standard_normal(d.n_v_full),
+                         mu=rng.standard_normal(d.n_p),
+                         p=rng.standard_normal(d.n_p))
+    system = build_kkt(state, geom3.mesh, d, geom3.patches, geom3.quad,
+                       KktParams(nu=0.01, beta=1e-2, approach=approach),
+                       pin=pinned, stab_wind=state.v)
+    bt = system.b.T.tocsr()
+    want = sp.bmat([[system.a11, system.a12, bt, None],
+                    [system.a21, system.a22, None, bt],
+                    [system.b, None, None, None],
+                    [None, system.b, None, None]], format="csr")
+    got = system.matrix()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    x = rng.standard_normal(system.dim)
+    x1, x2, x3, x4 = system.split(x)
+    bt = system.b.T
+    old = np.concatenate([system.a11 @ x1 + system.a12 @ x2 + bt @ x3,
+                          system.a21 @ x1 + system.a22 @ x2 + bt @ x4,
+                          system.b @ x1, system.b @ x2])
+    assert np.array_equal(system.matvec(x), old)
 
 
 def test_kkt_dto_offdiagonal_symmetry(geom2):

@@ -16,7 +16,7 @@ import nsctl.precond as precond_mod
 from nsctl.grid_fem import cell_stars, q2_prolongation, setup_geometry
 from nsctl.krylov import (ChebyshevMassSolver, Factorization,
                           SingularMatrixError, chebyshev_solve, factorize,
-                          gmres)
+                          fgmres, gmres)
 from nsctl.newton import _newton_step, initial_state, newton_solve
 from nsctl.operators import (KktParams, PressureOperators,
                              StateIterate, _level_operators, _wind_terms,
@@ -591,10 +591,13 @@ def test_bpcd_outer_apply_reads_the_level(geom2, rng, exact):
 # --------------------------------------------------------------------------
 
 def _inner_p1(stack):
-    """The stack's inner momentum preconditioner, from the pieces its
-    momentum solve binds."""
-    assert stack.momentum_solve.func is precond_mod.inner_momentum_solve
-    return partial(inner_p1_apply, *stack.momentum_solve.args)
+    """The stack's inner momentum preconditioner, which its momentum solve,
+    the fixed GMRES solve on the system's momentum operator, binds."""
+    solve = stack.momentum_solve
+    assert solve.func is precond_mod.gmres
+    assert solve.args[0] == stack.system.momentum_matvec
+    assert solve.args[1].func is inner_p1_apply
+    return solve.args[1]
 
 
 def test_inner_p1_zero_and_linearity(geom2, rng):
@@ -619,7 +622,7 @@ def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
     mom = system.momentum()
     rhs = np.concatenate([system.rhs1, system.rhs2])
 
-    x5, _ = gmres(lambda x: mom @ x, _inner_p1(stack), rhs, fixed_iters=5)
+    x5 = gmres(lambda x: mom @ x, _inner_p1(stack), rhs)
     assert np.linalg.norm(rhs - mom @ x5) <= 1e-2 * np.linalg.norm(rhs)
     # the stack's momentum solve is that fixed solve, on the system's blocks
     x = stack.momentum_solve(rhs)
@@ -627,7 +630,7 @@ def test_inner_momentum_solve_quality(geom2, monkeypatch, augmented):
 
     monkeypatch.setattr(krylov_mod, "RESTART", 30)
     monkeypatch.setattr(krylov_mod, "MAXITER", 30)
-    _, stats = gmres(lambda x: mom @ x, _inner_p1(stack), rhs, rtol=1e-10)
+    _, stats = fgmres(lambda x: mom @ x, _inner_p1(stack), rhs, 1e-10)
     assert stats.converged
     assert stats.iters <= 15
 
@@ -647,7 +650,7 @@ def test_inner_gmres_update_matches_preconditioned_basis_form(geom2, exact):
         images.append(p1(v))
         return images[-1]
 
-    x, _ = gmres(lambda u: mom @ u, apply_p, rhs, fixed_iters=5)
+    x = gmres(lambda u: mom @ u, apply_p, rhs)
     az = np.column_stack([mom @ z for z in images])
     y = np.linalg.lstsq(az, rhs, rcond=None)[0]
     old = p1(np.column_stack(basis) @ y)
@@ -742,7 +745,7 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     monkeypatch.setattr(ChebyshevMassSolver, "__post_init__", refuse)
     stack = build_precond(plain)
     assert stack.system.level_ops is lvl
-    _, mass_solve, matching = stack.momentum_solve.args
+    _, mass_solve, matching = _inner_p1(stack).args
     for mg in (matching.inv_21, matching.inv_12):
         assert len(mg.prolongations) == level - precond_mod.MG_COARSEST
     bpcd = build_precond(plain_bpcd)
@@ -750,15 +753,16 @@ def test_stack_reads_the_level_record(request, monkeypatch, rng, level):
     bp = rng.standard_normal(lvl.mp.shape[0])
     want = chebyshev_solve(lvl.m_cheb, b)
     assert np.array_equal(mass_solve(b), want)
-    assert np.array_equal(bpcd.momentum_solve.args[1](b), want)
+    assert np.array_equal(_inner_p1(bpcd).args[1](b), want)
     mp_solve = bpcd.outer_schur.args[2]
     assert np.array_equal(mp_solve(bp), chebyshev_solve(lvl.mp_cheb, bp))
 
 
 def test_stacks_hold_only_per_step_objects(geom2):
     """A stack holds its system, its outer Schur inverse and its momentum
-    solve; the AL and bpcd momentum solves bind the system, the mass solve
-    and the matching Schur approximation, which holds M and the two
+    solve; the AL and bpcd momentum solves bind the system's momentum
+    operator and the inner preconditioner, which binds the system, the mass
+    solve and the matching Schur approximation, which holds M and the two
     inverses only, with M the level record's. The bpcd outer inverse binds
     the step's pressure-space pair, which holds none of the level's data,
     and the AL one binds the augmented system alone."""
@@ -769,7 +773,7 @@ def test_stacks_hold_only_per_step_objects(geom2):
     assert [f.name for f in dataclasses.fields(PressureOperators)] \
         == ["dp", "dp_adj"]
     stack = build_precond(_stokes_system(geom2, precond="bpcd"))
-    system, _, matching = stack.momentum_solve.args
+    system, _, matching = _inner_p1(stack).args
     assert system is stack.system
     assert set(vars(matching)) == {"mass", "inv_21", "inv_12"}
     assert matching.mass is stack.system.level_ops.m
@@ -810,7 +814,7 @@ def test_level_factorizations_built_once(geom2, monkeypatch):
         if not exact:
             assert "M" not in seen and "Mp" not in seen
     assert all(seen.count(name) <= 1 for name in ("M", "Mp", "Kp")), seen
-    assert stack.momentum_solve.args[1] == lvl.m_lu.solve
+    assert _inner_p1(stack).args[1] == lvl.m_lu.solve
     assert stack.outer_schur.args[2] == lvl.mp_lu.solve
 
 
