@@ -16,6 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _REORTH_TOL = 1e-8
+_PROBE_RTOL = 1e-8                    # relative residual of the singularity probe
 RESTART = 10                          # Arnoldi steps per cycle of a tolerance solve
 MAXITER = 200                         # Arnoldi steps in all, over every cycle
 INNER_ITERS = 5                       # Arnoldi steps of each inner solve
@@ -48,6 +49,8 @@ def factorize(a: sp.spmatrix) -> Factorization:
     the pivot unless it is below 0.1 of its column's largest, so the rows
     keep the ordering's elimination order; strict partial pivoting, which
     takes each column's largest entry, can fill these blocks several-fold.
+    A singular matrix that SuperLU factorizes anyway is caught by one probe
+    solve, whose relative residual must be at most _PROBE_RTOL.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
@@ -56,15 +59,19 @@ def factorize(a: sp.spmatrix) -> Factorization:
                        diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularMatrixError(f"singular matrix: {exc}") from exc
-    # SuperLU happily factorizes singular matrices, leaving zero (or
-    # roundoff-sized) pivots behind instead of raising; reject those too.
-    # The relative threshold separates rank deficiency (pivot ratio at
-    # machine-epsilon level, e.g. a pure-Neumann stiffness matrix) from the
-    # merely ill-conditioned blocks this solver legitimately factorizes.
-    u_diag = np.abs(lu.U.diagonal())
-    bad = np.flatnonzero(u_diag <= 1e-12 * u_diag.max(initial=0.0))
-    if bad.size:
-        raise SingularMatrixError(f"singular matrix: zero pivot at {bad[0]}")
+    # SuperLU factorizes a numerically singular matrix without complaint,
+    # leaving a roundoff-sized pivot behind. Solving for one fixed probe
+    # with a nonzero mean and no structure exposes it by its residual
+    # (Higham 2002, ch. 7): the probe lies outside the range of a rank-
+    # deficient matrix, e.g. the mean-free range of a pure-Neumann stiffness
+    # matrix, and leaves a residual of order one, where the ill-conditioned
+    # blocks this solver factorizes leave roundoff. A NaN residual fails.
+    # The check reads neither L nor U: scipy's SuperLU object builds copies
+    # of both on the first read of either and keeps them as long as itself.
+    probe = np.random.default_rng(0).uniform(0.5, 1.5, a.shape[0])
+    res = np.linalg.norm(a @ lu.solve(probe) - probe)
+    if not res <= _PROBE_RTOL * np.linalg.norm(probe):
+        raise SingularMatrixError(f"singular matrix: probe residual {res:.2e}")
     return Factorization(lu)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import nsctl.krylov as krylov_mod
 from nsctl.grid_fem import setup_geometry
@@ -48,6 +49,56 @@ def test_factorize_singular_neumann(geom2):
     lvl = _level_operators(geom2.mesh.level)
     with pytest.raises(SingularMatrixError):
         factorize(lvl.kp)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_factorize_rejects_the_neumann_kp_of_every_level(level):
+    """SuperLU factorizes the pure-Neumann Kp without raising; the probe,
+    whose mean lies outside Kp's mean-free range, is left unsolved."""
+    with pytest.raises(SingularMatrixError, match="probe residual"):
+        factorize(_level_operators(level).kp)
+
+
+def test_factorize_rejects_a_dependent_row(geom3):
+    """A nonsingular matrix with one row replaced by 0.3 row i + 0.7 row j is
+    singular in exact arithmetic, but SuperLU leaves a roundoff pivot rather
+    than raising; the probe solve rejects it."""
+    a = _interior_mass(geom3).tolil()
+    i, j, k = 3, 40, 100
+    a[k] = 0.3 * a[i] + 0.7 * a[j]
+    a = a.tocsr()
+    spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+              options=dict(SymmetricMode=True))     # factorizes without error
+    with pytest.raises(SingularMatrixError, match="probe residual"):
+        factorize(a)
+
+
+def test_factorize_exactly_singular_raises_through_superlu():
+    """A zero column makes SuperLU itself report an exactly singular factor,
+    which reaches the caller as SingularMatrixError."""
+    a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                [1.0, 3.0, 0.0],
+                                [0.0, 1.0, 0.0]]))
+    with pytest.raises(SingularMatrixError) as info:
+        factorize(a)
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("beta", [1e-1, 1e-5])
+def test_factorize_probe_solves_matching_factors_to_roundoff(
+        monkeypatch, matching_factors, level, beta):
+    """The augmented matching factors solve the probe far inside the check's
+    bound: both pass with the bound tightened to 1e-11."""
+    geom = setup_geometry(level)
+    d = geom.dofmap
+    state = StateIterate(v=lift_boundary(d), zeta=np.zeros(d.n_v_full),
+                         mu=np.zeros(d.n_p), p=np.zeros(d.n_p), k=0)
+    system = augment(build_kkt(state, geom.mesh, d, geom.patches, geom.quad,
+                               KktParams(nu=1 / 500, beta=beta)))
+    monkeypatch.setattr(krylov_mod, "_PROBE_RTOL", 1e-11)
+    for a in matching_factors(system):
+        factorize(a)
 
 
 def test_factorize_roundtrip_on_mass(geom3, rng):

@@ -462,7 +462,8 @@ def test_worker_built_factors_are_freed():
     """scipy's SuperLU wrapper frees a factor's memory only on the thread
     that built it, so the worker-built factor must be dropped there: twenty
     exact matching builds at level 4 in one process may grow the resident
-    set by at most 50 MB (a factor never freed costs about 9 MB a build)."""
+    set by at most 50 MB (a factor never freed costs about 5.4 MB a build,
+    so twenty such builds grow it by about 110 MB)."""
     system = _stokes_system(setup_geometry(4), nu=1 / 250, beta=1e-3,
                             augmented=True, exact_blocks=True)
     build_matching(system)
@@ -471,6 +472,50 @@ def test_worker_built_factors_are_freed():
         build_matching(system)
     grown = _rss_mb() - before
     assert grown <= 50.0, f"resident set grew by {grown:.0f} MB"
+
+
+class _UnreadFactors:
+    """A SuperLU factor whose L and U may not be read: scipy builds copies
+    of both on the first read of either and keeps them with the factor."""
+
+    reads = []
+
+    def __init__(self, lu):
+        self._superlu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            _UnreadFactors.reads.append(name)
+            raise AssertionError(f"the factor's {name} was read")
+        return getattr(self._superlu, name)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(precond="al", exact_blocks=True),
+    dict(precond="al", exact_blocks=False),     # the coarse-level LU
+    dict(precond="bpcd", exact_blocks=True),
+    dict(precond="ideal"),
+], ids=["al-lu", "al-mg", "bpcd-lu", "ideal"])
+def test_no_factor_reads_l_or_u(monkeypatch, settings):
+    """No LU factor of a level-3 case, nor of a level record, reads its L or
+    U, so each holds only itself; the fill that perfbench reads (`_lu.nnz`)
+    stays."""
+    real = krylov_mod.spla.splu
+    built = []
+
+    def splu(*args, **kwargs):
+        built.append(_UnreadFactors(real(*args, **kwargs)))
+        return built[-1]
+
+    _UnreadFactors.reads.clear()
+    monkeypatch.setattr(krylov_mod.spla, "splu", splu)
+    _, trace = newton_solve(KktParams(nu=0.01, beta=1e-2, **settings),
+                            setup_geometry(3))
+    assert trace.converged and built
+    lvl = _level_operators.__wrapped__(3)            # a record of its own
+    for fact in (lvl.m_lu, lvl.mp_lu, lvl.kp_pinned_lu):
+        assert isinstance(fact._lu, _UnreadFactors) and fact._lu.nnz > 0
+    assert _UnreadFactors.reads == []
 
 
 # --------------------------------------------------------------------------
